@@ -1,0 +1,5 @@
+"""Seeded, output-checked benchmark for citationgraphs_ray.
+
+Run one workload with ``python3 perfbench/run.py --workload <name> --seed <n>
+--seconds <s> --trace <0|1>`` from the repository root; see README.md.
+"""
