@@ -7,7 +7,7 @@ the ground-truth edges; the generator also returns the resolved expected
 edge list so tests can check the extraction stage exactly.
 
 Shape knobs mirror the fixture spec: Zipf(1.5) files per repo clipped
-[1, 200], one optional mega-repo (hub skew / salting tests), Zipf(2)
+[1, 200], one optional mega-repo (hub-skew tests), Zipf(2)
 out-degree clipped [0, 50], ~1% dangling imports (unresolvable dst), ~2%
 duplicated import lines (exact-dedup exercise), occasional self-imports
 (dropped as self-loops), markdown files with no imports (empty-edge rows).

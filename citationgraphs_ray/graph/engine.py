@@ -1,28 +1,37 @@
-"""Superstep kernels over the edge table: PageRank, CC, LPA.
+"""Superstep kernels over the edge table: PageRank, CC, LPA, BFS, k-core,
+SSSP, HITS, Katz, MIS.
 
-Execution model (SURVEY.md §2.12, §4.3): each superstep is ONE
-groupby-aggregate message-passing round over the static edge Dataset —
+Execution model (SURVEY.md §2.12, §4.3): the per-vertex state (size V —
+orders of magnitude smaller than the edge table) is a dense numpy array
+on the driver, and each superstep is one message reduce over the static
+edge table. A kernel writes its message function once,
 
-    edges.map_batches(partial_combine)      # per-batch pre-aggregation:
-                                            #   np.unique(dst) + bincount —
-                                            #   ≤1 row per distinct dst per
-                                            #   batch; this per-batch combine
-                                            #   IS the hub-skew guard: a
-                                            #   mega-hub dst contributes at
-                                            #   most num_blocks rows to the
-                                            #   shuffle (degree-threshold
-                                            #   salting via stages.edges
-                                            #   .add_salt covers shapes with
-                                            #   no combiner)
-      .groupby("dst").aggregate(...)        # the (small) all-to-all
+    msg(state, src, dst[, w]) -> (key, value)
 
-The per-vertex state vector (size V — orders of magnitude smaller than the
-edge table) is held as a dense numpy array on the driver and broadcast to
-the map stage via ``ray.put`` each superstep (zero-copy plasma reads in
-every task). This "broadcast engine" is exact and is the small-V fast path;
-``csr_engine.py`` holds state distributed in partition actors for the
-scale-out path. Edge blocks are materialized once and re-read from the
-object store each superstep — content blobs never enter this loop.
+plus a combine — ``sum``, ``count`` or ``min`` — and :class:`_Edges`
+folds the messages into a dense length-V vector with one of two
+executors, picked by ``reduce``:
+
+- ``"local"``: (src, dst[, w]) pulled to the driver once; every
+  superstep is one in-process numpy pass (``np.bincount`` /
+  ``np.minimum.at``). ``reduce="auto"`` (the default) picks it at or
+  below LOCAL_KERNEL_MAX_EDGES.
+- ``"driver"``: edge blocks pinned in the object store once; every
+  superstep broadcasts the state via ``ray.put`` (zero-copy plasma reads
+  in every task), runs ``msg`` per block in ``map_batches``, pre-combines
+  each block with ``np.unique``, and streams the partials into the dense
+  vector on the driver. No shuffle; valid whenever V fits the driver.
+
+Hub skew is handled where the messages are produced: the per-block
+pre-combine ships at most one row per distinct key per block, so a
+mega-hub dst costs the driver merge one row per block however many
+in-edges it has (Scarlett, EuroSys 2011: combine at the producer rather
+than salt-split a hot key across a shuffle). The scale-out CSR engine
+(csr_engine.py) pre-aggregates per (p, q) partition pair the same way.
+
+Every kernel runs through one superstep loop (:func:`_run`), which owns
+checkpoint setup, the checksum-keyed fingerprint, resume, the history
+rows and the stop test. Content blobs never enter this loop.
 
 Reference analogs: PageRank ↔ in-citation analytics (CitationGraphs.go:
 3947-3961, 4035-4049); CC/LPA ↔ community extraction + hard assignment
@@ -32,43 +41,27 @@ Reference analogs: PageRank ↔ in-citation analytics (CitationGraphs.go:
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow as pa
 import ray
 import ray.data
-from ray.data.aggregate import Max, Min, Sum
 
 from ..state.checkpoints import CheckpointManager
-from ..utils import collect_table, dataset_to_dense_array
+from ..utils import collect_table
 
-# Third (degenerate) regime below the broadcast engine: when E is this
-# small, the per-superstep Ray Data execution overhead (~0.1-0.5 s per
-# map_batches round, measured) dwarfs the numpy compute, so the right
-# engine is the one-partition case — pull (src, dst) to the driver ONCE
-# (two int64 arrays, ≤64 MB at the threshold; V already fits the driver
-# by the broadcast engine's own precondition) and run the identical
-# per-superstep math in-process. ``reduce="auto"`` picks it; the
-# distributed modes are unchanged and equivalence-tested against it.
-LOCAL_KERNEL_MAX_EDGES = int(
-    os.environ.get("GRAFT_LOCAL_KERNEL_MAX_EDGES", "4000000")
-)
+# Below this E the per-superstep Ray Data execution overhead (~0.1-0.5 s
+# per map_batches round, measured) dwarfs the numpy compute, so
+# ``reduce="auto"`` runs the "local" executor: (src, dst) pulled to the
+# driver ONCE (two int64 arrays, ≤64 MB at the threshold; V already fits
+# the driver by the broadcast engine's own precondition). Above it,
+# "driver" — measured ~100x faster than a sort-based groupby(dst) reduce
+# (0.3 s vs 29 s per superstep at E=2M, V=200k on 8 CPUs, BENCH/BASELINE.md).
+LOCAL_KERNEL_MAX_EDGES = 4_000_000
 
-
-def _local_edge_arrays(eds: ray.data.Dataset) -> tuple[np.ndarray, np.ndarray]:
-    tbl = collect_table(eds).combine_chunks()
-    return (
-        tbl["src"].to_numpy(zero_copy_only=False).astype(np.int64),
-        tbl["dst"].to_numpy(zero_copy_only=False).astype(np.int64),
-    )
-
-
-def _resolve_reduce(reduce: str, num_edges: int) -> str:
-    if reduce == "auto":
-        return "local" if num_edges <= LOCAL_KERNEL_MAX_EDGES else "driver"
-    return reduce
+UNREACHED = np.iinfo(np.int64).max
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -141,13 +134,195 @@ def edge_checksum_and_count(
     return total, count
 
 
-def _prepare_edges(edges: ray.data.Dataset) -> ray.data.Dataset:
-    """Project to (src, dst) and pin blocks in the object store once."""
-    return edges.select_columns(["src", "dst"]).materialize()
+# ---------------------------------------------------------------------------
+# Message reduce: one combine, two executors
+# ---------------------------------------------------------------------------
 
 
-def _msg_table(dst: np.ndarray, val: np.ndarray, val_col: str) -> pa.Table:
-    return pa.table({"dst": pa.array(dst), val_col: pa.array(val)})
+def _fold(combine: str, key: np.ndarray, val, size: int) -> np.ndarray:
+    """Fold (key, val) messages into one value per key in [0, size):
+    ``sum`` (float64), ``count`` (int64, ``val`` ignored) or ``min``
+    (int64, UNREACHED where no message arrived)."""
+    if combine == "sum":
+        return np.bincount(key, weights=val, minlength=size)
+    if combine == "count":
+        return np.bincount(key, minlength=size)
+    out = _identity(combine, size)
+    np.minimum.at(out, key, val)
+    return out
+
+
+def _identity(combine: str, size: int) -> np.ndarray:
+    """The fold of no messages."""
+    if combine == "sum":
+        return np.zeros(size)
+    return np.full(size, UNREACHED if combine == "min" else 0, dtype=np.int64)
+
+
+def _fold_sparse(combine: str, key: np.ndarray, val) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_fold` over arbitrary int64 keys: (distinct keys, values)."""
+    u, inv = np.unique(key, return_inverse=True)
+    return u, _fold(combine, inv, val, len(u))
+
+
+class _Edges:
+    """The static edge table and the executor that runs message reduces
+    over it (module docstring)."""
+
+    def __init__(
+        self,
+        edges: ray.data.Dataset,
+        num_vertices: int,
+        reduce: str,
+        weight_col: str | None = None,
+    ) -> None:
+        if reduce not in ("auto", "local", "driver"):
+            raise ValueError(
+                f"reduce must be 'auto', 'local' or 'driver', got {reduce!r}"
+            )
+        self.num_vertices = num_vertices
+        self.weight_col = weight_col
+        self.cols = ["src", "dst"] + ([weight_col] if weight_col else [])
+        # project and pin the blocks in the object store once
+        self.ds = edges.select_columns(self.cols).materialize()
+        self.num_edges = self.ds.count()
+        self.arrays = None
+        if reduce == "local" or (
+            reduce == "auto" and self.num_edges <= LOCAL_KERNEL_MAX_EDGES
+        ):
+            tbl = collect_table(self.ds).combine_chunks()
+            self.arrays = tuple(_int64(tbl[c]) for c in self.cols)
+
+    def checksum(self) -> int:
+        return edge_checksum(self.ds, self.weight_col)
+
+    def reduce(self, msg, combine: str, *state: np.ndarray, sparse: bool = False):
+        """Run ``msg(state, src, dst[, w]) -> (key, value)`` over every
+        edge and fold by ``combine``: a dense length-V vector, or with
+        ``sparse=True`` (keys beyond V) a (distinct keys, values) pair."""
+        if self.arrays is not None:
+            key, val = msg(state, *self.arrays)
+            if sparse:
+                return _fold_sparse(combine, key, val)
+            return _fold(combine, key, val, self.num_vertices)
+        ref = ray.put(state)
+        cols = self.cols
+
+        def partial(batch: pa.Table) -> pa.Table:
+            key, val = msg(ray.get(ref), *(_int64(batch[c]) for c in cols))
+            u, part = _fold_sparse(combine, key, val)
+            return pa.table({"k": pa.array(u), "v": pa.array(part)})
+
+        msgs = self.ds.map_batches(partial, batch_format="pyarrow").iter_batches(
+            batch_size=1 << 20, batch_format="pyarrow"
+        )
+        # partials of a count are summed, partials of a min are min-ed
+        if sparse:
+            parts = [
+                (_int64(b["k"]), b["v"].to_numpy(zero_copy_only=False))
+                for b in msgs
+            ]
+            if not parts:
+                return _EMPTY, _EMPTY
+            ks, vs = zip(*parts)
+            merge = "min" if combine == "min" else "sum"
+            return _fold_sparse(merge, np.concatenate(ks), np.concatenate(vs))
+        out = _identity(combine, self.num_vertices)
+        at = np.minimum.at if combine == "min" else np.add.at
+        for b in msgs:
+            at(out, _int64(b["k"]), b["v"].to_numpy(zero_copy_only=False))
+        return out
+
+
+def _int64(col) -> np.ndarray:
+    return col.to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
+
+
+# Message functions: (state, src, dst[, w]) -> (key, value); value None
+# for ``count``. Module-level so Ray ships them by reference.
+
+
+def _to_dst(st, src, dst):
+    return dst, st[0][src]
+
+
+def _to_src(st, src, dst):
+    return src, st[0][dst]
+
+
+def _out_degree(st, src, dst):
+    return src, None
+
+
+# ---------------------------------------------------------------------------
+# The superstep loop
+# ---------------------------------------------------------------------------
+
+
+def _run(
+    g: _Edges,
+    kernel: str,
+    tag: str,
+    state: dict[str, np.ndarray],
+    step,
+    max_iters: int,
+    checkpoint_dir: str | None,
+    resume: bool,
+    keep_last: int | None,
+    params: dict | None = None,
+    checkpoint_every: int = 1,
+) -> tuple[dict[str, np.ndarray], int, bool, list[dict]]:
+    """Run ``step`` until it reports convergence or ``max_iters``.
+
+    ``state`` maps each checkpoint column to its initial per-vertex array;
+    ``step(state) -> (state, metric, converged)`` runs one superstep.
+    Checkpoints hold the whole state, keyed by ``tag`` + the edge checksum,
+    so a resume continues bitwise-identically; resuming a converged run
+    returns its final state without another superstep (an extra one would
+    break the resume ≡ uninterrupted invariant). Returns ``(state,
+    iterations, converged, history)``.
+    """
+    n = g.num_vertices
+    start = 0
+    mgr = None
+    if checkpoint_dir:
+        mgr = CheckpointManager(
+            checkpoint_dir,
+            kernel=kernel,
+            fingerprint=edge_fingerprint(n, g.num_edges, f"{tag}|{g.checksum()}"),
+            params=params,
+            keep_last=keep_last,
+        )
+        ck = mgr.latest() if resume else None
+        if ck is not None:
+            # restore each column's dtype (bool masks are saved as int64)
+            state = {
+                k: ck.state[k].astype(v.dtype, copy=False) for k, v in state.items()
+            }
+            start = ck.iteration + 1
+            if ck.manifest["metric"].get("converged"):
+                return state, start, True, []
+
+    history: list[dict] = []
+    converged = False
+    it = start
+    for it in range(start, max_iters):
+        state, metric, converged = step(state)
+        history.append({"iteration": it, **metric})
+        if mgr and (it % checkpoint_every == 0 or converged):
+            cols = {
+                k: v.astype(np.int64) if v.dtype == bool else v
+                for k, v in state.items()
+            }
+            mgr.save(
+                it,
+                {"id": np.arange(n, dtype=np.int64), **cols},
+                {**{k: float(v) for k, v in metric.items()}, "converged": converged},
+                parent=it - 1 if it > 0 else None,
+            )
+        if converged:
+            break
+    return state, it + 1, converged, history
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +341,6 @@ def pagerank(
     checkpoint_every: int = 1,
     reduce: str = "auto",
     checkpoint_keep_last: int | None = None,
-    salt_degree_threshold: int = 1 << 20,
-    num_salts: int = 8,
     reset_ids: "np.ndarray | list[int] | None" = None,
 ) -> KernelResult:
     """Power-iteration PageRank with uniform dangling-mass redistribution.
@@ -175,79 +348,20 @@ def pagerank(
     ``reset_ids`` switches to PERSONALIZED PageRank: the teleport vector
     r0 is uniform over the seed set (0 elsewhere), ranks init at r0, and
     both the (1-d) restart and the dangling mass land on the seeds —
-    new_rank = (1-d)·r0 + d·(sums + dangling_mass·r0). Same reduce
-    regimes; the seed set is mixed into the checkpoint fingerprint so a
-    resume can't silently load another personalization's ranks. Matches
+    new_rank = (1-d)·r0 + d·(sums + dangling_mass·r0). The seed set is
+    mixed into the checkpoint fingerprint so a resume can't silently load
+    another personalization's ranks. Matches
     graph/oracle.py:pagerank_oracle(reset_ids=...) allclose(1e-12).
 
     Per superstep: contribs = rank/out_deg shipped along out-edges →
-    message reduce → new_rank = (1-d)/V + d·(sum + dangling/V).
+    ``sum`` reduce → new_rank = (1-d)/V + d·(sum + dangling/V).
     Convergence: L-inf residual < tol (driver-side on the dense vector).
     Matches graph/oracle.py:pagerank_oracle to allclose(1e-6).
-
-    ``reduce`` picks the message-reduce strategy ("auto", the default,
-    resolves to "local" at/below LOCAL_KERNEL_MAX_EDGES, else "driver"):
-    - "local": the tiny-graph regime — (src, dst) pulled to the driver
-      once, every superstep a single ``np.bincount``; no Ray round-trips
-      in the loop (the per-superstep Ray Data execution overhead is the
-      whole cost at this scale). Equivalence-tested vs "driver".
-    - "driver": stream the per-batch pre-aggregated (dst, partial)
-      tables to the driver and np.add.at into the dense vector. Exact, no
-      shuffle; valid whenever V fits the driver — which is the broadcast
-      engine's precondition anyway. ~100x faster than the sort-based
-      groupby at bench scale (measured: 0.3s vs 29s per superstep at
-      E=2M, V=200k on 8 cpus).
-    - "groupby": the canonical distributed ``groupby(dst).sum`` all-to-all.
-      Use when auditing the pure-Dataset formulation; the CSR actor engine
-      (csr_engine.py) is the production scale-out path when V outgrows the
-      driver.
-    - "salted_groupby": the skew-guarded combiner-less formulation
-      (SURVEY.md §4.3 / north-rule hub splitting): per-EDGE messages (no
-      per-block pre-aggregation) shuffled by ``(dst, salt)`` where hub
-      dsts with in-degree > ``salt_degree_threshold`` are split across
-      ``num_salts`` sub-keys (stages/edges.add_salt), then a second tiny
-      groupby merges the salt partials. Without the salt, one mega-hub
-      key would pin the whole reduce on one task.
-    - "tree": two-level distributed combine — per-block partials are
-      bundled (batch_size coalescing, no shuffle) into a few DENSE
-      per-bundle sum vectors (np.add.at inside tasks), the driver just
-      sums those arrays. Use when block count × V makes the driver
-      row-stream the bottleneck (the driver reduce ships O(blocks·V)
-      partial rows through one process per superstep). At sandbox scale
-      (E=6M, 128 blocks → 5.5M partial rows, np.add.at 0.05 s) the
-      superstep floor is Ray Data per-execution overhead (~0.4-0.6 s),
-      so "tree" measures slightly SLOWER here — it is the many-more-
-      blocks cluster shape, not a sandbox win. Same math, different
-      float summation order (allclose 1e-9, equivalence-tested).
+    ``reduce`` picks the executor (module docstring); "local" and
+    "driver" differ only in float summation order.
     """
-    eds = _prepare_edges(edges)
-    salted_eds = None
-    reduce = _resolve_reduce(reduce, eds.count())
-    if reduce == "salted_groupby":
-        from ..stages.edges import add_salt
-        from ..utils import fast_grouped_agg
-
-        indeg = fast_grouped_agg(eds, ["dst"], count_as="n")
-        hot_tbl = indeg.filter(expr=f"n > {int(salt_degree_threshold)}")
-        hot = (
-            hot_tbl.to_pandas()["dst"].to_numpy().astype(np.int64)
-            if hot_tbl.count()
-            else np.empty(0, dtype=np.int64)
-        )
-        salted_eds = add_salt(eds, hot, num_salts=num_salts).materialize()
-    num_edges = eds.count()
-    src_a = dst_a = None
-    if reduce == "local":
-        src_a, dst_a = _local_edge_arrays(eds)
-        out_deg = np.bincount(src_a, minlength=num_vertices).astype(np.float64)
-    else:
-        # streaming degree count — exact, no sort-based groupby fixed cost
-        out_deg = np.zeros(num_vertices, dtype=np.float64)
-        for b in eds.iter_batches(batch_size=1 << 20, batch_format="pyarrow"):
-            out_deg += np.bincount(
-                b["src"].to_numpy(zero_copy_only=False),
-                minlength=num_vertices,
-            )
+    g = _Edges(edges, num_vertices, reduce)
+    out_deg = g.reduce(_out_degree, "count").astype(np.float64)
     dangling = out_deg == 0.0
     safe_deg = np.where(dangling, 1.0, out_deg)
 
@@ -263,115 +377,11 @@ def pagerank(
         r0[seeds] = 1.0 / len(seeds)
         seed_tag = "|" + hashlib.sha1(seeds.tobytes()).hexdigest()[:8]
 
-    ranks = r0.copy() if r0 is not None else np.full(
-        num_vertices, 1.0 / num_vertices
-    )
-    start_iter = 0
-    mgr = None
-    if checkpoint_dir:
-        mgr = CheckpointManager(
-            checkpoint_dir,
-            kernel="pagerank",
-            fingerprint=edge_fingerprint(
-                num_vertices, num_edges, f"pr|{edge_checksum(eds)}{seed_tag}"
-            ),
-            params={"damping": damping, "tol": tol},
-            keep_last=checkpoint_keep_last,
-        )
-        if resume:
-            ck = mgr.latest()
-            if ck is not None:
-                ranks = ck.state["rank"]
-                start_iter = ck.iteration + 1
-                if ck.manifest["metric"].get("converged"):
-                    # run already finished; an extra superstep would break
-                    # the resume ≡ uninterrupted bitwise invariant
-                    return KernelResult(ranks, ck.iteration + 1, True, [])
-
-    history: list[dict] = []
-    converged = False
-    it = start_iter
-    for it in range(start_iter, max_iters):
-        contrib_vec = ranks / safe_deg
-        contrib_vec[dangling] = 0.0
-        if reduce != "local":
-            vec_ref = ray.put(contrib_vec)
-
-        def partial(batch: pa.Table) -> pa.Table:
-            vec = ray.get(vec_ref)
-            src = batch["src"].to_numpy(zero_copy_only=False)
-            dst = batch["dst"].to_numpy(zero_copy_only=False)
-            u, inv = np.unique(dst, return_inverse=True)
-            sums = np.bincount(inv, weights=vec[src])
-            return _msg_table(u, sums, "contrib")
-
-        if reduce == "local":
-            sums = np.bincount(
-                dst_a, weights=contrib_vec[src_a], minlength=num_vertices
-            )
-        elif reduce == "salted_groupby":
-
-            def edge_msgs(batch: pa.Table) -> pa.Table:
-                vec = ray.get(vec_ref)
-                src = batch["src"].to_numpy(zero_copy_only=False)
-                return pa.table(
-                    {
-                        "dst": batch["dst"],
-                        "salt": batch["salt"],
-                        "contrib": pa.array(vec[src]),
-                    }
-                )
-
-            raw = salted_eds.map_batches(edge_msgs, batch_format="pyarrow")
-            agg1 = raw.groupby(["dst", "salt"]).aggregate(
-                Sum("contrib", alias_name="contrib")
-            )
-            agg2 = agg1.groupby("dst").aggregate(
-                Sum("contrib", alias_name="contrib")
-            )
-            sums = dataset_to_dense_array(agg2, "dst", "contrib", num_vertices)
-            msgs = None
-        elif reduce == "groupby":
-            msgs = eds.map_batches(partial, batch_format="pyarrow")
-            agg = msgs.groupby("dst").aggregate(Sum("contrib", alias_name="contrib"))
-            sums = dataset_to_dense_array(agg, "dst", "contrib", num_vertices)
-        elif reduce == "tree":
-
-            def combine_dense(batch: pa.Table) -> pa.Table:
-                v = np.zeros(num_vertices)
-                np.add.at(
-                    v,
-                    batch["dst"].to_numpy(zero_copy_only=False),
-                    batch["contrib"].to_numpy(zero_copy_only=False),
-                )
-                col = pa.ListArray.from_arrays(
-                    pa.array([0, num_vertices], type=pa.int32()), pa.array(v)
-                )
-                return pa.table({"sums": col})
-
-            # bundle many per-block partials into each combine task via
-            # batch_size coalescing — no repartition shuffle in the loop
-            dense = eds.map_batches(partial, batch_format="pyarrow").map_batches(
-                combine_dense,
-                batch_format="pyarrow",
-                batch_size=4 << 20,
-            )
-            sums = np.zeros(num_vertices)
-            for b in dense.iter_batches(batch_size=16, batch_format="pyarrow"):
-                flat = (
-                    b["sums"].combine_chunks().flatten()
-                    .to_numpy(zero_copy_only=False)
-                )
-                sums += flat.reshape(-1, num_vertices).sum(axis=0)
-        else:
-            msgs = eds.map_batches(partial, batch_format="pyarrow")
-            sums = np.zeros(num_vertices)
-            for b in msgs.iter_batches(batch_size=1 << 20, batch_format="pyarrow"):
-                np.add.at(
-                    sums,
-                    b["dst"].to_numpy(zero_copy_only=False),
-                    b["contrib"].to_numpy(zero_copy_only=False),
-                )
+    def step(st):
+        ranks = st["rank"]
+        contrib = ranks / safe_deg
+        contrib[dangling] = 0.0
+        sums = g.reduce(_to_dst, "sum", contrib)
         dangling_mass = ranks[dangling].sum()
         if r0 is None:
             new_ranks = (1.0 - damping) / num_vertices + damping * (
@@ -382,19 +392,16 @@ def pagerank(
                 sums + dangling_mass * r0
             )
         resid = float(np.max(np.abs(new_ranks - ranks)))
-        ranks = new_ranks
-        converged = resid < tol
-        history.append({"iteration": it, "linf_residual": resid})
-        if mgr and (it % checkpoint_every == 0 or converged):
-            mgr.save(
-                it,
-                {"id": np.arange(num_vertices, dtype=np.int64), "rank": ranks},
-                {"linf_residual": resid, "converged": converged},
-                parent=it - 1 if it > start_iter or start_iter > 0 else None,
-            )
-        if converged:
-            break
-    return KernelResult(ranks, it + 1, converged, history)
+        return {"rank": new_ranks}, {"linf_residual": resid}, resid < tol
+
+    init = r0.copy() if r0 is not None else np.full(num_vertices, 1.0 / num_vertices)
+    st, iters, converged, history = _run(
+        g, "pagerank", "pr" + seed_tag, {"rank": init}, step, max_iters,
+        checkpoint_dir, resume, checkpoint_keep_last,
+        params={"damping": damping, "tol": tol},
+        checkpoint_every=checkpoint_every,
+    )
+    return KernelResult(st["rank"], iters, converged, history)
 
 
 # ---------------------------------------------------------------------------
@@ -417,96 +424,32 @@ def connected_components(
     stages.edges.symmetrize_edges). Convergence = zero changed labels.
     Component id = min member id (exact-match vs oracle). Log-round
     pointer-doubling variants (PAPERS.md: CC in MapReduce) trade extra
-    shuffles for fewer rounds; plain exchange keeps one groupby/round.
-    ``reduce="auto"`` resolves to the driver-local numpy loop at/below
-    LOCAL_KERNEL_MAX_EDGES (see module docstring), "driver" above.
+    shuffles for fewer rounds; plain exchange keeps one ``min`` reduce
+    per round.
     """
-    eds = _prepare_edges(edges_undirected)
-    num_edges = eds.count()
-    reduce = _resolve_reduce(reduce, num_edges)
-    src_a = dst_a = None
-    if reduce == "local":
-        src_a, dst_a = _local_edge_arrays(eds)
-    labels = np.arange(num_vertices, dtype=np.int64)
-    start_iter = 0
-    mgr = None
-    if checkpoint_dir:
-        mgr = CheckpointManager(
-            checkpoint_dir,
-            kernel="cc",
-            fingerprint=edge_fingerprint(
-                num_vertices, num_edges, f"cc|{edge_checksum(eds)}"
-            ),
-            keep_last=checkpoint_keep_last,
-        )
-        if resume:
-            ck = mgr.latest()
-            if ck is not None:
-                labels = ck.state["component"]
-                start_iter = ck.iteration + 1
-                if ck.manifest["metric"].get("changed") == 0.0:
-                    return KernelResult(labels, ck.iteration + 1, True, [])
+    g = _Edges(edges_undirected, num_vertices, reduce)
 
-    history: list[dict] = []
-    converged = False
-    it = start_iter
-    for it in range(start_iter, max_iters):
-        if reduce == "local":
-            incoming = np.full(
-                num_vertices, np.iinfo(np.int64).max, dtype=np.int64
-            )
-            np.minimum.at(incoming, dst_a, labels[src_a])
-        else:
-            vec_ref = ray.put(labels)
-
-            def partial(batch: pa.Table) -> pa.Table:
-                vec = ray.get(vec_ref)
-                src = batch["src"].to_numpy(zero_copy_only=False)
-                dst = batch["dst"].to_numpy(zero_copy_only=False)
-                u, inv = np.unique(dst, return_inverse=True)
-                mins = np.full(len(u), np.iinfo(np.int64).max, dtype=np.int64)
-                np.minimum.at(mins, inv, vec[src])
-                return _msg_table(u, mins, "lab")
-
-            msgs = eds.map_batches(partial, batch_format="pyarrow")
-            if reduce == "groupby":
-                agg = msgs.groupby("dst").aggregate(Min("lab", alias_name="lab"))
-                incoming = dataset_to_dense_array(
-                    agg, "dst", "lab", num_vertices,
-                    default=np.iinfo(np.int64).max, dtype=np.int64,
-                )
-            else:
-                incoming = np.full(
-                    num_vertices, np.iinfo(np.int64).max, dtype=np.int64
-                )
-                for b in msgs.iter_batches(
-                    batch_size=1 << 20, batch_format="pyarrow"
-                ):
-                    np.minimum.at(
-                        incoming,
-                        b["dst"].to_numpy(zero_copy_only=False),
-                        b["lab"].to_numpy(zero_copy_only=False),
-                    )
-        new_labels = np.minimum(labels, incoming)
+    def step(st):
+        labels = st["component"]
+        new_labels = np.minimum(labels, g.reduce(_to_dst, "min", labels))
         changed = int(np.count_nonzero(new_labels != labels))
-        labels = new_labels
-        history.append({"iteration": it, "changed": changed})
-        if mgr:
-            mgr.save(
-                it,
-                {"id": np.arange(num_vertices, dtype=np.int64), "component": labels},
-                {"changed": float(changed)},
-                parent=it - 1 if it > 0 else None,
-            )
-        if changed == 0:
-            converged = True
-            break
-    return KernelResult(labels, it + 1, converged, history)
+        return {"component": new_labels}, {"changed": changed}, changed == 0
+
+    st, iters, converged, history = _run(
+        g, "cc", "cc", {"component": np.arange(num_vertices, dtype=np.int64)},
+        step, max_iters, checkpoint_dir, resume, checkpoint_keep_last,
+    )
+    return KernelResult(st["component"], iters, converged, history)
 
 
 # ---------------------------------------------------------------------------
 # Community label propagation (synchronous, neighbor mode, min-tie-break)
 # ---------------------------------------------------------------------------
+
+
+def _label_pair(st, src, dst):
+    labels = st[0]
+    return dst * (len(labels) + 1) + labels[src], None
 
 
 def label_propagation(
@@ -520,147 +463,90 @@ def label_propagation(
 ) -> KernelResult:
     """Synchronous LPA: new label = mode of neighbor labels, tie → min.
 
-    ``reduce="auto"`` resolves to the driver-local numpy round at/below
-    LOCAL_KERNEL_MAX_EDGES (see module docstring), "driver" above; all
-    modes share the encode-max-decode argmax and are exact-identical.
-
-    Message reduce uses an encode-max-decode trick so the round stays a
-    single built-in aggregate: per (dst, label) partial counts per batch,
-    ``groupby(dst,label).sum`` → key = cnt·M + (M-1-label) with M = V+1,
-    ``groupby(dst).max(key)`` decodes to (max count, min label). Valid while
-    cnt·M + M fits int64, i.e. V ≲ 3e9; beyond that switch the second
-    aggregate to groupby(dst).map_groups. Deterministic by construction
-    (exact-match vs oracle, FIXTURES.md F3).
+    The engine's one sparse-key reduce: each edge sends its src's label
+    keyed by pair = dst·M + label (M = V+1), a ``count`` reduce over the
+    pairs gives per-(dst, label) counts, and encode-max-decode picks the
+    argmax — key = cnt·M + (M-1-label), per-dst max decodes to (max count,
+    min label). Valid while cnt·M + M fits int64, i.e. V ≲ 3e9.
+    Deterministic by construction (exact-match vs oracle, FIXTURES.md F3);
+    both executors are exact-identical.
     """
-    eds = _prepare_edges(edges_undirected)
-    num_edges = eds.count()
-    reduce = _resolve_reduce(reduce, num_edges)
-    src_a = dst_a = None
-    if reduce == "local":
-        src_a, dst_a = _local_edge_arrays(eds)
     M = num_vertices + 1
     if M * (M + 1) >= np.iinfo(np.int64).max:
         raise ValueError("V too large for int64 encode-max-decode; use map_groups")
-    labels = np.arange(num_vertices, dtype=np.int64)
-    start_iter = 0
-    mgr = None
-    if checkpoint_dir:
-        mgr = CheckpointManager(
-            checkpoint_dir,
-            kernel="lpa",
-            fingerprint=edge_fingerprint(
-                num_vertices, num_edges, f"lpa|{edge_checksum(eds)}"
-            ),
-            keep_last=checkpoint_keep_last,
-        )
-        if resume:
-            ck = mgr.latest()
-            if ck is not None:
-                labels = ck.state["label"]
-                start_iter = ck.iteration + 1
-                if ck.manifest["metric"].get("changed") == 0.0:
-                    return KernelResult(labels, ck.iteration + 1, True, [])
+    g = _Edges(edges_undirected, num_vertices, reduce)
 
-    history: list[dict] = []
-    converged = False
-    it = start_iter
-    for it in range(start_iter, max_rounds):
-        if reduce == "local":
-            pair = dst_a * M + labels[src_a]
-            u, inv = np.unique(pair, return_inverse=True)
-            tot = np.bincount(inv).astype(np.int64)
-            d_u = u // M
-            l_u = u % M
-            enc = tot * M + (M - 1 - l_u)
-            keys = np.full(num_vertices, -1, dtype=np.int64)
-            np.maximum.at(keys, d_u, enc)
-            msgs = None
-        else:
-            vec_ref = ray.put(labels)
-
-            def partial(batch: pa.Table) -> pa.Table:
-                vec = ray.get(vec_ref)
-                src = batch["src"].to_numpy(zero_copy_only=False)
-                dst = batch["dst"].to_numpy(zero_copy_only=False)
-                lab = vec[src]
-                pair = dst * M + lab  # (dst,label) key for the combine
-                u, inv = np.unique(pair, return_inverse=True)
-                cnt = np.bincount(inv)
-                return pa.table(
-                    {
-                        "dst": pa.array((u // M).astype(np.int64)),
-                        "label": pa.array((u % M).astype(np.int64)),
-                        "cnt": pa.array(cnt.astype(np.int64)),
-                    }
-                )
-
-            msgs = eds.map_batches(partial, batch_format="pyarrow")
-        if reduce == "local":
-            pass
-        elif reduce == "groupby":
-            counts = msgs.groupby(["dst", "label"]).aggregate(
-                Sum("cnt", alias_name="cnt")
-            )
-
-            def encode(batch: pa.Table) -> pa.Table:
-                cnt = batch["cnt"].to_numpy(zero_copy_only=False)
-                lab = batch["label"].to_numpy(zero_copy_only=False)
-                key = cnt * M + (M - 1 - lab)
-                return pa.table({"dst": batch["dst"], "key": pa.array(key)})
-
-            best = (
-                counts.map_batches(encode, batch_format="pyarrow")
-                .groupby("dst")
-                .aggregate(Max("key", alias_name="key"))
-            )
-            keys = dataset_to_dense_array(
-                best, "dst", "key", num_vertices, default=-1, dtype=np.int64
-            )
-        else:
-            # driver reduce: merge partial (dst,label) counts exactly, then
-            # the same encode-max-decode argmax, fully vectorized
-            pair_parts: list[np.ndarray] = []
-            cnt_parts: list[np.ndarray] = []
-            for b in msgs.iter_batches(batch_size=1 << 20, batch_format="pyarrow"):
-                d = b["dst"].to_numpy(zero_copy_only=False)
-                l = b["label"].to_numpy(zero_copy_only=False)
-                pair_parts.append(d * M + l)
-                cnt_parts.append(b["cnt"].to_numpy(zero_copy_only=False))
-            keys = np.full(num_vertices, -1, dtype=np.int64)
-            if pair_parts:
-                pair = np.concatenate(pair_parts)
-                cnt = np.concatenate(cnt_parts)
-                u, inv = np.unique(pair, return_inverse=True)
-                tot = np.bincount(inv, weights=cnt).astype(np.int64)
-                d_u = u // M
-                l_u = u % M
-                enc = tot * M + (M - 1 - l_u)
-                np.maximum.at(keys, d_u, enc)
+    def step(st):
+        labels = st["label"]
+        pair, cnt = g.reduce(_label_pair, "count", labels, sparse=True)
+        enc = cnt.astype(np.int64, copy=False) * M + (M - 1 - pair % M)
+        keys = np.full(num_vertices, -1, dtype=np.int64)
+        np.maximum.at(keys, pair // M, enc)
         new_labels = labels.copy()
         has_nbrs = keys >= 0
         new_labels[has_nbrs] = M - 1 - (keys[has_nbrs] % M)
         changed = int(np.count_nonzero(new_labels != labels))
-        labels = new_labels
-        history.append({"iteration": it, "changed": changed})
-        if mgr:
-            mgr.save(
-                it,
-                {"id": np.arange(num_vertices, dtype=np.int64), "label": labels},
-                {"changed": float(changed)},
-                parent=it - 1 if it > 0 else None,
-            )
-        if changed == 0:
-            converged = True
-            break
-    return KernelResult(labels, it + 1, converged, history)
+        return {"label": new_labels}, {"changed": changed}, changed == 0
+
+    st, iters, converged, history = _run(
+        g, "lpa", "lpa", {"label": np.arange(num_vertices, dtype=np.int64)},
+        step, max_rounds, checkpoint_dir, resume, checkpoint_keep_last,
+    )
+    return KernelResult(st["label"], iters, converged, history)
 
 
 # ---------------------------------------------------------------------------
-# BFS hop distance (single- or multi-source shortest hops, unit weights)
+# BFS hop distance and weighted SSSP (frontier-gated min-plus relaxation)
 # ---------------------------------------------------------------------------
 
 
-UNREACHED = np.iinfo(np.int64).max
+def _relax(st, src, dst, w=None):
+    """dist[src] + w along the out-edges of frontier vertices (BFS: w ≡ 1)."""
+    dist, frontier = st
+    live = frontier[src]
+    if w is None:
+        return dst[live], dist[src[live]] + 1
+    if len(w) and w.min() < 0:
+        raise ValueError("sssp requires non-negative weights")
+    return dst[live], dist[src[live]] + w[live]
+
+
+def _frontier_search(
+    g: _Edges,
+    kernel: str,
+    col: str,
+    sources,
+    max_iters: int,
+    checkpoint_dir: str | None,
+    resume: bool,
+    keep_last: int | None,
+) -> KernelResult:
+    """The BFS/SSSP body: relax from the frontier until no distance
+    improves; the frontier is checkpointed with the distances."""
+    src_ids = np.asarray(sources, dtype=np.int64)
+    if src_ids.size == 0:
+        raise ValueError(f"{kernel} needs at least one source vertex")
+    n = g.num_vertices
+    if np.any((src_ids < 0) | (src_ids >= n)):
+        raise ValueError("source id outside [0, num_vertices)")
+    dist = np.full(n, UNREACHED, dtype=np.int64)
+    dist[src_ids] = 0
+    frontier = np.zeros(n, dtype=bool)
+    frontier[src_ids] = True
+
+    def step(st):
+        dist = st[col]
+        new_dist = np.minimum(dist, g.reduce(_relax, "min", dist, st["frontier"]))
+        frontier = new_dist != dist
+        fsize = int(np.count_nonzero(frontier))
+        return {col: new_dist, "frontier": frontier}, {"frontier_size": fsize}, fsize == 0
+
+    src_tag = hashlib.sha1(np.sort(src_ids).tobytes()).hexdigest()[:8]
+    st, iters, converged, history = _run(
+        g, kernel, f"{kernel}|{src_tag}", {col: dist, "frontier": frontier},
+        step, max_iters, checkpoint_dir, resume, keep_last,
+    )
+    return KernelResult(st[col], iters, converged, history)
 
 
 def bfs_hops(
@@ -685,283 +571,13 @@ def bfs_hops(
     the 100-TB-scale property that makes level-synchronous BFS viable
     (total work across all rounds is O(E), like the sequential algorithm).
     Directed by default; pass a symmetrized edge table for undirected
-    hops. ``reduce`` regimes and checkpointing match the other kernels.
+    hops.
     """
-    eds = _prepare_edges(edges)
-    num_edges = eds.count()
-    reduce = _resolve_reduce(reduce, num_edges)
-    src_a = dst_a = None
-    if reduce == "local":
-        src_a, dst_a = _local_edge_arrays(eds)
-    dist = np.full(num_vertices, UNREACHED, dtype=np.int64)
-    src_ids = np.asarray(sources, dtype=np.int64)
-    if src_ids.size == 0:
-        raise ValueError("bfs_hops needs at least one source vertex")
-    if np.any((src_ids < 0) | (src_ids >= num_vertices)):
-        raise ValueError("source id outside [0, num_vertices)")
-    dist[src_ids] = 0
-    frontier = np.zeros(num_vertices, dtype=bool)
-    frontier[src_ids] = True
-    start_iter = 0
-    mgr = None
-    if checkpoint_dir:
-        src_tag = hashlib.sha1(np.sort(src_ids).tobytes()).hexdigest()[:8]
-        mgr = CheckpointManager(
-            checkpoint_dir,
-            kernel="bfs",
-            fingerprint=edge_fingerprint(
-                num_vertices, num_edges, f"bfs|{src_tag}|{edge_checksum(eds)}"
-            ),
-            keep_last=checkpoint_keep_last,
-        )
-        if resume:
-            ck = mgr.latest()
-            if ck is not None:
-                dist = ck.state["hops"]
-                frontier = ck.state["frontier"].astype(bool)
-                start_iter = ck.iteration + 1
-                if ck.manifest["metric"].get("frontier_size") == 0.0:
-                    return KernelResult(dist, ck.iteration + 1, True, [])
-
-    history: list[dict] = []
-    converged = False
-    it = start_iter
-    for it in range(start_iter, max_iters):
-        if not frontier.any():
-            converged = True
-            break
-        if reduce == "local":
-            live = frontier[src_a]
-            incoming = np.full(num_vertices, UNREACHED, dtype=np.int64)
-            if live.any():
-                np.minimum.at(
-                    incoming, dst_a[live], dist[src_a[live]] + 1
-                )
-        else:
-            vec_ref = ray.put(dist)
-            frontier_ref = ray.put(frontier)
-
-            def partial(batch: pa.Table) -> pa.Table:
-                vec = ray.get(vec_ref)
-                front = ray.get(frontier_ref)
-                src = batch["src"].to_numpy(zero_copy_only=False)
-                dst = batch["dst"].to_numpy(zero_copy_only=False)
-                live = front[src]
-                if not live.any():
-                    return pa.table(
-                        {
-                            "dst": pa.array([], type=pa.int64()),
-                            "hop": pa.array([], type=pa.int64()),
-                        }
-                    )
-                d = dst[live]
-                v = vec[src[live]] + 1
-                u, inv = np.unique(d, return_inverse=True)
-                mins = np.full(len(u), UNREACHED, dtype=np.int64)
-                np.minimum.at(mins, inv, v)
-                return _msg_table(u, mins, "hop")
-
-            msgs = eds.map_batches(partial, batch_format="pyarrow")
-            if reduce == "groupby":
-                agg = msgs.groupby("dst").aggregate(Min("hop", alias_name="hop"))
-                incoming = dataset_to_dense_array(
-                    agg, "dst", "hop", num_vertices,
-                    default=UNREACHED, dtype=np.int64,
-                )
-            else:
-                incoming = np.full(num_vertices, UNREACHED, dtype=np.int64)
-                for b in msgs.iter_batches(
-                    batch_size=1 << 20, batch_format="pyarrow"
-                ):
-                    np.minimum.at(
-                        incoming,
-                        b["dst"].to_numpy(zero_copy_only=False),
-                        b["hop"].to_numpy(zero_copy_only=False),
-                    )
-        new_dist = np.minimum(dist, incoming)
-        frontier = new_dist != dist
-        dist = new_dist
-        fsize = int(np.count_nonzero(frontier))
-        history.append({"iteration": it, "frontier_size": fsize})
-        if mgr:
-            mgr.save(
-                it,
-                {
-                    "id": np.arange(num_vertices, dtype=np.int64),
-                    "hops": dist,
-                    "frontier": frontier.astype(np.int64),
-                },
-                {"frontier_size": float(fsize)},
-                parent=it - 1 if it > 0 else None,
-            )
-        if fsize == 0:
-            converged = True
-            break
-    return KernelResult(dist, it + 1, converged, history)
-
-
-# ---------------------------------------------------------------------------
-# k-core decomposition (fixed k): iterative peeling by degree decrement
-# ---------------------------------------------------------------------------
-
-
-def k_core(
-    edges_undirected: ray.data.Dataset,
-    num_vertices: int,
-    k: int,
-    max_iters: int = 10_000,
-    checkpoint_dir: str | None = None,
-    resume: bool = False,
-    reduce: str = "auto",
-    checkpoint_keep_last: int | None = None,
-) -> KernelResult:
-    """Maximal subgraph where every vertex keeps degree ≥ k — the classic
-    peel, expressed as supersteps that DECREMENT: after the initial degree
-    pass, only vertices REMOVED in a round emit messages (one count per
-    still-alive neighbor), so total message volume across all rounds is
-    O(E) — the property that makes distributed peeling viable at scale
-    (recomputing full degrees each round would be O(E·rounds)).
-
-    ``edges_undirected`` must contain both directions (symmetrize first);
-    degree = count of outgoing rows per vertex in that table. Returns
-    state[v] = 1 if v is in the k-core else 0. ``reduce`` regimes and
-    checkpointing match the other kernels.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    eds = _prepare_edges(edges_undirected)
-    num_edges = eds.count()
-    reduce = _resolve_reduce(reduce, num_edges)
-    src_a = dst_a = None
-    if reduce == "local":
-        src_a, dst_a = _local_edge_arrays(eds)
-        deg = np.bincount(src_a, minlength=num_vertices).astype(np.int64)
-    else:
-        deg_ds = eds.map_batches(
-            lambda t: (
-                lambda u, c: pa.table(
-                    {"dst": pa.array(u), "n": pa.array(c.astype(np.int64))}
-                )
-            )(*np.unique(
-                t["src"].to_numpy(zero_copy_only=False), return_counts=True
-            )),
-            batch_format="pyarrow",
-        )
-        deg = np.zeros(num_vertices, dtype=np.int64)
-        for b in deg_ds.iter_batches(batch_size=1 << 20, batch_format="pyarrow"):
-            np.add.at(
-                deg,
-                b["dst"].to_numpy(zero_copy_only=False),
-                b["n"].to_numpy(zero_copy_only=False),
-            )
-    alive = np.ones(num_vertices, dtype=bool)
-    start_iter = 0
-    mgr = None
-    if checkpoint_dir:
-        mgr = CheckpointManager(
-            checkpoint_dir,
-            kernel="kcore",
-            fingerprint=edge_fingerprint(
-                num_vertices, num_edges, f"kcore{k}|{edge_checksum(eds)}"
-            ),
-            keep_last=checkpoint_keep_last,
-        )
-        if resume:
-            ck = mgr.latest()
-            if ck is not None:
-                deg = ck.state["deg"]
-                alive = ck.state["alive"].astype(bool)
-                start_iter = ck.iteration + 1
-                if ck.manifest["metric"].get("killed") == 0.0:
-                    return KernelResult(
-                        alive.astype(np.int64), ck.iteration + 1, True, []
-                    )
-
-    history: list[dict] = []
-    converged = False
-    it = start_iter
-    for it in range(start_iter, max_iters):
-        kill = alive & (deg < k)
-        n_kill = int(np.count_nonzero(kill))
-        if n_kill == 0:
-            converged = True
-            history.append({"iteration": it, "killed": 0})
-            if mgr:
-                mgr.save(
-                    it,
-                    {
-                        "id": np.arange(num_vertices, dtype=np.int64),
-                        "deg": deg,
-                        "alive": alive.astype(np.int64),
-                    },
-                    {"killed": 0.0},
-                    parent=it - 1 if it > 0 else None,
-                )
-            break
-        alive = alive & ~kill
-        if reduce == "local":
-            live = kill[src_a] & alive[dst_a]
-            dec = np.zeros(num_vertices, dtype=np.int64)
-            if live.any():
-                np.add.at(dec, dst_a[live], 1)
-        else:
-            kill_ref = ray.put(kill)
-            alive_ref = ray.put(alive)
-
-            def partial(batch: pa.Table) -> pa.Table:
-                klm = ray.get(kill_ref)
-                alv = ray.get(alive_ref)
-                src = batch["src"].to_numpy(zero_copy_only=False)
-                dst = batch["dst"].to_numpy(zero_copy_only=False)
-                live = klm[src] & alv[dst]
-                if not live.any():
-                    return pa.table(
-                        {
-                            "dst": pa.array([], type=pa.int64()),
-                            "n": pa.array([], type=pa.int64()),
-                        }
-                    )
-                u, c = np.unique(dst[live], return_counts=True)
-                return pa.table(
-                    {"dst": pa.array(u), "n": pa.array(c.astype(np.int64))}
-                )
-
-            msgs = eds.map_batches(partial, batch_format="pyarrow")
-            if reduce == "groupby":
-                agg = msgs.groupby("dst").aggregate(Sum("n", alias_name="n"))
-                dec = dataset_to_dense_array(
-                    agg, "dst", "n", num_vertices, default=0, dtype=np.int64
-                )
-            else:
-                dec = np.zeros(num_vertices, dtype=np.int64)
-                for b in msgs.iter_batches(
-                    batch_size=1 << 20, batch_format="pyarrow"
-                ):
-                    np.add.at(
-                        dec,
-                        b["dst"].to_numpy(zero_copy_only=False),
-                        b["n"].to_numpy(zero_copy_only=False),
-                    )
-        deg = deg - dec
-        deg[~alive] = 0
-        history.append({"iteration": it, "killed": n_kill})
-        if mgr:
-            mgr.save(
-                it,
-                {
-                    "id": np.arange(num_vertices, dtype=np.int64),
-                    "deg": deg,
-                    "alive": alive.astype(np.int64),
-                },
-                {"killed": float(n_kill)},
-                parent=it - 1 if it > 0 else None,
-            )
-    return KernelResult(alive.astype(np.int64), it + 1, converged, history)
-
-
-# ---------------------------------------------------------------------------
-# Weighted SSSP (non-negative integer weights, min-plus relaxation)
-# ---------------------------------------------------------------------------
+    g = _Edges(edges, num_vertices, reduce)
+    return _frontier_search(
+        g, "bfs", "hops", sources, max_iters, checkpoint_dir, resume,
+        checkpoint_keep_last,
+    )
 
 
 def sssp(
@@ -983,128 +599,71 @@ def sssp(
     stepping's bucket refinement is a driver-side scheduling layer this
     engine does not need at its V-fits-driver precondition). Unreached
     vertices keep ``UNREACHED``. ``bfs_hops`` is the w≡1 special case.
+    The weight column is part of the checkpoint fingerprint, so a
+    re-weighted resume cannot load the old weighting's distances.
     """
-    eds = edges_weighted.select_columns(["src", "dst", weight_col]).materialize()
-    num_edges = eds.count()
-    reduce = _resolve_reduce(reduce, num_edges)
-    src_a = dst_a = w_a = None
-    if reduce == "local":
-        tbl = collect_table(eds).combine_chunks()
-        src_a = tbl["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-        dst_a = tbl["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
-        w_a = tbl[weight_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(w_a) and w_a.min() < 0:
-            raise ValueError("sssp requires non-negative weights")
-    dist = np.full(num_vertices, UNREACHED, dtype=np.int64)
-    src_ids = np.asarray(sources, dtype=np.int64)
-    if src_ids.size == 0:
-        raise ValueError("sssp needs at least one source vertex")
-    if np.any((src_ids < 0) | (src_ids >= num_vertices)):
-        raise ValueError("source id outside [0, num_vertices)")
-    dist[src_ids] = 0
-    frontier = np.zeros(num_vertices, dtype=bool)
-    frontier[src_ids] = True
-    start_iter = 0
-    mgr = None
-    if checkpoint_dir:
-        src_tag = hashlib.sha1(np.sort(src_ids).tobytes()).hexdigest()[:8]
-        mgr = CheckpointManager(
-            checkpoint_dir,
-            kernel="sssp",
-            fingerprint=edge_fingerprint(
-                num_vertices,
-                num_edges,
-                f"sssp|{src_tag}|{edge_checksum(eds, weight_col)}",
-            ),
-            keep_last=checkpoint_keep_last,
-        )
-        if resume:
-            ck = mgr.latest()
-            if ck is not None:
-                dist = ck.state["dist"]
-                frontier = ck.state["frontier"].astype(bool)
-                start_iter = ck.iteration + 1
-                if ck.manifest["metric"].get("frontier_size") == 0.0:
-                    return KernelResult(dist, ck.iteration + 1, True, [])
+    g = _Edges(edges_weighted, num_vertices, reduce, weight_col=weight_col)
+    return _frontier_search(
+        g, "sssp", "dist", sources, max_iters, checkpoint_dir, resume,
+        checkpoint_keep_last,
+    )
 
-    history: list[dict] = []
-    converged = False
-    it = start_iter
-    for it in range(start_iter, max_iters):
-        if not frontier.any():
-            converged = True
-            break
-        if reduce == "local":
-            live = frontier[src_a]
-            incoming = np.full(num_vertices, UNREACHED, dtype=np.int64)
-            if live.any():
-                np.minimum.at(
-                    incoming, dst_a[live], dist[src_a[live]] + w_a[live]
-                )
-        else:
-            vec_ref = ray.put(dist)
-            frontier_ref = ray.put(frontier)
 
-            def partial(batch: pa.Table) -> pa.Table:
-                vec = ray.get(vec_ref)
-                front = ray.get(frontier_ref)
-                src = batch["src"].to_numpy(zero_copy_only=False)
-                dst = batch["dst"].to_numpy(zero_copy_only=False)
-                w = batch[weight_col].to_numpy(zero_copy_only=False)
-                if len(w) and w.min() < 0:
-                    raise ValueError("sssp requires non-negative weights")
-                live = front[src]
-                if not live.any():
-                    return pa.table(
-                        {
-                            "dst": pa.array([], type=pa.int64()),
-                            "d": pa.array([], type=pa.int64()),
-                        }
-                    )
-                d = dst[live]
-                v = vec[src[live]] + w[live]
-                u, inv = np.unique(d, return_inverse=True)
-                mins = np.full(len(u), UNREACHED, dtype=np.int64)
-                np.minimum.at(mins, inv, v)
-                return _msg_table(u, mins, "d")
+# ---------------------------------------------------------------------------
+# k-core decomposition (fixed k): iterative peeling by degree decrement
+# ---------------------------------------------------------------------------
 
-            msgs = eds.map_batches(partial, batch_format="pyarrow")
-            if reduce == "groupby":
-                agg = msgs.groupby("dst").aggregate(Min("d", alias_name="d"))
-                incoming = dataset_to_dense_array(
-                    agg, "dst", "d", num_vertices,
-                    default=UNREACHED, dtype=np.int64,
-                )
-            else:
-                incoming = np.full(num_vertices, UNREACHED, dtype=np.int64)
-                for b in msgs.iter_batches(
-                    batch_size=1 << 20, batch_format="pyarrow"
-                ):
-                    np.minimum.at(
-                        incoming,
-                        b["dst"].to_numpy(zero_copy_only=False),
-                        b["d"].to_numpy(zero_copy_only=False),
-                    )
-        new_dist = np.minimum(dist, incoming)
-        frontier = new_dist != dist
-        dist = new_dist
-        fsize = int(np.count_nonzero(frontier))
-        history.append({"iteration": it, "frontier_size": fsize})
-        if mgr:
-            mgr.save(
-                it,
-                {
-                    "id": np.arange(num_vertices, dtype=np.int64),
-                    "dist": dist,
-                    "frontier": frontier.astype(np.int64),
-                },
-                {"frontier_size": float(fsize)},
-                parent=it - 1 if it > 0 else None,
-            )
-        if fsize == 0:
-            converged = True
-            break
-    return KernelResult(dist, it + 1, converged, history)
+
+def _peel(st, src, dst):
+    kill, alive = st
+    return dst[kill[src] & alive[dst]], None
+
+
+def k_core(
+    edges_undirected: ray.data.Dataset,
+    num_vertices: int,
+    k: int,
+    max_iters: int = 10_000,
+    checkpoint_dir: str | None = None,
+    resume: bool = False,
+    reduce: str = "auto",
+    checkpoint_keep_last: int | None = None,
+) -> KernelResult:
+    """Maximal subgraph where every vertex keeps degree ≥ k — the classic
+    peel, expressed as supersteps that DECREMENT: after the initial degree
+    pass, only vertices REMOVED in a round emit messages (one count per
+    still-alive neighbor), so total message volume across all rounds is
+    O(E) — the property that makes distributed peeling viable at scale
+    (recomputing full degrees each round would be O(E·rounds)).
+
+    ``edges_undirected`` must contain both directions (symmetrize first);
+    degree = count of outgoing rows per vertex in that table. Returns
+    state[v] = 1 if v is in the k-core else 0.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    g = _Edges(edges_undirected, num_vertices, reduce)
+
+    def step(st):
+        deg, alive = st["deg"], st["alive"]
+        kill = alive & (deg < k)
+        n_kill = int(np.count_nonzero(kill))
+        if n_kill == 0:
+            return st, {"killed": 0}, True
+        alive = alive & ~kill
+        deg = deg - g.reduce(_peel, "count", kill, alive)
+        deg[~alive] = 0
+        return {"deg": deg, "alive": alive}, {"killed": n_kill}, False
+
+    init = {
+        "deg": g.reduce(_out_degree, "count"),
+        "alive": np.ones(num_vertices, dtype=bool),
+    }
+    st, iters, converged, history = _run(
+        g, "kcore", f"kcore{k}", init, step, max_iters, checkpoint_dir,
+        resume, checkpoint_keep_last,
+    )
+    return KernelResult(st["alive"].astype(np.int64), iters, converged, history)
 
 
 # ---------------------------------------------------------------------------
@@ -1121,6 +680,11 @@ class HitsResult:
     history: list[dict] = field(default_factory=list)
 
 
+def _l2(v: np.ndarray) -> np.ndarray:
+    n = float(np.sqrt(np.sum(v * v)))
+    return v / n if n > 0 else v
+
+
 def hits(
     edges: ray.data.Dataset,
     num_vertices: int,
@@ -1131,116 +695,39 @@ def hits(
     reduce: str = "auto",
     checkpoint_keep_last: int | None = None,
 ) -> HitsResult:
-    """HITS (Kleinberg hubs/authorities) as two message-reduce half-steps
-    per superstep over the static directed edge table, each L2-normalized:
+    """HITS (Kleinberg hubs/authorities) as two ``sum`` reduces per
+    superstep over the static directed edge table, each L2-normalized:
 
         auth_raw[d] = Σ_{(s,d)∈E} hub[s]    (reduce keyed by dst)
         hub_raw[s]  = Σ_{(s,d)∈E} auth[d]   (reduce keyed by src)
 
-    Same broadcast-engine regimes as :func:`pagerank` — ``reduce="auto"``
-    resolves to "local" (driver bincount, tiny graphs) below
-    LOCAL_KERNEL_MAX_EDGES, else "driver" (per-batch np.unique partials
-    streamed to a dense vector; no shuffle); "groupby" is the canonical
-    all-to-all audit mode. With ``tol=0`` runs exactly ``max_iters``
-    rounds (the oracle-parity convention); with ``tol>0`` stops early
-    when both vectors' L-inf change < tol. Matches
-    graph/oracle.py:hits_oracle to allclose(1e-9) per the equivalence
-    tests. Checkpoints hold both vectors, so a resume continues
-    mid-power-iteration bitwise-identically."""
-    eds = _prepare_edges(edges)
-    num_edges = eds.count()
-    reduce = _resolve_reduce(reduce, num_edges)
-    src_a = dst_a = None
-    if reduce == "local":
-        src_a, dst_a = _local_edge_arrays(eds)
+    With ``tol=0`` runs exactly ``max_iters`` rounds (the oracle-parity
+    convention); with ``tol>0`` stops early when both vectors' L-inf
+    change < tol. Matches graph/oracle.py:hits_oracle to allclose(1e-9)
+    per the equivalence tests. Checkpoints hold both vectors, so a resume
+    continues mid-power-iteration bitwise-identically."""
+    g = _Edges(edges, num_vertices, reduce)
 
-    def _reduce_along(vec: np.ndarray, key: str, other: str) -> np.ndarray:
-        """Σ vec[other-endpoint] grouped by key-endpoint, dense over V."""
-        if reduce == "local":
-            k = src_a if key == "src" else dst_a
-            o = dst_a if key == "src" else src_a
-            return np.bincount(k, weights=vec[o], minlength=num_vertices)
-        vec_ref = ray.put(vec)
-
-        def partial(batch: pa.Table) -> pa.Table:
-            v = ray.get(vec_ref)
-            k = batch[key].to_numpy(zero_copy_only=False)
-            o = batch[other].to_numpy(zero_copy_only=False)
-            u, inv = np.unique(k, return_inverse=True)
-            return pa.table(
-                {
-                    "k": pa.array(u),
-                    "s": pa.array(np.bincount(inv, weights=v[o])),
-                }
-            )
-
-        msgs = eds.map_batches(partial, batch_format="pyarrow")
-        if reduce == "groupby":
-            agg = msgs.groupby("k").aggregate(Sum("s", alias_name="s"))
-            return dataset_to_dense_array(agg, "k", "s", num_vertices)
-        out = np.zeros(num_vertices)
-        for b in msgs.iter_batches(batch_size=1 << 20, batch_format="pyarrow"):
-            np.add.at(
-                out,
-                b["k"].to_numpy(zero_copy_only=False),
-                b["s"].to_numpy(zero_copy_only=False),
-            )
-        return out
-
-    def _l2(v: np.ndarray) -> np.ndarray:
-        n = float(np.sqrt(np.sum(v * v)))
-        return v / n if n > 0 else v
-
-    hub = np.ones(num_vertices, dtype=np.float64)
-    auth = np.zeros(num_vertices, dtype=np.float64)
-    start_iter = 0
-    mgr = None
-    if checkpoint_dir:
-        mgr = CheckpointManager(
-            checkpoint_dir,
-            kernel="hits",
-            fingerprint=edge_fingerprint(
-                num_vertices, num_edges, f"hits|{edge_checksum(eds)}"
-            ),
-            params={"max_iters": max_iters, "tol": tol},
-            keep_last=checkpoint_keep_last,
-        )
-        if resume:
-            ck = mgr.latest()
-            if ck is not None:
-                hub = ck.state["hub"]
-                auth = ck.state["auth"]
-                start_iter = ck.iteration + 1
-                if ck.manifest["metric"].get("converged"):
-                    return HitsResult(hub, auth, ck.iteration + 1, True, [])
-
-    history: list[dict] = []
-    converged = False
-    it = start_iter
-    for it in range(start_iter, max_iters):
-        new_auth = _l2(_reduce_along(hub, "dst", "src"))
-        new_hub = _l2(_reduce_along(new_auth, "src", "dst"))
+    def step(st):
+        auth = _l2(g.reduce(_to_dst, "sum", st["hub"]))
+        hub = _l2(g.reduce(_to_src, "sum", auth))
         resid = max(
-            float(np.max(np.abs(new_auth - auth))),
-            float(np.max(np.abs(new_hub - hub))),
+            float(np.max(np.abs(auth - st["auth"]))),
+            float(np.max(np.abs(hub - st["hub"]))),
         )
-        auth, hub = new_auth, new_hub
-        converged = tol > 0 and resid < tol
-        history.append({"iteration": it, "linf_residual": resid})
-        if mgr:
-            mgr.save(
-                it,
-                {
-                    "id": np.arange(num_vertices, dtype=np.int64),
-                    "hub": hub,
-                    "auth": auth,
-                },
-                {"linf_residual": resid, "converged": converged},
-                parent=it - 1 if it > start_iter or start_iter > 0 else None,
-            )
-        if converged:
-            break
-    return HitsResult(hub, auth, it + 1, converged, history)
+        return {"hub": hub, "auth": auth}, {"linf_residual": resid}, (
+            tol > 0 and resid < tol
+        )
+
+    init = {
+        "hub": np.ones(num_vertices, dtype=np.float64),
+        "auth": np.zeros(num_vertices, dtype=np.float64),
+    }
+    st, iters, converged, history = _run(
+        g, "hits", "hits", init, step, max_iters, checkpoint_dir, resume,
+        checkpoint_keep_last, params={"max_iters": max_iters, "tol": tol},
+    )
+    return HitsResult(st["hub"], st["auth"], iters, converged, history)
 
 
 # ---------------------------------------------------------------------------
@@ -1267,92 +754,40 @@ def katz_centrality(
         x_0    = β·1
         x_{t+1}[v] = β + α · Σ_{(s,v)∈E} x_t[s]
 
-    Converges to (I - αAᵀ)⁻¹ β1 for α < 1/λ_max. One message reduce per
+    Converges to (I - αAᵀ)⁻¹ β1 for α < 1/λ_max. One ``sum`` reduce per
     superstep keyed by dst (the PageRank exchange without the out-degree
-    division or dangling redistribution). Same broadcast-engine regimes:
-    "local" (driver bincount below LOCAL_KERNEL_MAX_EDGES), "driver"
-    (streamed per-batch partials), "groupby" (canonical all-to-all
-    audit). With ``tol=0`` runs exactly ``max_iters`` supersteps — the
-    oracle-parity convention for the recursive-CTE SQL twin."""
-    eds = _prepare_edges(edges)
-    num_edges = eds.count()
-    reduce = _resolve_reduce(reduce, num_edges)
-    src_a = dst_a = None
-    if reduce == "local":
-        src_a, dst_a = _local_edge_arrays(eds)
+    division or dangling redistribution). With ``tol=0`` runs exactly
+    ``max_iters`` supersteps — the oracle-parity convention for the
+    recursive-CTE SQL twin."""
+    g = _Edges(edges, num_vertices, reduce)
 
-    def _reduce_by_dst(vec: np.ndarray) -> np.ndarray:
-        if reduce == "local":
-            return np.bincount(
-                dst_a, weights=vec[src_a], minlength=num_vertices
-            )
-        vec_ref = ray.put(vec)
-
-        def partial(batch: pa.Table) -> pa.Table:
-            v = ray.get(vec_ref)
-            src = batch["src"].to_numpy(zero_copy_only=False)
-            dst = batch["dst"].to_numpy(zero_copy_only=False)
-            u, inv = np.unique(dst, return_inverse=True)
-            return _msg_table(u, np.bincount(inv, weights=v[src]), "s")
-
-        msgs = eds.map_batches(partial, batch_format="pyarrow")
-        if reduce == "groupby":
-            agg = msgs.groupby("dst").aggregate(Sum("s", alias_name="s"))
-            return dataset_to_dense_array(agg, "dst", "s", num_vertices)
-        out = np.zeros(num_vertices)
-        for b in msgs.iter_batches(batch_size=1 << 20, batch_format="pyarrow"):
-            np.add.at(
-                out,
-                b["dst"].to_numpy(zero_copy_only=False),
-                b["s"].to_numpy(zero_copy_only=False),
-            )
-        return out
-
-    x = np.full(num_vertices, beta, dtype=np.float64)
-    start_iter = 0
-    mgr = None
-    if checkpoint_dir:
-        mgr = CheckpointManager(
-            checkpoint_dir,
-            kernel="katz",
-            fingerprint=edge_fingerprint(
-                num_vertices, num_edges, f"katz|{edge_checksum(eds)}"
-            ),
-            params={"alpha": alpha, "beta": beta, "tol": tol},
-            keep_last=checkpoint_keep_last,
-        )
-        if resume:
-            ck = mgr.latest()
-            if ck is not None:
-                x = ck.state["katz"]
-                start_iter = ck.iteration + 1
-                if ck.manifest["metric"].get("converged"):
-                    return KernelResult(x, ck.iteration + 1, True, [])
-
-    history: list[dict] = []
-    converged = False
-    it = start_iter
-    for it in range(start_iter, max_iters):
-        new_x = beta + alpha * _reduce_by_dst(x)
+    def step(st):
+        x = st["katz"]
+        new_x = beta + alpha * g.reduce(_to_dst, "sum", x)
         resid = float(np.max(np.abs(new_x - x)))
-        x = new_x
-        converged = tol > 0 and resid < tol
-        history.append({"iteration": it, "linf_residual": resid})
-        if mgr:
-            mgr.save(
-                it,
-                {"id": np.arange(num_vertices, dtype=np.int64), "katz": x},
-                {"linf_residual": resid, "converged": converged},
-                parent=it - 1 if it > start_iter or start_iter > 0 else None,
-            )
-        if converged:
-            break
-    return KernelResult(x, it + 1, converged, history)
+        return {"katz": new_x}, {"linf_residual": resid}, tol > 0 and resid < tol
+
+    st, iters, converged, history = _run(
+        g, "katz", "katz", {"katz": np.full(num_vertices, beta, dtype=np.float64)},
+        step, max_iters, checkpoint_dir, resume, checkpoint_keep_last,
+        params={"alpha": alpha, "beta": beta, "tol": tol},
+    )
+    return KernelResult(st["katz"], iters, converged, history)
 
 
 # ---------------------------------------------------------------------------
 # Maximal independent set (deterministic Luby — fixed bijective priorities)
 # ---------------------------------------------------------------------------
+
+
+def _undecided_priority(st, src, dst):
+    undec, p = st
+    live = undec[src] & undec[dst]
+    return dst[live], p[src[live]]
+
+
+def _joined_neighbor(st, src, dst):
+    return dst[st[0][src]], None
 
 
 def maximal_independent_set(
@@ -1371,144 +806,29 @@ def maximal_independent_set(
     the result is the unique lexicographically-first MIS under that
     permutation; both the numpy oracle and the HUGEINT SQL twin compute
     the identical integers). Two message reduces per round over the
-    static edges: (1) min undecided-neighbor priority keyed by dst —
-    an undecided vertex JOINS when its own priority beats it; (2) an
-    any-joined-neighbor flag — undecided neighbors of joiners become
+    static edges: (1) ``min`` undecided-neighbor priority keyed by dst —
+    an undecided vertex JOINS when its own priority beats it; (2) a
+    ``count`` of joined neighbors — undecided neighbors of joiners become
     DOMINATED. States int64: 0 undecided / 1 in MIS / 2 dominated;
-    isolated vertices join in round one. Same local/driver/groupby
-    regimes and checkpoint contract as the other kernels."""
+    isolated vertices join in round one."""
     from .oracle import mis_priority
 
-    eds = _prepare_edges(edges_undirected)
-    num_edges = eds.count()
-    reduce = _resolve_reduce(reduce, num_edges)
-    src_a = dst_a = None
-    if reduce == "local":
-        src_a, dst_a = _local_edge_arrays(eds)
+    g = _Edges(edges_undirected, num_vertices, reduce)
     p = mis_priority(np.arange(num_vertices, dtype=np.int64), seed)
-    # static across rounds — one plasma object, zero-copy in every task
-    p_ref = ray.put(p) if reduce != "local" else None
-    SENTINEL = np.int64(np.iinfo(np.int64).max)
 
-    state = np.zeros(num_vertices, dtype=np.int64)
-    start_iter = 0
-    mgr = None
-    if checkpoint_dir:
-        mgr = CheckpointManager(
-            checkpoint_dir,
-            kernel="mis",
-            fingerprint=edge_fingerprint(
-                num_vertices, num_edges, f"mis|{seed}|{edge_checksum(eds)}"
-            ),
-            params={"seed": seed},
-            keep_last=checkpoint_keep_last,
-        )
-        if resume:
-            ck = mgr.latest()
-            if ck is not None:
-                state = ck.state["state"]
-                start_iter = ck.iteration + 1
-                if ck.manifest["metric"].get("undecided") == 0.0:
-                    return KernelResult(state, ck.iteration + 1, True, [])
-
-    def _exchange(undec: np.ndarray, join: np.ndarray | None):
-        """join is None → round phase 1: per-dst min priority over
-        undecided-endpoint edges. Otherwise phase 2: per-dst joined-
-        neighbor flag."""
-        if reduce == "local":
-            if join is None:
-                live = undec[src_a] & undec[dst_a]
-                nbr_min = np.full(num_vertices, SENTINEL, dtype=np.int64)
-                if live.any():
-                    np.minimum.at(nbr_min, dst_a[live], p[src_a[live]])
-                return nbr_min
-            hit = join[src_a]
-            dom = np.zeros(num_vertices, dtype=bool)
-            dom[dst_a[hit]] = True
-            return dom
-        undec_ref = ray.put(undec)
-        join_ref = ray.put(join) if join is not None else None
-
-        def partial(batch: pa.Table) -> pa.Table:
-            u_mask = ray.get(undec_ref)
-            src = batch["src"].to_numpy(zero_copy_only=False)
-            dst = batch["dst"].to_numpy(zero_copy_only=False)
-            if join_ref is None:
-                pv = ray.get(p_ref)
-                live = u_mask[src] & u_mask[dst]
-                d, s = dst[live], src[live]
-                u, inv = np.unique(d, return_inverse=True)
-                mins = np.full(len(u), np.iinfo(np.int64).max, dtype=np.int64)
-                np.minimum.at(mins, inv, pv[s])
-                return pa.table(
-                    {"dst": pa.array(u), "m": pa.array(mins)}
-                )
-            j_mask = ray.get(join_ref)
-            hit = j_mask[src]
-            u = np.unique(dst[hit])
-            return pa.table(
-                {
-                    "dst": pa.array(u),
-                    "m": pa.array(np.ones(len(u), dtype=np.int64)),
-                }
-            )
-
-        msgs = eds.map_batches(partial, batch_format="pyarrow")
-        if reduce == "groupby":
-            fn = Min("m", alias_name="m") if join is None else Max(
-                "m", alias_name="m"
-            )
-            agg = msgs.groupby("dst").aggregate(fn)
-            dense = dataset_to_dense_array(
-                agg, "dst", "m", num_vertices,
-                default=int(SENTINEL) if join is None else 0,
-                dtype=np.int64,
-            )
-        else:
-            dense = np.full(
-                num_vertices,
-                SENTINEL if join is None else np.int64(0),
-                dtype=np.int64,
-            )
-            op = np.minimum if join is None else np.maximum
-            for b in msgs.iter_batches(
-                batch_size=1 << 20, batch_format="pyarrow"
-            ):
-                op.at(
-                    dense,
-                    b["dst"].to_numpy(zero_copy_only=False),
-                    b["m"].to_numpy(zero_copy_only=False),
-                )
-        return dense if join is None else dense.astype(bool)
-
-    history: list[dict] = []
-    converged = False
-    it = start_iter
-    for it in range(start_iter, max_iters):
+    def step(st):
+        state = st["state"]
         undec = state == 0
-        n_undec = int(np.count_nonzero(undec))
-        if n_undec == 0:
-            converged = True
-            break
-        nbr_min = _exchange(undec, None)
-        join = undec & (p < nbr_min)
+        join = undec & (p < g.reduce(_undecided_priority, "min", undec, p))
         state[join] = 1
-        dom = _exchange(undec, join)
+        dom = g.reduce(_joined_neighbor, "count", join) > 0
         state[dom & (state == 0)] = 2
         n_left = int(np.count_nonzero(state == 0))
-        history.append({"iteration": it, "undecided": n_left})
-        if mgr:
-            mgr.save(
-                it,
-                {
-                    "id": np.arange(num_vertices, dtype=np.int64),
-                    "state": state,
-                },
-                {"undecided": float(n_left)},
-                parent=it - 1 if it > start_iter or start_iter > 0 else None,
-            )
-        if n_left == 0:
-            converged = True
-            it += 1
-            break
-    return KernelResult(state, it if converged else it + 1, converged, history)
+        return {"state": state}, {"undecided": n_left}, n_left == 0
+
+    st, iters, converged, history = _run(
+        g, "mis", f"mis|{seed}", {"state": np.zeros(num_vertices, dtype=np.int64)},
+        step, max_iters, checkpoint_dir, resume, checkpoint_keep_last,
+        params={"seed": seed},
+    )
+    return KernelResult(st["state"], iters, converged, history)

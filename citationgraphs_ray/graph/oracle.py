@@ -256,8 +256,8 @@ def mis_priority(ids: np.ndarray, seed: int = 41) -> np.ndarray:
     """Fixed per-vertex priority: ((id + seed) · golden-odd) mod 2^64,
     shifted to int64 by −2^63 (order-preserving, so the permutation is
     unchanged) — a BIJECTION, so priorities are distinct and no
-    tie-break is needed. int64 because the distributed groupby reduce
-    must carry the values through Arrow aggregates; the SQL twin does
+    tie-break is needed. int64 because the driver reduce carries the
+    values through Arrow tables; the SQL twin does
     the identical HUGEINT arithmetic minus 9223372036854775808."""
     with np.errstate(over="ignore"):
         raw = (ids.astype(np.uint64) + np.uint64(seed)) * np.uint64(MIS_MULT)

@@ -15,7 +15,8 @@ expansion, CitationGraphs.go:835-928):
    {a, b, c}.
 5. flat-map each triangle to its 3 vertices → grouped count.
 
-Three regimes (same switch family as ``engine._resolve_reduce``):
+Three regimes (``strategy="auto"`` picks by E, as the graph engine's
+``reduce="auto"`` does):
 
 - ``local`` (tiny E, ≤ ``LOCAL_KERNEL_MAX_EDGES``): everything after the
   distinct-edge shuffle runs as one in-process numpy computation — at

@@ -2701,7 +2701,7 @@ def q_weighted_pagerank(sf_dir: str):
     unweighted kernel over the multigraph edge table (each (u,v) row
     repeated w times: out-strength = Σw via the same bincount, and the
     w copies of rank(u)/strength(u) sum to the weighted contribution) —
-    so the kernel, all its reduce regimes, and its checkpointing are
+    so the kernel, both its executors, and its checkpointing are
     reused unchanged; only the derivation skips the dedup."""
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 

@@ -1155,40 +1155,6 @@ def in_degrees(edges: ray.data.Dataset) -> ray.data.Dataset:
     )
 
 
-def add_salt(
-    edges: ray.data.Dataset,
-    hot_dsts: np.ndarray,
-    num_salts: int = 8,
-) -> ray.data.Dataset:
-    """Degree-threshold salting (SURVEY.md §4.3): split rows whose ``dst``
-    is a hub into ``(dst, salt)`` sub-keys so the message-reduce shuffle has
-    no single hot partition; a second small aggregate merges the partials.
-
-    ``hot_dsts`` is the (small) array of vertex ids whose in-degree exceeds
-    the threshold — broadcast, probed with np.isin per batch.
-    """
-    hot_ref = ray.put(np.sort(hot_dsts.astype(np.int64)))
-
-    class Salt:
-        def __init__(self) -> None:
-            self.hot = ray.get(hot_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            dst = batch["dst"].to_numpy(zero_copy_only=False)
-            src = batch["src"].to_numpy(zero_copy_only=False)
-            is_hot = (
-                np.isin(dst, self.hot)
-                if len(self.hot)
-                else np.zeros(len(dst), dtype=bool)
-            )
-            salt = np.where(is_hot, src % num_salts, 0).astype(np.int64)
-            return pa.table(
-                {"src": batch["src"], "dst": batch["dst"], "salt": pa.array(salt)}
-            )
-
-    return edges.map_batches(Salt, batch_format="pyarrow", concurrency=(1, 8))
-
-
 def _row_hashes(
     repo: "pa.Array | pa.ChunkedArray", path: "pa.Array | pa.ChunkedArray"
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from ..utils import _hash_partition_column, collect_table, fast_grouped_agg
@@ -277,7 +278,8 @@ def pivot_wide(
     ``col_col`` holding agg(val_col), named ``{col_col}_{category}``.
 
     Missing (index, category) cells get ``fill``. Output columns follow
-    sorted category order so the wide schema is deterministic.
+    sorted category order so the wide schema is deterministic. A NULL
+    index is one output row, as in the ``GROUP BY`` twin.
     """
     grouped = fast_grouped_agg(
         ds, [index_col, col_col], {"__val": (val_col, agg)}
@@ -300,16 +302,34 @@ def pivot_wide(
 
     P = max(2, int(ray.cluster_resources().get("CPU", 8)))
 
-    def pivot_bucket(df: pd.DataFrame) -> pd.DataFrame:
+    def pivot_bucket(t: pa.Table) -> pa.Table:
+        # pivot on dictionary codes of the index: a NULL index gets its own
+        # code, so it stays one output row as in the GROUP BY twin, and
+        # int64 ids never take pandas' NaN-forced float64 hop
+        enc = pc.dictionary_encode(
+            t[index_col].combine_chunks(), null_encoding="encode"
+        )
+        df = pd.DataFrame(
+            {
+                "__code": enc.indices.to_numpy(zero_copy_only=False),
+                col_col: t[col_col].to_pandas(),
+                "__val": t["__val"].to_pandas(),
+            }
+        )
+        # dropna=False: an index whose rows all have a NULL category still
+        # gets its row (every cell ``fill``)
         w = df.pivot_table(
-            index=index_col,
+            index="__code",
             columns=col_col,
             values="__val",
             aggfunc=_CASCADE_FN.get(agg, "sum"),
             fill_value=fill,
+            dropna=False,
         ).reindex(columns=categories, fill_value=fill)
-        w.columns = wide_cols
-        return w.reset_index()
+        cols = {index_col: enc.dictionary.take(pa.array(w.index.to_numpy()))}
+        for name, c in zip(wide_cols, categories):
+            cols[name] = pa.array(w[c].to_numpy())
+        return pa.table(cols)
 
     return (
         grouped.map_batches(
@@ -317,8 +337,5 @@ def pivot_wide(
             batch_format="pyarrow",
         )
         .groupby("__part")
-        .map_groups(
-            lambda df: pivot_bucket(df.drop(columns="__part")),
-            batch_format="pandas",
-        )
+        .map_groups(pivot_bucket, batch_format="pyarrow")
     )

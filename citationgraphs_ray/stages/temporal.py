@@ -11,9 +11,9 @@ into P coarse buckets (one shuffle, bounded task dispatch — the
 ``utils.bucketed_inner_join`` pattern), then a fully vectorized in-bucket
 kernel (``pd.merge_asof`` / sort+diff+cumsum / C-hash merge + band
 filter). P bounds per-task memory; partitioning is by KEY only, so the
-documented skew limit is a single hot key outgrowing one worker — salt
-such keys by coarse time bucket before the shuffle (the
-``stages/edges.add_salt`` mechanism) and merge per-(key, salt) partials.
+documented skew limit is a single hot key outgrowing one worker — split
+such keys by coarse time bucket before the shuffle and merge the
+per-(key, bucket) partials.
 """
 
 from __future__ import annotations

@@ -392,7 +392,7 @@ def chunk_dedup_signal(
     Shape: chunk rows → one grouped count on the chunk hash (combiner
     aggregate) → one bucketed reduce-side join back → one per-doc
     grouped aggregate. Nothing driver-side; both shuffles keyed and
-    bounded. Docs with zero tokens emit no row (no chunks to score).
+    bounded. NULL docs emit no row (no chunks to score).
     """
     import pandas as pd
     import ray.data  # noqa: F401
@@ -405,7 +405,12 @@ def chunk_dedup_signal(
         for i, t in zip(
             batch[id_col].to_pylist(), batch[text_col].to_pylist()
         ):
-            toks = (t or "").lower().split()
+            if t is None:
+                continue
+            # single-space split keeping empty tokens, as the SQL twin's
+            # string_split(lower(text), ' ') does: an empty doc is one ''
+            # chunk, and tabs/newlines stay inside tokens
+            toks = t.lower().split(" ")
             seen = set()
             for s in range(0, len(toks), chunk_tokens):
                 c = " ".join(toks[s : s + chunk_tokens])

@@ -326,7 +326,7 @@ def bucketed_inner_join(
                     types[c]
                 ):
                     mx = pa.compute.max(pa.compute.abs(cast)).as_py()
-                    if mx is not None and mx > (1 << 53):
+                    if mx is not None and mx >= (1 << 53):
                         raise ValueError(
                             f"bucketed_inner_join: column {c!r} holds "
                             "int64 values beyond float64's exact range "
@@ -422,7 +422,7 @@ def _bucketed_membership_join(
                     # (Arrow's float→int safe cast does NOT catch this:
                     # the rounded value is integral, so it casts cleanly.)
                     mx = pa.compute.max(pa.compute.abs(cast)).as_py()
-                    if mx is not None and mx > (1 << 53):
+                    if mx is not None and mx >= (1 << 53):
                         raise ValueError(
                             f"semi/anti join: column {c!r} holds int64 "
                             "values beyond float64's exact range (2^53); "

@@ -7,7 +7,11 @@ import shutil
 import numpy as np
 import pytest
 
-from citationgraphs_ray.graph.engine import connected_components, pagerank
+from citationgraphs_ray.graph.engine import (
+    connected_components,
+    label_propagation,
+    pagerank,
+)
 from citationgraphs_ray.stages.edges import symmetrize_edges
 from citationgraphs_ray.state.checkpoints import CheckpointManager
 
@@ -76,6 +80,21 @@ def test_cc_resume(small_edges, ckdir):
     resumed = connected_components(und, V, checkpoint_dir=ckdir, resume=True)
     assert resumed.converged
     assert np.array_equal(resumed.state, full.state)
+
+
+def test_lpa_resume(small_edges, ckdir):
+    edges, vids = small_edges
+    V = vids.count()
+    und = symmetrize_edges(edges).materialize()
+    full = label_propagation(und, V)
+    assert full.iterations > 2  # the resume really continues mid-run
+    label_propagation(und, V, max_rounds=2, checkpoint_dir=ckdir)
+    resumed = label_propagation(und, V, checkpoint_dir=ckdir, resume=True)
+    assert np.array_equal(resumed.state, full.state)
+    assert (resumed.iterations, resumed.converged) == (
+        full.iterations,
+        full.converged,
+    )
 
 
 def _fp(ckdir):

@@ -1,6 +1,5 @@
-"""C1-C3 corpus builders, G3 index, M10/X10, S8 writer, salting."""
+"""C1-C3 corpus builders, G3 index, M10/X10, S8 writer."""
 
-import numpy as np
 import pyarrow as pa
 import ray.data
 
@@ -19,8 +18,6 @@ from citationgraphs_ray.pipelines.corpus_builders import (
     main_node_index,
     write_rank_jumps_csv,
 )
-from citationgraphs_ray.stages.edges import add_salt
-from citationgraphs_ray.utils import fast_grouped_agg
 
 
 def _graph():
@@ -123,22 +120,3 @@ def test_write_rank_jumps_csv(tmp_path):
     f = str(tmp_path / "jumps.csv")
     write_rank_jumps_csv(jumps, f)
     assert open(f).read() == "idx, phrase1, phrase2, jump\n0, a, b, 5\n"
-
-
-def test_salted_aggregation_star_hub():
-    """add_salt splits hub-dst rows into sub-keys; re-reducing the salted
-    partials must equal the unsalted aggregate exactly (SURVEY §7.4)."""
-    edges = ray.data.from_arrow(
-        pa.table(
-            {
-                "src": pa.array(list(range(1, 41)), type=pa.int64()),
-                "dst": pa.array([0] * 40, type=pa.int64()),
-            }
-        )
-    )
-    salted = add_salt(edges, hot_dsts=np.array([0]), num_salts=4)
-    # stage 1: per (dst, salt); stage 2: merge partials per dst
-    partial = fast_grouped_agg(salted, ["dst", "salt"], count_as="n")
-    assert partial.count() == 4  # hub split into 4 sub-keys
-    final = fast_grouped_agg(partial, ["dst"], {"n": ("n", "sum")}).to_pandas()
-    assert final.n.iloc[0] == 40

@@ -160,22 +160,6 @@ def test_triangle_relabel_invariance():
     assert np.array_equal(np.sort(a), np.sort(b))
 
 
-def test_reduce_strategies_agree(small_graph):
-    """driver-reduce and groupby-reduce must be numerically identical paths."""
-    edges, und, earr, V = small_graph
-    a = pagerank(edges, V, tol=1e-10, reduce="driver")
-    b = pagerank(edges, V, tol=1e-10, reduce="groupby")
-    assert np.allclose(a.state, b.state, atol=1e-12)
-    t = pagerank(edges, V, tol=1e-10, reduce="tree")
-    assert np.allclose(a.state, t.state, atol=1e-9)
-    ca = connected_components(und, V, reduce="driver")
-    cb = connected_components(und, V, reduce="groupby")
-    assert np.array_equal(ca.state, cb.state)
-    la = label_propagation(und, V, max_rounds=10, reduce="driver")
-    lb = label_propagation(und, V, max_rounds=10, reduce="groupby")
-    assert np.array_equal(la.state, lb.state)
-
-
 def test_local_reduce_agrees(small_graph):
     """The tiny-graph in-process regime (reduce="local", the auto pick
     below LOCAL_KERNEL_MAX_EDGES) matches the distributed driver reduce:
@@ -194,6 +178,36 @@ def test_local_reduce_agrees(small_graph):
     ll = label_propagation(und, V, max_rounds=10, reduce="local")
     assert np.array_equal(la.state, ll.state)
     assert (la.iterations, la.converged) == (ll.iterations, ll.converged)
+
+
+def _all_kernels():
+    from citationgraphs_ray.graph import engine
+
+    return {
+        "pagerank": lambda e, V, r: engine.pagerank(e, V, reduce=r),
+        "cc": lambda e, V, r: engine.connected_components(e, V, reduce=r),
+        "lpa": lambda e, V, r: engine.label_propagation(e, V, reduce=r),
+        "bfs": lambda e, V, r: engine.bfs_hops(e, V, [0], reduce=r),
+        "kcore": lambda e, V, r: engine.k_core(e, V, 2, reduce=r),
+        "sssp": lambda e, V, r: engine.sssp(e, V, [0], reduce=r),
+        "hits": lambda e, V, r: engine.hits(e, V, reduce=r),
+        "katz": lambda e, V, r: engine.katz_centrality(e, V, reduce=r),
+        "mis": lambda e, V, r: engine.maximal_independent_set(e, V, reduce=r),
+    }
+
+
+@pytest.mark.parametrize("mode", ["groupby", "tree"])
+@pytest.mark.parametrize("kernel", sorted(_all_kernels()))
+def test_unknown_reduce_rejected(kernel, mode):
+    """Only auto/local/driver exist; a removed mode or a typo must fail
+    loudly instead of silently running another executor."""
+    raw, V = TINY["tri3"]
+    e = _clean_directed(raw)
+    ds = ray.data.from_arrow(
+        pa.table({"src": e[:, 0], "dst": e[:, 1], "w": np.ones(len(e), dtype=np.int64)})
+    )
+    with pytest.raises(ValueError, match="'auto', 'local' or 'driver'"):
+        _all_kernels()[kernel](ds, V, mode)
 
 
 def test_triangle_strategies_agree(small_graph):
@@ -299,39 +313,6 @@ def test_triangles_local_spills_probe_when_wedge_heavy(monkeypatch):
     assert np.array_equal(res.state, triangles_oracle(edges, 500))
 
 
-def test_salted_groupby_reduce_agrees(small_graph):
-    """The skew-guarded combiner-less reduce (hub dsts split across salt
-    sub-keys before the shuffle) must match the driver reduce; the mega
-    repo in the fixture guarantees hot keys actually get salted."""
-    from citationgraphs_ray.stages.edges import add_salt
-    from citationgraphs_ray.utils import fast_grouped_agg
-
-    edges, _, earr, V = small_graph
-    a = pagerank(edges, V, tol=1e-10, max_iters=5, reduce="driver")
-    b = pagerank(
-        edges,
-        V,
-        tol=1e-10,
-        max_iters=5,
-        reduce="salted_groupby",
-        salt_degree_threshold=5,
-        num_salts=4,
-    )
-    assert np.allclose(a.state, b.state, atol=1e-9)
-    # the fixture's hub really is salted: hot dsts spread over >1 sub-key
-    indeg = fast_grouped_agg(edges, ["dst"], count_as="n").to_pandas()
-    hot = indeg[indeg.n > 5].dst.to_numpy()
-    assert len(hot) > 0
-    salted = add_salt(edges, hot, num_salts=4).to_pandas()
-    assert salted[salted.dst.isin(hot)].salt.nunique() > 1
-    # salting bounds the max (dst, salt) group to ~1/num_salts of the hub
-    per_key = salted.groupby(["dst", "salt"]).size()
-    hub = indeg.n.max()
-    assert per_key.max() <= int(np.ceil(hub / 4 * 2))
-
-
-# ---- BFS hop distance ------------------------------------------------------
-
 
 def _bfs_imports():
     from citationgraphs_ray.graph.engine import UNREACHED, bfs_hops
@@ -388,7 +369,7 @@ def test_bfs_reduce_strategies_agree(small_graph):
     _, und, earr, V = small_graph
     results = {
         mode: bfs_hops(und, V, sources=[0], reduce=mode).state
-        for mode in ("local", "groupby", "driver")
+        for mode in ("local", "driver")
     }
     exp = bfs_oracle(earr, V, sources=[0], directed=False)
     for mode, state in results.items():
@@ -442,7 +423,7 @@ def test_kcore_reduce_strategies_agree(small_graph):
     k_core, k_core_oracle = _kcore_imports()
     _, und, earr, V = small_graph
     exp = k_core_oracle(earr, V, k=3)
-    for mode in ("local", "groupby", "driver"):
+    for mode in ("local", "driver"):
         res = k_core(und, V, k=3, reduce=mode)
         assert np.array_equal(res.state, exp), mode
 
@@ -520,7 +501,7 @@ def test_sssp_random_matches_bellman_ford_all_regimes():
     edges = _clean_directed(rng.integers(0, V, size=(200, 2)))
     w = rng.integers(1, 9, size=len(edges))
     exp = sssp_oracle(edges, w, V, [0, 7])
-    for mode in ("local", "groupby", "driver"):
+    for mode in ("local", "driver"):
         res = sssp(_weighted_ds(edges, w), V, sources=[0, 7], reduce=mode)
         assert np.array_equal(res.state, exp), mode
 
@@ -616,9 +597,8 @@ def test_hits_reduce_strategies_agree(small_graph):
     edges, _, earr, V = small_graph
     a = hits(edges, V, max_iters=10, reduce="driver")
     l = hits(edges, V, max_iters=10, reduce="local")
-    g = hits(edges, V, max_iters=10, reduce="groupby")
     oh, oa = hits_oracle(earr, V, max_iters=10)
-    for r in (a, l, g):
+    for r in (a, l):
         assert np.allclose(r.hub, oh, atol=1e-9)
         assert np.allclose(r.auth, oa, atol=1e-9)
 
@@ -857,9 +837,8 @@ def test_mis_reduce_strategies_agree(small_graph):
     _, und, earr, V = small_graph
     a = maximal_independent_set(und, V, reduce="driver")
     l = maximal_independent_set(und, V, reduce="local")
-    g = maximal_independent_set(und, V, reduce="groupby")
     exp = mis_oracle(earr, V)
-    for r in (a, l, g):
+    for r in (a, l):
         assert np.array_equal(r.state, exp)
         assert r.converged
     assert (a.iterations, a.converged) == (l.iterations, l.converged)
@@ -995,7 +974,7 @@ def test_katz_reduce_strategies_agree(small_graph):
 
     edges, _, earr, V = small_graph
     exp = _katz_numpy(earr, V, 0.01, 1.0, 12)
-    for mode in ("local", "driver", "groupby"):
+    for mode in ("local", "driver"):
         r = katz_centrality(
             edges, V, alpha=0.01, beta=1.0, max_iters=12, reduce=mode
         )

@@ -8,6 +8,7 @@ import pytest
 import ray.data
 
 from citationgraphs_ray.stages.relational import pivot_wide, rollup_aggregate
+from citationgraphs_ray.utils import collect_table
 
 SF = "/root/testdata/sf0.001"
 
@@ -253,6 +254,35 @@ def test_rollup_counts_null_key_groups():
     # NULL forms its own real group at the finest level with a true count
     nullp = got[(got.a == "<null>") & (got.b == "p")]
     assert nullp.n.tolist() == [1] and nullp.s.tolist() == [2]
+
+
+def test_pivot_null_index_is_one_row_like_group_by():
+    """A NULL index is its own output row (GROUP BY keeps the NULL group),
+    an index whose only rows have a NULL category still gets its
+    all-``fill`` row, and int64 ids beyond 2^53 stay exact."""
+    big = (1 << 60) + 1
+    t = pa.table(
+        {
+            "i": pa.array([1, None, None, 2, big, 3], pa.int64()),
+            "c": ["a", "a", "b", "a", "b", None],
+            "v": [10, 5, 7, 30, 1, 4],
+        }
+    )
+    got = collect_table(pivot_wide(ray.data.from_arrow(t), "i", "c", "v"))
+    assert got.schema.field("i").type == pa.int64()
+    rows = sorted(
+        zip(got["i"].to_pylist(), got["c_a"].to_pylist(), got["c_b"].to_pylist()),
+        key=lambda r: (r[0] is None, r[0] or 0),
+    )
+    want = duckdb.sql(
+        """SELECT i,
+                  coalesce(sum(CASE WHEN c = 'a' THEN v END), 0) AS c_a,
+                  coalesce(sum(CASE WHEN c = 'b' THEN v END), 0) AS c_b
+           FROM t GROUP BY i ORDER BY i NULLS LAST"""
+    ).fetchall()
+    assert rows == [tuple(r) for r in want]
+    assert rows[-1] == (None, 5, 7)
+    assert (3, 0, 0) in rows and (big, 0, 1) in rows
 
 
 def test_pivot_null_category_dropped_and_explicit_none_rejected():

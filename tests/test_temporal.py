@@ -449,6 +449,47 @@ def test_chunk_dedup_signal():
     assert got.dup_chunk_frac.tolist() == [0.5, 0.5, 0.0]
 
 
+def test_chunk_dedup_signal_tokenizes_like_sql_twin():
+    """Single-space split keeping empty tokens, as the twin's
+    string_split(lower(text), ' '): tabs stay inside tokens, a double
+    space is an empty token, an empty doc is one '' chunk, and a NULL doc
+    yields no row."""
+    import duckdb
+
+    from citationgraphs_ray.pipelines.queries import ORACLE_SQL
+    from citationgraphs_ray.stages.text import chunk_dedup_signal
+
+    documents = pd.DataFrame(
+        {
+            "doc_id": np.arange(6, dtype=np.int64),
+            "text": [
+                "a\tb c d e f g h i j k",
+                "A\tB c d e f g h i j k",
+                "a b  c d e f g h i j",
+                "",
+                "",
+                None,
+            ],
+        }
+    )
+    got = (
+        chunk_dedup_signal(_ds(documents), chunk_tokens=10)
+        .to_pandas()
+        .sort_values("doc_id")
+        .reset_index(drop=True)
+    )
+    want = (
+        duckdb.sql(ORACLE_SQL["chunk_dedup_signal"])
+        .df()
+        .sort_values("doc_id")
+        .reset_index(drop=True)
+    )
+    assert got.doc_id.tolist() == want.doc_id.tolist() == [0, 1, 2, 3, 4]
+    assert got.n_chunks.tolist() == want.n_chunks.tolist() == [1, 1, 2, 1, 1]
+    assert got.dup_chunks.tolist() == want.dup_chunks.tolist() == [1, 1, 0, 1, 1]
+    assert got.dup_chunk_frac.tolist() == want.dup_chunk_frac.tolist()
+
+
 def test_rank_in_group_matches_duckdb_with_ties():
     import duckdb
 

@@ -3,6 +3,7 @@ the driver merge byte-for-byte, and empty inputs keep the input schema."""
 
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data
 
 from citationgraphs_ray.utils import fast_distinct, fast_grouped_agg
@@ -140,6 +141,27 @@ def test_semi_anti_join_null_keys_never_match():
     # SQL EXISTS: NULL = NULL is not a match
     assert semi.p.tolist() == [10]
     assert sorted(anti.p.tolist()) == [20, 30]
+
+
+@pytest.mark.parametrize("join", ["inner", "semi", "anti"])
+def test_joins_reject_2_53_plus_1(join):
+    """2^53+1 rounds to exactly 2^53 in the null-padding float hop, so
+    the guard must fire at 2^53 itself, not only above it."""
+    from citationgraphs_ray import utils
+
+    left = pa.table(
+        {"k": pa.array([1, 2], pa.int64()),
+         "payload": pa.array([(1 << 53) + 1] * 2, pa.int64())}
+    )
+    right = pa.table(
+        {"k": pa.array([1, 3], pa.int64()), "r": pa.array([5, 6], pa.int64())}
+    )
+    fn = getattr(utils, f"bucketed_{join}_join")
+    with pytest.raises(Exception, match="2\\^53"):
+        fn(
+            ray.data.from_arrow(left), ray.data.from_arrow(right), ["k"],
+            num_partitions=1,
+        ).materialize()
 
 
 def test_semi_join_rejects_int64_beyond_2_53():
