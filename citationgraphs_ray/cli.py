@@ -102,18 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if (
-        args.kernel == "kcore"
-        and args.engine == "csr"
-        and args.output_mode == "shards"
-    ):
-        print(
-            "error: --kernel kcore --engine csr supports only "
-            "--output-mode table (its CSR checkpoint shards hold an "
-            "ENCODED state column); use table mode or --engine broadcast",
-            file=sys.stderr,
-        )
-        return 2
     if not ray.is_initialized():  # reuse the submitting session if any
         # plain ray.init(): respects RAY_ADDRESS (ray job submit sets it),
         # starts a local session otherwise
@@ -221,12 +209,9 @@ def main(argv: list[str] | None = None) -> int:
         )
         state, iters, converged = res.state, res.iterations, res.converged
         col = "rank"
-    elif args.engine == "csr" and (
-        args.kernel in ("pagerank", "ppr", "cc", "lpa", "bfs")
-        or (args.kernel == "kcore" and args.output_mode == "table")
+    elif args.engine == "csr" and args.kernel in (
+        "pagerank", "ppr", "cc", "lpa", "bfs", "kcore"
     ):
-        # kcore's CSR checkpoint shards hold its ENCODED state column, so
-        # shards-mode kcore uses the broadcast engine below
         # pick the kernel's edge view BEFORE constructing the engine —
         # cc/lpa run on the symmetrized edges only, so building (and
         # immediately discarding) a directed-edge engine would waste a

@@ -1,7 +1,9 @@
 """CSR actor-pool engine: fixed partitions hosted by a sized worker pool.
 
-The scale-out counterpart of the broadcast engine (engine.py). Design
-(SURVEY.md §4.3, BASELINE.json north_rule):
+The scale-out counterpart of the broadcast engine (engine.py): it runs
+the same kernel definitions — PageRank, CC, LPA, BFS, SSSP, k-core — on
+the same superstep loop (``engine._run``), with each partition as one
+vertex slice. Design (SURVEY.md §4.3, BASELINE.json north_rule):
 
 - The edge table is hash-partitioned ONCE by ``src % P`` into partitioned
   Parquet (``part=<p>/``) — the resumable on-disk layout. **P is a property
@@ -16,36 +18,37 @@ The scale-out counterpart of the broadcast engine (engine.py). Design
   (observed: identical throughput at both "cluster sizes"). W sized to the
   session's CPU count restores a real parallelism limit — W
   single-threaded worker processes.
-- Per owned partition, a worker builds once: CSR out-degrees plus static
-  per-destination routing — ``srcidx`` (local src index per edge, grouped
-  by destination partition; the per-superstep gather ``contrib[srcidx]``
-  reads a small cache-resident vector), ``inv`` (compacted dst bincount
-  bins) and ``dq`` (compacted local dst ids). The ``dq`` arrays are
-  exchanged to the destination partition's owner ONCE; supersteps ship
-  **values only** (sums / mins / keyed counts).
-- Superstep = BSP scatter/gather: each worker bundles its per-(p, q)
-  message slices into ONE plasma object per destination worker (≤ W²
-  objects/superstep, not P² — 16× fewer ``ray.put``s when a P=32 run
-  executes on W=8); receivers fetch exactly their bundles actor-to-actor
-  and the driver only routes refs and sums W scalars.
+- Per owned partition, a worker builds once: the out-degrees and the
+  out-edges grouped by destination partition q, each edge's dst a
+  compact key — the index of its (q, local dst id) among the partition's
+  distinct destinations — so one fold yields every per-(p, q) message
+  vector back to back. Each q's local dst ids (``dq``) are exchanged to
+  q's owner ONCE; supersteps ship **values only**.
+- Superstep = BSP scatter/gather: each worker runs the kernel's message
+  function once per owned partition, pre-combines it per (p, q) with
+  ``engine._fold`` and bundles the slices into ONE plasma object per
+  destination worker (≤ W² objects/superstep, not P² — 16× fewer
+  ``ray.put``s when a P=32 run executes on W=8); receivers fetch exactly
+  their bundles actor-to-actor, fold them in (q, p) order and apply. The
+  driver only routes refs, sums per-partition scalars in partition order
+  (so results do not depend on W) and merges the metrics.
 - Checkpoints are **per partition** (not per worker): each worker writes
-  shards for its owned partitions, the manifest (completion marker) is
-  written last — so a run checkpointed at one cluster size resumes at
-  another.
+  shards of every state column for its owned partitions, the manifest
+  (completion marker) is written last — so a run checkpointed at one
+  cluster size resumes at another.
 
 Rationale for raw actors: Ray Data's map_batches actor pools don't pin a
 stable partition→actor assignment across iterations, so per-partition
 mutable CSR state genuinely can't be expressed in the Dataset API — this is
 the documented escape hatch. Everything around it (partitioning, layout,
 message pre-aggregation) keeps the Dataset/groupby shapes.
-
-Kernels: PageRank, connected components, label propagation — all
-equivalence-tested against the broadcast engine and the NumPy oracle.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -53,10 +56,23 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..state.checkpoints import CheckpointManager
-from .engine import edge_checksum_and_count
-
-_I64MAX = np.iinfo(np.int64).max
+from .engine import (
+    _columns,
+    _fold,
+    _fold_sparse,
+    _check_weights,
+    _Frontier,
+    _identity,
+    _KCore,
+    _LabelPropagation,
+    _merge,
+    _merge_sparse,
+    _MinLabel,
+    _PageRank,
+    _restore,
+    _run,
+    edge_checksum_and_count,
+)
 
 # Auto worker sizing: every superstep pays a W-proportional coordination
 # term (2W driver→actor RPCs + up to W² bundled message objects; on one
@@ -67,9 +83,7 @@ _I64MAX = np.iinfo(np.int64).max
 # edges keeps the compute term dominant; explicit ``num_workers``
 # overrides (the multi-node setting, where each node adds memory
 # bandwidth and its own object store, may justify more).
-CSR_EDGES_PER_WORKER = int(
-    os.environ.get("GRAFT_CSR_EDGES_PER_WORKER", "1000000")
-)
+CSR_EDGES_PER_WORKER = 1_000_000
 
 
 def _sum_by_partition(dicts: list[dict[int, float]]) -> float:
@@ -107,67 +121,56 @@ def partition_edges(
 
 
 class _Partition:
-    """Worker-local state of one hash partition (plain object, not an actor)."""
+    """One hash partition: a vertex slice (``ids``, ``deg``) for the
+    kernels of engine.py, its routed out-edges and its state (a plain
+    object, not an actor)."""
 
     def __init__(self, pid: int, P: int, V: int) -> None:
         self.pid = pid
         self.P = P
         self.V = V
-        self.n_local = (V - pid + P - 1) // P
-        self.out_deg: np.ndarray | None = None
-        self.state: np.ndarray | None = None
-        # per-destination-partition routing: (srcidx, inv, dq) per q
-        self.route: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self.route_w: list[np.ndarray] | None = None  # per-route edge weights (SSSP)
+        n_local = (V - pid + P - 1) // P
+        self.ids = np.arange(n_local, dtype=np.int64) * P + pid
+        self.state: dict[str, np.ndarray] = {}
         self.in_dq: dict[int, np.ndarray] = {}  # src partition p -> dq
-        self.frontier: np.ndarray | None = None  # BFS/SSSP only
-        self.sssp_dist: np.ndarray | None = None  # SSSP decoded state
-
-    def local_ids(self) -> np.ndarray:
-        return np.arange(self.n_local, dtype=np.int64) * self.P + self.pid
 
     def build(self, edge_dir: str, weight_col: str | None = None) -> int:
         part_dir = os.path.join(edge_dir, f"part={self.pid}")
         cols = ["src", "dst"] + ([weight_col] if weight_col else [])
         if os.path.isdir(part_dir):
             tbl = pq.read_table(part_dir, columns=cols)
-            src = tbl["src"].to_numpy().astype(np.int64)
-            dst = tbl["dst"].to_numpy().astype(np.int64)
-            w = (
-                tbl[weight_col].to_numpy().astype(np.int64)
-                if weight_col
-                else None
-            )
         else:  # partition with no edges
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
-            w = np.empty(0, dtype=np.int64) if weight_col else None
-        if w is not None and len(w) and w.min() < 0:
-            raise ValueError("sssp requires non-negative weights")
+            tbl = pa.table({c: pa.array([], type=pa.int64()) for c in cols})
+        src, dst, *w = (tbl[c].to_numpy().astype(np.int64) for c in cols)
+        for x in w:
+            _check_weights(x.min(initial=0))
         local = src // self.P
         order = np.argsort(local, kind="stable")
         local, dst = local[order], dst[order]
-        if w is not None:
-            w = w[order]
-            self.route_w = []
-        counts = np.bincount(local, minlength=self.n_local)
-        self.out_deg = counts.astype(np.float64)
-        src_of_edge = np.repeat(np.arange(self.n_local, dtype=np.int64), counts)
-        dst_part = dst % self.P
-        order_q = np.argsort(dst_part, kind="stable")
-        bounds = np.searchsorted(dst_part[order_q], np.arange(self.P + 1))
-        for q in range(self.P):
-            sel = order_q[bounds[q] : bounds[q + 1]]
-            dq, inv = np.unique(dst[sel] // self.P, return_inverse=True)
-            self.route.append((src_of_edge[sel], inv.astype(np.int64), dq))
-            if w is not None:
-                self.route_w.append(w[sel])
+        self.deg = np.bincount(local, minlength=len(self.ids))
+        # out-edges grouped by destination partition (stable, so each
+        # message key sums its edges in local-src order)
+        by_q = np.argsort(dst % self.P, kind="stable")
+        self.src = local[by_q]
+        self.w = tuple(x[order][by_q] for x in w)
+        d = dst[by_q]
+        stride = self.V // self.P + 1
+        dests, self.dst = np.unique(
+            (d % self.P) * stride + d // self.P, return_inverse=True
+        )
+        self.dq = dests % stride
+        # destination partition q's compact keys are [off[q], off[q + 1]),
+        # its edges [eoff[q], eoff[q + 1])
+        self.off = np.searchsorted(dests // stride, np.arange(self.P + 1))
+        self.eoff = np.searchsorted(d % self.P, np.arange(self.P + 1))
         return len(src)
 
 
 @ray.remote(num_cpus=0)
 class CsrWorker:
     """Owns partitions {p : p % W == wid}; single-threaded numpy inside.
+    Executes one kernel of engine.py at a time: ``init``, then one
+    ``scatter`` and one ``gather`` per superstep.
 
     num_cpus=0: the TRUE parallelism limit is the worker count W (that many
     single-threaded processes exist, period); holding scheduler CPU slots
@@ -175,10 +178,8 @@ class CsrWorker:
     session (measured deadlock under pytest's 4-CPU session)."""
 
     def __init__(self, wid: int, num_workers: int, P: int, V: int) -> None:
-        self.wid = wid
         self.W = num_workers
         self.P = P
-        self.V = V
         self.parts = {
             p: _Partition(p, P, V) for p in range(P) if p % num_workers == wid
         }
@@ -191,11 +192,11 @@ class CsrWorker:
 
     def route_dq(self) -> dict:
         """One-time routing exchange: {(p, q): ref(dq)} for owned p."""
-        out = {}
-        for p, pt in self.parts.items():
-            for q in range(self.P):
-                out[(p, q)] = ray.put(pt.route[q][2])
-        return out
+        return {
+            (p, q): ray.put(pt.dq[pt.off[q] : pt.off[q + 1]])
+            for p, pt in self.parts.items()
+            for q in range(self.P)
+        }
 
     def set_incoming_dq(self, keys: list, *dqs: np.ndarray) -> bool:
         for (p, q), dq in zip(keys, dqs):
@@ -203,28 +204,14 @@ class CsrWorker:
         return True
 
     def get_states(self) -> dict[int, np.ndarray]:
-        return {p: pt.state for p, pt in self.parts.items()}
+        return {p: self.kernel.result(pt.state) for p, pt in self.parts.items()}
 
-    # -- PageRank -----------------------------------------------------------
-    def pr_init(self, seeds: list | None = None) -> dict[int, float]:
-        """Uniform init, or — with ``seeds`` — the personalized teleport
-        vector r0 (uniform over the seed set, 0 elsewhere); r0's local
-        slice is kept on the partition for every gather."""
-        seed_arr = (
-            np.asarray(seeds, dtype=np.int64) if seeds is not None else None
-        )
-        out = {}
-        for p, pt in self.parts.items():
-            if seed_arr is None:
-                pt.state = np.full(pt.n_local, 1.0 / self.V)
-                pt.ppr_r0 = None
-            else:
-                r0 = np.zeros(pt.n_local)
-                r0[np.isin(pt.local_ids(), seed_arr)] = 1.0 / len(seed_arr)
-                pt.ppr_r0 = r0
-                pt.state = r0.copy()
-            out[p] = float(pt.state[pt.out_deg == 0].sum())
-        return out
+    # -- supersteps -----------------------------------------------------------
+    def init(self, kernel) -> bool:
+        self.kernel = kernel
+        for pt in self.parts.values():
+            pt.state = kernel.init(pt)
+        return True
 
     def _bundle(self, slices: dict) -> dict:
         """Group per-(p, q) message slices by DESTINATION WORKER and put
@@ -237,405 +224,94 @@ class CsrWorker:
             by_w.setdefault(q % self.W, {})[(p, q)] = msg
         return {w: ray.put(d) for w, d in by_w.items()}
 
-    def pr_scatter(self) -> dict:
-        out = {}
+    def scatter(self) -> tuple[dict, dict[int, float]]:
+        """Messages of every owned partition, pre-combined per (p, q) and
+        bundled per destination worker, plus each partition's scalar."""
+        k = self.kernel
+        out, scalars = {}, {}
         for p, pt in self.parts.items():
-            contrib = np.where(
-                pt.out_deg > 0, pt.state / np.maximum(pt.out_deg, 1), 0.0
-            )
-            for q, (srcidx, inv, dq) in enumerate(pt.route):
-                sums = (
-                    np.bincount(inv, weights=contrib[srcidx], minlength=len(dq))
-                    if len(dq)
-                    else np.zeros(0)
-                )
-                out[(p, q)] = sums
-        return self._bundle(out)
+            scalars[p] = k.scalar(pt.state, pt)
+            emitted = k.emit(pt.state, pt)
+            if not k.sparse:
+                key, val = k.msg(emitted, pt.src, pt.dst, *pt.w)
+                part = _fold(k.combine, key, val, len(pt.dq))
+                for q in range(self.P):
+                    out[(p, q)] = part[pt.off[q] : pt.off[q + 1]]
+                continue
+            # Sparse keys are dst·M + x, one per edge, dst the receiver's
+            # local id. Combining them at the producer pays only when
+            # emitted values repeat; in the early rounds of a dense graph
+            # nearly every message is distinct and the fold is pure sort
+            # cost (profiled on the 400M-edge bench, BENCH/BASELINE.md r5),
+            # so a per-partition diversity probe decides each round and raw
+            # keys ship with counts None.
+            key, val = k.msg(emitted, pt.src, pt.dq[pt.dst], *pt.w)
+            fold = len(np.unique(emitted[0])) * 4 < max(1, len(pt.ids))
+            for q in range(self.P):
+                s = slice(pt.eoff[q], pt.eoff[q + 1])
+                m = (key[s], None if val is None else val[s])
+                out[(p, q)] = _fold_sparse(k.combine, *m) if fold else m
+        return self._bundle(out), scalars
 
-    def pr_gather(
-        self,
-        damping: float,
-        dangling_mass: float,
-        *bundles: dict,
-    ) -> tuple[float, float]:
-        # varargs: Ray resolves ObjectRefs only as top-level args.
-        # Process in (q, p) order so float summation order — and therefore
-        # the result bit pattern — is independent of the worker count W.
+    def gather(self, scalar: float, *bundles: dict) -> list[dict]:
+        """Fold the incoming bundles and apply the kernel; one metric per
+        owned partition. Bundles fold in (q, p) order, so float summation
+        order — and the result's bits — do not depend on W. (Varargs: Ray
+        resolves ObjectRefs only as top-level args.)"""
+        k = self.kernel
+        inc = {
+            q: [] if k.sparse else _identity(k.combine, len(pt.ids))
+            for q, pt in self.parts.items()
+        }
         items = [kv for b in bundles for kv in b.items()]
-        sums = {p: np.zeros(pt.n_local) for p, pt in self.parts.items()}
         for (p, q), m in sorted(items, key=lambda km: (km[0][1], km[0][0])):
-            u = self.parts[q].in_dq[p]
-            if len(u):
-                sums[q] += np.bincount(
-                    u, weights=m, minlength=self.parts[q].n_local
-                )
-        resid = 0.0
-        dangling = {}
-        for q, pt in self.parts.items():
-            r0 = getattr(pt, "ppr_r0", None)
-            if r0 is None:
-                # uniform path bit-identical to the pre-PPR kernel
-                new_state = (1.0 - damping) / self.V + damping * (
-                    sums[q] + dangling_mass / self.V
-                )
+            if k.sparse:
+                inc[q].append(m)
             else:
-                new_state = (1.0 - damping) * r0 + damping * (
-                    sums[q] + dangling_mass * r0
-                )
-            if pt.n_local:
-                resid = max(resid, float(np.max(np.abs(new_state - pt.state))))
-            pt.state = new_state
-            # per-partition dangling so the driver can sum in partition
-            # order — keeps results bitwise independent of worker count W
-            dangling[q] = float(pt.state[pt.out_deg == 0].sum())
-        return resid, dangling
-
-    # -- Connected components ----------------------------------------------
-    def cc_init(self) -> bool:
-        for pt in self.parts.values():
-            pt.state = pt.local_ids().astype(np.int64)
-        return True
-
-    def cc_scatter(self) -> dict:
-        out = {}
-        for p, pt in self.parts.items():
-            for q, (srcidx, inv, dq) in enumerate(pt.route):
-                mins = np.full(len(dq), _I64MAX, dtype=np.int64)
-                if len(srcidx):
-                    np.minimum.at(mins, inv, pt.state[srcidx])
-                out[(p, q)] = mins
-        return self._bundle(out)
-
-    def cc_gather(self, *bundles: dict) -> int:
-        items = [kv for b in bundles for kv in b.items()]
-        incoming = {
-            p: np.full(pt.n_local, _I64MAX, dtype=np.int64)
-            for p, pt in self.parts.items()
-        }
-        for (p, q), m in sorted(items, key=lambda km: (km[0][1], km[0][0])):
-            u = self.parts[q].in_dq[p]
-            if len(u):
-                np.minimum.at(incoming[q], u, m)
-        changed = 0
+                _merge(k.combine, inc[q], self.parts[q].in_dq[p], m)
+        metrics = []
         for q, pt in self.parts.items():
-            new_state = np.minimum(pt.state, incoming[q])
-            changed += int(np.count_nonzero(new_state != pt.state))
-            pt.state = new_state
-        return changed
+            x = _merge_sparse(k.combine, inc[q]) if k.sparse else inc[q]
+            pt.state, metric = k.apply(pt.state, x, pt, scalar)
+            metrics.append(metric)
+        return metrics
 
-    # -- BFS hop distance -----------------------------------------------------
-    def bfs_init(self, sources: list) -> bool:
-        src = np.asarray(sources, dtype=np.int64)
-        for p, pt in self.parts.items():
-            pt.state = np.full(pt.n_local, _I64MAX, dtype=np.int64)
-            mine = src[src % self.P == p] // self.P
-            pt.state[mine] = 0
-            pt.frontier = np.zeros(pt.n_local, dtype=bool)
-            pt.frontier[mine] = True
-        return True
-
-    def bfs_scatter(self) -> dict:
-        """Same min-exchange shape as cc_scatter, but only FRONTIER
-        vertices (settled last round) emit — total message work across
-        all rounds is O(E), the level-synchronous-BFS property. The
-        per-route arrays stay dq-sized (INF padding) to keep the
-        exchange layout identical to CC's."""
-        out = {}
-        for p, pt in self.parts.items():
-            for q, (srcidx, inv, dq) in enumerate(pt.route):
-                mins = np.full(len(dq), _I64MAX, dtype=np.int64)
-                if len(srcidx):
-                    live = pt.frontier[srcidx]
-                    if live.any():
-                        np.minimum.at(
-                            mins, inv[live], pt.state[srcidx[live]] + 1
-                        )
-                out[(p, q)] = mins
-        return self._bundle(out)
-
-    def bfs_gather(self, *bundles: dict) -> int:
-        items = [kv for b in bundles for kv in b.items()]
-        incoming = {
-            p: np.full(pt.n_local, _I64MAX, dtype=np.int64)
-            for p, pt in self.parts.items()
-        }
-        for (p, q), m in sorted(items, key=lambda km: (km[0][1], km[0][0])):
-            u = self.parts[q].in_dq[p]
-            if len(u):
-                np.minimum.at(incoming[q], u, m)
-        changed = 0
-        for q, pt in self.parts.items():
-            new_state = np.minimum(pt.state, incoming[q])
-            pt.frontier = new_state != pt.state
-            changed += int(np.count_nonzero(pt.frontier))
-            pt.state = new_state
-        return changed
-
-    def bfs_restore_frontier(self, level: int) -> bool:
-        """Level-synchronous invariant: the frontier after iteration k is
-        exactly {v : dist[v] == k+1}, so a resume rebuilds it from the
-        state shard alone (no separate frontier column needed)."""
-        for pt in self.parts.values():
-            pt.frontier = pt.state == level
-        return True
-
-    # -- weighted SSSP ----------------------------------------------------------
-    # state ENCODING (single int64 column): dist >= 0 settled/non-frontier,
-    # -(dist)-1 < 0 for FRONTIER vertices (settled last round, relaxations
-    # pending), I64MAX unreached — resume decodes both dist and frontier
-    # from the shard alone (unlike BFS, weighted distance has no
-    # level == iteration invariant to rebuild the frontier from).
-    def sssp_init(self, sources: list) -> bool:
-        if self.parts and next(iter(self.parts.values())).route_w is None:
-            raise ValueError(
-                "sssp needs a weighted layout — construct CsrEngine with "
-                "weight_col"
-            )
-        src = np.asarray(sources, dtype=np.int64)
-        for p, pt in self.parts.items():
-            dist = np.full(pt.n_local, _I64MAX, dtype=np.int64)
-            pt.frontier = np.zeros(pt.n_local, dtype=bool)
-            mine = src[src % self.P == p] // self.P
-            dist[mine] = 0
-            pt.frontier[mine] = True
-            pt.sssp_dist = dist
-            pt.state = np.where(pt.frontier, -dist - 1, dist)
-        return True
-
-    def sssp_scatter(self) -> dict:
-        out = {}
-        for p, pt in self.parts.items():
-            for q, (srcidx, inv, dq) in enumerate(pt.route):
-                mins = np.full(len(dq), _I64MAX, dtype=np.int64)
-                if len(srcidx):
-                    live = pt.frontier[srcidx]
-                    if live.any():
-                        np.minimum.at(
-                            mins,
-                            inv[live],
-                            pt.sssp_dist[srcidx[live]]
-                            + pt.route_w[q][live],
-                        )
-                out[(p, q)] = mins
-        return self._bundle(out)
-
-    def sssp_gather(self, *bundles: dict) -> int:
-        items = [kv for b in bundles for kv in b.items()]
-        incoming = {
-            p: np.full(pt.n_local, _I64MAX, dtype=np.int64)
-            for p, pt in self.parts.items()
-        }
-        for (p, q), m in sorted(items, key=lambda km: (km[0][1], km[0][0])):
-            u = self.parts[q].in_dq[p]
-            if len(u):
-                np.minimum.at(incoming[q], u, m)
-        changed = 0
-        for q, pt in self.parts.items():
-            new_dist = np.minimum(pt.sssp_dist, incoming[q])
-            pt.frontier = new_dist != pt.sssp_dist
-            changed += int(np.count_nonzero(pt.frontier))
-            pt.sssp_dist = new_dist
-            pt.state = np.where(pt.frontier, -new_dist - 1, new_dist)
-        return changed
-
-    def sssp_restore(self, _start: int) -> bool:
-        for pt in self.parts.values():
-            st = pt.state.astype(np.int64)
-            pt.frontier = st < 0
-            pt.sssp_dist = np.where(pt.frontier, -st - 1, st)
-        return True
-
-    # -- k-core decomposition --------------------------------------------------
-    # state ENCODING (single int64 column, checkpoint-shard compatible):
-    #   >= 0  alive, value = current residual degree (>= k by invariant)
-    #   -2    killed THIS round (its decrements are still pending)
-    #   -1    dead in an earlier round
-    # so a resume rebuilds (deg, alive, pending-kill) from the shard alone.
-    def kcore_init(self, k: int) -> bool:
-        self.kcore_k = int(k)
-        for pt in self.parts.values():
-            deg = pt.out_deg.astype(np.int64)  # symmetrized → undirected
-            kill = deg < k
-            pt.kc_deg = np.where(kill, 0, deg)
-            pt.kc_alive = ~kill
-            pt.kc_kill = kill
-            pt.state = np.where(
-                kill, np.int64(-2), np.where(pt.kc_alive, pt.kc_deg, -1)
-            )
-        return True
-
-    def kcore_scatter(self) -> dict:
-        """Only vertices KILLED last round emit (one count per out-edge
-        into each dq) — the O(E)-total decrement peel, same contract as
-        engine.k_core."""
-        out = {}
-        for p, pt in self.parts.items():
-            kill = pt.kc_kill
-            for q, (srcidx, inv, dq) in enumerate(pt.route):
-                cnt = np.zeros(len(dq), dtype=np.int64)
-                if len(srcidx):
-                    live = kill[srcidx]
-                    if live.any():
-                        np.add.at(cnt, inv[live], 1)
-                out[(p, q)] = cnt
-        return self._bundle(out)
-
-    def kcore_gather(self, *bundles: dict) -> int:
-        items = [kv for b in bundles for kv in b.items()]
-        dec = {
-            p: np.zeros(pt.n_local, dtype=np.int64)
-            for p, pt in self.parts.items()
-        }
-        for (p, q), m in sorted(items, key=lambda km: (km[0][1], km[0][0])):
-            u = self.parts[q].in_dq[p]
-            if len(u):
-                np.add.at(dec[q], u, m)
-        killed = 0
-        k = self.kcore_k
-        for q, pt in self.parts.items():
-            pt.kc_deg = np.where(pt.kc_alive, pt.kc_deg - dec[q], 0)
-            new_kill = pt.kc_alive & (pt.kc_deg < k)
-            pt.kc_alive = pt.kc_alive & ~new_kill
-            pt.kc_deg[new_kill] = 0
-            pt.kc_kill = new_kill
-            killed += int(np.count_nonzero(new_kill))
-            pt.state = np.where(
-                new_kill, np.int64(-2),
-                np.where(pt.kc_alive, pt.kc_deg, -1),
-            )
-        return killed
-
-    def kcore_restore(self, _start: int) -> bool:
-        """Decode (deg, alive, pending-kill) from the loaded state shard."""
-        for pt in self.parts.values():
-            st = pt.state.astype(np.int64)
-            pt.kc_alive = st >= 0
-            pt.kc_deg = np.where(pt.kc_alive, st, 0)
-            pt.kc_kill = st == -2
-            pt.state = st
-        return True
-
-    # -- Label propagation ---------------------------------------------------
-    def lpa_init(self) -> bool:
-        for pt in self.parts.values():
-            pt.state = pt.local_ids().astype(np.int64)
-        return True
-
-    def lpa_scatter(self) -> dict:
-        """Messages are composite keys ``local_dst·M + label`` — either
-        COMBINED ``(unique_keys, counts)`` or RAW ``(keys, None)``.
-
-        The map-side combiner (a per-route ``np.unique``) only pays when
-        labels repeat; in the early rounds of a dense graph nearly every
-        message is distinct and the combiner is pure sort cost on E
-        elements per superstep (profiled on the 400M-edge bench: rounds
-        1-2 spent most of their 20-90 s there and in the gather-side
-        re-sort). A cheap per-partition diversity probe (unique count of
-        the n_local-sized state) decides per round; the gather handles
-        both message forms."""
-        M = self.V + 1
-        out = {}
-        for p, pt in self.parts.items():
-            n_distinct = len(np.unique(pt.state)) if pt.n_local else 0
-            combine = n_distinct * 4 < max(1, pt.n_local)
-            for q, (srcidx, inv, dq) in enumerate(pt.route):
-                if len(srcidx) == 0:
-                    out[(p, q)] = (np.empty(0, np.int64), None)
-                    continue
-                comp = dq[inv] * M + pt.state[srcidx]
-                if combine:
-                    u, counts = np.unique(comp, return_counts=True)
-                    out[(p, q)] = (u, counts.astype(np.int64))
-                else:
-                    out[(p, q)] = (comp, None)
-        return self._bundle(out)
-
-    @staticmethod
-    def _lpa_reduce_sorted(cs: np.ndarray, cc: np.ndarray | None):
-        """(sorted keys, optional counts) → (unique keys, summed counts)
-        via boundary reduceat — no inverse arrays, no scatter-``at``."""
-        n = len(cs)
-        starts = np.flatnonzero(cs[1:] != cs[:-1]) + 1
-        starts = np.concatenate(([0], starts))
-        if cc is None:
-            tot = np.diff(np.append(starts, n))
-        else:
-            tot = np.add.reduceat(cc, starts)
-        return cs[starts], tot.astype(np.int64)
-
-    def lpa_gather(self, *bundles: dict) -> int:
-        M = self.V + 1
-        items = [kv for b in bundles for kv in b.items()]
-        per_q: dict[int, list] = {q: [] for q in self.parts}
-        for (p, q), m in sorted(items, key=lambda km: (km[0][1], km[0][0])):
-            if len(m[0]):
-                per_q[q].append(m)
-        changed = 0
-        for q, pt in self.parts.items():
-            new_state = pt.state.copy()
-            if per_q[q]:
-                # raw piles: ONE in-place np.sort (no argsort/take) and
-                # counts are plain segment lengths; combined piles:
-                # argsort + reduceat; then a small merge if both exist
-                partials = []
-                raws = [m[0] for m in per_q[q] if m[1] is None]
-                if raws:
-                    comp = np.concatenate(raws)
-                    comp.sort()
-                    partials.append(self._lpa_reduce_sorted(comp, None))
-                combs = [m for m in per_q[q] if m[1] is not None]
-                if combs:
-                    comp = np.concatenate([m[0] for m in combs])
-                    cnt = np.concatenate([m[1] for m in combs])
-                    order = np.argsort(comp, kind="stable")
-                    partials.append(
-                        self._lpa_reduce_sorted(comp[order], cnt[order])
-                    )
-                if len(partials) == 2:
-                    comp = np.concatenate([p_[0] for p_ in partials])
-                    cnt = np.concatenate([p_[1] for p_ in partials])
-                    order = np.argsort(comp, kind="stable")
-                    u, tot = self._lpa_reduce_sorted(comp[order], cnt[order])
-                else:
-                    u, tot = partials[0]
-                d_u = u // M
-                lab = u % M
-                enc = tot * M + (M - 1 - lab)  # max count, then min label
-                # u ascending ⇒ d_u non-decreasing ⇒ per-dst segments are
-                # contiguous: segment-max via reduceat, no maximum.at
-                dstarts = np.flatnonzero(d_u[1:] != d_u[:-1]) + 1
-                dstarts = np.concatenate(([0], dstarts))
-                new_state[d_u[dstarts]] = M - 1 - (
-                    np.maximum.reduceat(enc, dstarts) % M
-                )
-            changed += int(np.count_nonzero(new_state != pt.state))
-            pt.state = new_state
-        return changed
-
-    # -- checkpoint shards (per PARTITION, so resume is W-independent) -------
-    def write_shards(self, it_dir: str, col: str) -> list[dict]:
+    # -- shards (per PARTITION, so resume is W-independent) -------------------
+    def write_shards(self, out_dir: str, col: str | None = None) -> list[dict]:
+        """Every state column (a checkpoint), or with ``col`` the kernel's
+        result under that name (``CsrEngine.write_states``)."""
         out = []
         for p, pt in self.parts.items():
-            fname = f"state-{p:05d}.parquet"
-            tbl = pa.table(
-                {"id": pa.array(pt.local_ids()), col: pa.array(pt.state)}
+            cols = (
+                _columns(pt.state)
+                if col is None
+                else {col: self.kernel.result(pt.state)}
             )
-            pq.write_table(tbl, os.path.join(it_dir, fname))
+            fname = f"state-{p:05d}.parquet"
+            tbl = pa.table({"id": pt.ids, **cols})
+            pq.write_table(tbl, os.path.join(out_dir, fname))
             out.append({"part": p, "file": fname, "rows": tbl.num_rows})
         return out
 
-    def load_shards(self, it_dir: str, col: str) -> bool:
+    def load_shards(self, it_dir: str) -> bool:
         for p, pt in self.parts.items():
             tbl = pq.read_table(os.path.join(it_dir, f"state-{p:05d}.parquet"))
-            ids = tbl["id"].to_numpy().astype(np.int64)
-            vals = tbl[col].to_numpy(zero_copy_only=False)
-            order = np.argsort(ids, kind="stable")
-            pt.state = np.asarray(vals[order])
+            order = np.argsort(tbl["id"].to_numpy(), kind="stable")
+            cols = {c: tbl[c].to_numpy(zero_copy_only=False)[order] for c in pt.state}
+            pt.state = _restore(pt.state, cols)
         return True
 
 
 class CsrEngine:
-    """Driver-side BSP orchestrator over W CsrWorker actors (P partitions)."""
+    """Driver-side BSP orchestrator over W CsrWorker actors (P partitions);
+    the executor ``engine._run`` drives.
+
+    Every kernel method returns ``(state, iterations, converged)``;
+    ``assemble=False`` skips the V-sized driver array (state is None) —
+    the state stays in the workers; drain it with ``write_states`` (the
+    10^12-vertex sink). Checkpoints are keyed by the kernel name and the
+    engine's ``fingerprint``, with the run parameters (seeds, sources, k)
+    appended."""
 
     def __init__(
         self,
@@ -648,35 +324,16 @@ class CsrEngine:
         weight_col: str | None = None,
     ) -> None:
         self.V = num_vertices
-        self.P = num_partitions
+        self.P = self.num_partitions = num_partitions
         self.weight_col = weight_col
-        # Edge identity: an order-independent content checksum keys BOTH the
-        # cached partitioned layout and every checkpoint fingerprint, so a
-        # different edge set can neither reuse a stale layout (same
-        # workdir/tag/P) nor resume another graph's checkpoints (same P, V).
-        # One extra column-pruned pass over (src, dst) — which also yields E
-        # for free, used to auto-size the worker pool.
-        self.checksum, self.E = edge_checksum_and_count(edges)
-        if weight_col:
-            # mix the weights into the identity so two weightings of the
-            # same (src, dst) set get distinct layouts and fingerprints
-            mod = (1 << 61) - 1
-            wsum = 0
-            for b in edges.select_columns(
-                ["src", "dst", weight_col]
-            ).iter_batches(batch_size=1 << 20, batch_format="pyarrow"):
-                src = b["src"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                dst = b["dst"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                w = b[weight_col].to_numpy(zero_copy_only=False).astype(
-                    np.uint64
-                )
-                with np.errstate(over="ignore"):
-                    mix = (
-                        src * np.uint64(0x9E3779B97F4A7C15)
-                        ^ dst * np.uint64(0xC2B2AE3D27D4EB4F)
-                    ) + w * np.uint64(0xD6E8FEB86659FD93)
-                wsum = (wsum + int(np.sum(mix % np.uint64(mod)))) % mod
-            self.checksum = (self.checksum * 31 + wsum) % mod
+        # Edge identity: an order-independent content checksum (weights
+        # mixed in, so two weightings of one (src, dst) set differ) keys
+        # BOTH the cached partitioned layout and every checkpoint
+        # fingerprint, so a different edge set can neither reuse a stale
+        # layout (same workdir/tag/P) nor resume another graph's
+        # checkpoints (same P, V). One column-pruned pass, which also
+        # yields E, used to auto-size the worker pool.
+        self.checksum, self.E = edge_checksum_and_count(edges, weight_col)
         if num_workers is None:
             session_cpus = int(ray.cluster_resources().get("CPU", num_partitions))
             num_workers = max(
@@ -699,8 +356,6 @@ class CsrEngine:
         )
         marker = os.path.join(edge_dir, "_SUCCESS")
         if not os.path.exists(marker):  # partitioned layout is reusable
-            import shutil
-
             shutil.rmtree(edge_dir, ignore_errors=True)
             partition_edges(
                 edges, edge_dir, num_partitions, weight_col=weight_col
@@ -728,15 +383,38 @@ class CsrEngine:
             ]
         )
 
-    def _exchange(self, scatter: str) -> list[list]:
-        """Run scatter on all workers; each returns {dest_worker: ref of
-        bundled (p, q)→msg dict}. The driver only routes ≤ W² refs."""
-        outboxes = ray.get([getattr(a, scatter).remote() for a in self.workers])
+    # -- the executor interface of engine._run ---------------------------------
+    def init(self, kernel) -> None:
+        ray.get([a.init.remote(kernel) for a in self.workers])
+
+    def step(self, kernel) -> dict:
+        """One superstep: scatter everywhere, route the ≤ W² bundle refs,
+        gather everywhere."""
+        outs = ray.get([a.scatter.remote() for a in self.workers])
+        scalar = _sum_by_partition([s for _, s in outs])
         inbox: list[list] = [[] for _ in range(self.W)]
-        for ob in outboxes:
+        for ob, _ in outs:
             for w, ref in ob.items():
                 inbox[w].append(ref)
-        return inbox
+        per_worker = ray.get(
+            [a.gather.remote(scalar, *inbox[w]) for w, a in enumerate(self.workers)]
+        )
+        metrics = [m for ms in per_worker for m in ms]
+        return {k: kernel.merge_metric(m[k] for m in metrics) for k in metrics[0]}
+
+    def save(self, mgr, it: int, metric: dict, parent: int | None) -> None:
+        parts = ray.get(
+            [a.write_shards.remote(mgr.iter_dir(it)) for a in self.workers]
+        )
+        flat = sorted((m for sub in parts for m in sub), key=lambda m: m["part"])
+        mgr.save_manifest(it, metric, parent, flat)
+
+    def load(self, mgr):
+        ck = mgr.latest()
+        if ck is not None:
+            it_dir = mgr.iter_dir(ck.iteration)
+            ray.get([a.load_shards.remote(it_dir) for a in self.workers])
+        return ck
 
     def _assemble(self) -> np.ndarray:
         state_maps = ray.get([a.get_states.remote() for a in self.workers])
@@ -747,21 +425,23 @@ class CsrEngine:
                 out[p :: self.P] = s
         return out
 
-    def _checkpoint(self, mgr, it, col, metric, parent):
-        parts = ray.get(
-            [a.write_shards.remote(mgr.iter_dir(it), col) for a in self.workers]
+    def _execute(
+        self,
+        kernel,
+        max_iters: int,
+        checkpoint_dir: str | None,
+        resume: bool,
+        checkpoint_keep_last: int | None,
+        assemble: bool,
+        checkpoint_every: int = 1,
+    ) -> tuple[np.ndarray | None, int, bool]:
+        iters, converged, _ = _run(
+            self, kernel, max_iters, checkpoint_dir, resume,
+            checkpoint_keep_last, checkpoint_every,
         )
-        flat = sorted((m for sub in parts for m in sub), key=lambda m: m["part"])
-        mgr.save_manifest(it, metric, parent, flat)
+        return self._assemble() if assemble else None, iters, converged
 
-    def _resume(self, mgr, col):
-        ck = mgr.latest()
-        if ck is None:
-            return None
-        it_dir = mgr.iter_dir(ck.iteration)
-        ray.get([a.load_shards.remote(it_dir, col) for a in self.workers])
-        return ck
-
+    # -- kernels ----------------------------------------------------------------
     def pagerank(
         self,
         damping: float = 0.85,
@@ -774,80 +454,12 @@ class CsrEngine:
         assemble: bool = True,
         reset_ids: "list | np.ndarray | None" = None,
     ) -> tuple[np.ndarray | None, int, bool]:
-        """``assemble=False`` skips the V-sized driver array — state stays
-        in the workers; drain it with ``write_states`` (the 10^12-vertex
-        sink). ``reset_ids`` runs PERSONALIZED PageRank (same semantics
-        as engine.pagerank(reset_ids=...)); the checkpoint kernel label
-        carries the seed-set tag so a resume cannot load another
-        personalization's ranks."""
-        seeds = None
-        kernel_label = "pagerank"
-        if reset_ids is not None:
-            seeds = sorted(int(x) for x in np.unique(np.asarray(reset_ids)))
-            if not seeds:
-                raise ValueError("personalized pagerank needs ≥1 seed vertex")
-            if seeds[0] < 0 or seeds[-1] >= self.V:
-                raise ValueError("seed id outside [0, num_vertices)")
-            import hashlib as _hashlib
-
-            tag = _hashlib.sha1(
-                np.asarray(seeds, dtype=np.int64).tobytes()
-            ).hexdigest()[:8]
-            kernel_label = f"pagerank-ppr-{tag}"
-        dmaps = ray.get([a.pr_init.remote(seeds) for a in self.workers])
-        dangling = _sum_by_partition(dmaps)
-        start = 0
-        mgr = None
-        if checkpoint_dir:
-            mgr = CheckpointManager(
-                checkpoint_dir,
-                kernel=kernel_label,
-                fingerprint=self.fingerprint,
-                params={"damping": damping, "tol": tol},
-                num_partitions=self.P,
-                keep_last=checkpoint_keep_last,
-            )
-            if resume:
-                ck = self._resume(mgr, "rank")
-                if ck is not None:
-                    if ck.manifest["metric"].get("converged"):
-                        return (
-                            self._assemble() if assemble else None,
-                            ck.iteration + 1,
-                            True,
-                        )
-                    start = ck.iteration + 1
-                    dangling = ck.manifest["metric"]["dangling_mass"]
-        converged = False
-        it = start
-        for it in range(start, max_iters):
-            inbox = self._exchange("pr_scatter")
-            results = ray.get(
-                [
-                    self.workers[w].pr_gather.remote(
-                        damping, dangling, *inbox[w]
-                    )
-                    for w in range(self.W)
-                ]
-            )
-            resid = max(r for r, _ in results)
-            dangling = _sum_by_partition([d for _, d in results])
-            converged = resid < tol
-            if mgr and (it % checkpoint_every == 0 or converged):
-                self._checkpoint(
-                    mgr,
-                    it,
-                    "rank",
-                    {
-                        "linf_residual": resid,
-                        "dangling_mass": dangling,
-                        "converged": converged,
-                    },
-                    parent=it - 1 if it > start or start > 0 else None,
-                )
-            if converged:
-                break
-        return self._assemble() if assemble else None, it + 1, converged
+        """engine.pagerank; ``reset_ids`` runs PERSONALIZED PageRank."""
+        return self._execute(
+            _PageRank(self.V, damping, tol, reset_ids), max_iters,
+            checkpoint_dir, resume, checkpoint_keep_last, assemble,
+            checkpoint_every,
+        )
 
     def connected_components(
         self,
@@ -857,12 +469,10 @@ class CsrEngine:
         checkpoint_keep_last: int | None = None,
         assemble: bool = True,
     ) -> tuple[np.ndarray | None, int, bool]:
-        """``assemble=False`` skips the V-sized driver array — state stays
-        in the workers; drain it with ``write_states`` (the 10^12-vertex
-        sink)."""
-        return self._label_kernel(
-            "cc", "component", max_iters, checkpoint_dir, resume,
-            checkpoint_keep_last, assemble=assemble,
+        """engine.connected_components on a symmetrized layout."""
+        return self._execute(
+            _MinLabel(), max_iters, checkpoint_dir, resume,
+            checkpoint_keep_last, assemble,
         )
 
     def label_propagation(
@@ -873,12 +483,11 @@ class CsrEngine:
         checkpoint_keep_last: int | None = None,
         assemble: bool = True,
     ) -> tuple[np.ndarray | None, int, bool]:
-        """Synchronous LPA (neighbor mode, min tie-break) on the same BSP
-        harness; semantics identical to engine.label_propagation/oracle.
-        ``assemble=False`` as in ``connected_components``."""
-        return self._label_kernel(
-            "lpa", "label", max_rounds, checkpoint_dir, resume,
-            checkpoint_keep_last, assemble=assemble,
+        """engine.label_propagation (neighbor mode, min tie-break) on a
+        symmetrized layout."""
+        return self._execute(
+            _LabelPropagation(self.V), max_rounds, checkpoint_dir, resume,
+            checkpoint_keep_last, assemble,
         )
 
     def bfs_hops(
@@ -890,25 +499,10 @@ class CsrEngine:
         checkpoint_keep_last: int | None = None,
         assemble: bool = True,
     ) -> tuple[np.ndarray | None, int, bool]:
-        """Frontier BFS on the BSP harness; semantics identical to
-        engine.bfs_hops / oracle.bfs_oracle (unreached = int64 max).
-        The checkpoint kernel label carries a source-set tag so a resume
-        can never load another source set's hops."""
-        import hashlib as _hashlib
-
-        src = sorted(int(x) for x in sources)
-        if not src:
-            raise ValueError("bfs_hops needs at least one source vertex")
-        if src[0] < 0 or src[-1] >= self.V:
-            raise ValueError("source id outside [0, num_vertices)")
-        tag = _hashlib.sha1(
-            np.asarray(src, dtype=np.int64).tobytes()
-        ).hexdigest()[:8]
-        return self._label_kernel(
-            "bfs", "hops", max_iters, checkpoint_dir, resume,
-            checkpoint_keep_last, assemble=assemble,
-            init_args=(src,), resume_hook="bfs_restore_frontier",
-            manager_kernel=f"bfs-{tag}",
+        """engine.bfs_hops (unreached = int64 max)."""
+        return self._execute(
+            _Frontier("bfs", "hops", self.V, sources), max_iters,
+            checkpoint_dir, resume, checkpoint_keep_last, assemble,
         )
 
     def sssp(
@@ -920,32 +514,13 @@ class CsrEngine:
         checkpoint_keep_last: int | None = None,
         assemble: bool = True,
     ) -> tuple[np.ndarray | None, int, bool]:
-        """Weighted SSSP on the BSP harness (requires ``weight_col`` at
-        construction); semantics identical to engine.sssp / oracle.
-        Checkpoint shards hold the ENCODED state (see worker comment);
-        kernel label carries the source-set tag."""
-        import hashlib as _hashlib
-
+        """engine.sssp; requires ``weight_col`` at construction."""
         if not self.weight_col:
             raise ValueError("CsrEngine.sssp needs weight_col at construction")
-        src = sorted(int(x) for x in sources)
-        if not src:
-            raise ValueError("sssp needs at least one source vertex")
-        if src[0] < 0 or src[-1] >= self.V:
-            raise ValueError("source id outside [0, num_vertices)")
-        tag = _hashlib.sha1(
-            np.asarray(src, dtype=np.int64).tobytes()
-        ).hexdigest()[:8]
-        st, iters, conv = self._label_kernel(
-            "sssp", "sssp_state", max_iters, checkpoint_dir, resume,
-            checkpoint_keep_last, assemble=assemble,
-            init_args=(src,), resume_hook="sssp_restore",
-            manager_kernel=f"sssp-{tag}",
+        return self._execute(
+            _Frontier("sssp", "dist", self.V, sources), max_iters,
+            checkpoint_dir, resume, checkpoint_keep_last, assemble,
         )
-        if st is not None:
-            neg = st < 0
-            st = np.where(neg, -st - 1, st)
-        return st, iters, conv
 
     def k_core(
         self,
@@ -956,111 +531,23 @@ class CsrEngine:
         checkpoint_keep_last: int | None = None,
         assemble: bool = True,
     ) -> tuple[np.ndarray | None, int, bool]:
-        """Decrement-peel k-core on the BSP harness; semantics identical
-        to engine.k_core / oracle.k_core_oracle (returns 1/0 membership).
-        Checkpoint shards hold the ENCODED state column (see the worker
-        encoding comment); the kernel label carries k so a resume cannot
-        load a different k's peel."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        st, iters, conv = self._label_kernel(
-            "kcore", "kcore_state", max_iters, checkpoint_dir, resume,
-            checkpoint_keep_last, assemble=assemble,
-            init_args=(int(k),), resume_hook="kcore_restore",
-            manager_kernel=f"kcore{int(k)}",
+        """engine.k_core on a symmetrized layout (1/0 membership)."""
+        return self._execute(
+            _KCore(int(k)), max_iters, checkpoint_dir, resume,
+            checkpoint_keep_last, assemble,
         )
-        if st is not None:
-            st = (st >= 0).astype(np.int64)
-        return st, iters, conv
-
-    def _label_kernel(
-        self,
-        kernel: str,
-        col: str,
-        max_iters: int,
-        checkpoint_dir: str | None,
-        resume: bool,
-        checkpoint_keep_last: int | None = None,
-        assemble: bool = True,
-        init_args: tuple = (),
-        resume_hook: str | None = None,
-        manager_kernel: str | None = None,
-    ) -> tuple[np.ndarray | None, int, bool]:
-        """Shared min-label / mode-label superstep loop (CC, LPA, BFS)
-        with per-partition checkpointing identical to pagerank's.
-        ``resume_hook`` names a worker method called with the resume
-        iteration to rebuild derived state (the BFS frontier);
-        ``manager_kernel`` overrides the checkpoint kernel label when the
-        run is parameterized (BFS sources)."""
-        ray.get(
-            [getattr(a, f"{kernel}_init").remote(*init_args)
-             for a in self.workers]
-        )
-        start = 0
-        mgr = None
-        if checkpoint_dir:
-            mgr = CheckpointManager(
-                checkpoint_dir,
-                kernel=manager_kernel or kernel,
-                fingerprint=self.fingerprint,
-                num_partitions=self.P,
-                keep_last=checkpoint_keep_last,
-            )
-            if resume:
-                ck = self._resume(mgr, col)
-                if ck is not None:
-                    if ck.manifest["metric"].get("changed") == 0.0:
-                        return (
-                            self._assemble() if assemble else None,
-                            ck.iteration + 1,
-                            True,
-                        )
-                    start = ck.iteration + 1
-                    if resume_hook:
-                        ray.get(
-                            [getattr(a, resume_hook).remote(start)
-                             for a in self.workers]
-                        )
-        converged = False
-        it = start
-        for it in range(start, max_iters):
-            inbox = self._exchange(f"{kernel}_scatter")
-            changed = sum(
-                ray.get(
-                    [
-                        getattr(self.workers[w], f"{kernel}_gather").remote(
-                            *inbox[w]
-                        )
-                        for w in range(self.W)
-                    ]
-                )
-            )
-            converged = changed == 0
-            if mgr:
-                self._checkpoint(
-                    mgr,
-                    it,
-                    col,
-                    {"changed": float(changed)},
-                    parent=it - 1 if it > start or start > 0 else None,
-                )
-            if converged:
-                break
-        return self._assemble() if assemble else None, it + 1, converged
 
     def write_states(self, out_dir: str, col: str) -> int:
-        """Write the CURRENT per-vertex state as per-partition parquet
-        shards directly from the workers — no V-sized driver array (the
-        ``_assemble`` path is the small-V convenience; this is the sink a
-        10^12-vertex run uses). Returns total rows written."""
+        """Write the last kernel's result as per-partition parquet shards
+        (``id`` and ``col``) directly from the workers — no V-sized driver
+        array (the ``_assemble`` path is the small-V convenience; this is
+        the sink a 10^12-vertex run uses). Returns total rows written."""
         os.makedirs(out_dir, exist_ok=True)
         parts = ray.get(
             [a.write_shards.remote(out_dir, col) for a in self.workers]
         )
         flat = sorted((m for sub in parts for m in sub), key=lambda m: m["part"])
         with open(os.path.join(out_dir, "_MANIFEST.json"), "w") as f:
-            import json
-
             json.dump({"num_partitions": self.P, "column": col, "parts": flat}, f)
         return sum(m["rows"] for m in flat)
 

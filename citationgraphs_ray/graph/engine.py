@@ -1,16 +1,23 @@
 """Superstep kernels over the edge table: PageRank, CC, LPA, BFS, k-core,
 SSSP, HITS, Katz, MIS.
 
-Execution model (SURVEY.md §2.12, §4.3): the per-vertex state (size V —
+Each kernel is defined once, as a vertex program (SURVEY.md §2.12, §4.3)
+over a vertex slice ``v`` — ``v.ids`` its ascending global ids, ``v.deg``
+their out-degrees:
+
+- ``init(v)``: the state columns;
+- ``emit(state, v)``: the per-vertex values the messages read;
+- ``msg(emitted, src, dst, *w) -> (key, value)``: one message per edge,
+  reading src-side values only (and the weights, SSSP only);
+- ``combine``: ``sum``, ``count`` or ``min``, how messages to a key fold;
+- ``apply(state, incoming, v, scalar)``: the new state and the metric;
+- ``done(metric)``: the stop test.
+
+Two engines run the same definitions. This module's broadcast engine
+holds the whole graph as one slice: the per-vertex state (size V —
 orders of magnitude smaller than the edge table) is a dense numpy array
 on the driver, and each superstep is one message reduce over the static
-edge table. A kernel writes its message function once,
-
-    msg(state, src, dst[, w]) -> (key, value)
-
-plus a combine — ``sum``, ``count`` or ``min`` — and :class:`_Edges`
-folds the messages into a dense length-V vector with one of two
-executors, picked by ``reduce``:
+edge table, by one of two executors picked by ``reduce``:
 
 - ``"local"``: (src, dst[, w]) pulled to the driver once; every
   superstep is one in-process numpy pass (``np.bincount`` /
@@ -22,16 +29,21 @@ executors, picked by ``reduce``:
   each block with ``np.unique``, and streams the partials into the dense
   vector on the driver. No shuffle; valid whenever V fits the driver.
 
+The CSR actor engine (csr_engine.py) runs the six kernels whose superstep
+is one message reduce — PageRank, CC, LPA, BFS, SSSP, k-core — over P
+``src % P`` slices hosted by W worker actors. HITS and MIS take two
+reduces per superstep and run here only.
+
 Hub skew is handled where the messages are produced: the per-block
 pre-combine ships at most one row per distinct key per block, so a
 mega-hub dst costs the driver merge one row per block however many
 in-edges it has (Scarlett, EuroSys 2011: combine at the producer rather
-than salt-split a hot key across a shuffle). The scale-out CSR engine
-(csr_engine.py) pre-aggregates per (p, q) partition pair the same way.
+than salt-split a hot key across a shuffle). The CSR engine pre-combines
+per (p, q) partition pair the same way, with the same :func:`_fold`.
 
-Every kernel runs through one superstep loop (:func:`_run`), which owns
-checkpoint setup, the checksum-keyed fingerprint, resume, the history
-rows and the stop test. Content blobs never enter this loop.
+Both engines run every kernel through one superstep loop (:func:`_run`),
+which owns checkpoint setup, the fingerprint, resume, the history rows
+and the stop test. Content blobs never enter this loop.
 
 Reference analogs: PageRank ↔ in-citation analytics (CitationGraphs.go:
 3947-3961, 4035-4049); CC/LPA ↔ community extraction + hard assignment
@@ -42,6 +54,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import pyarrow as pa
@@ -89,10 +102,9 @@ def edge_checksum(eds: ray.data.Dataset, weight_col: str | None = None) -> int:
     — distinguishes different edge sets with identical (V, E) so a resume
     cannot silently load another graph's checkpoint. When ``weight_col`` is
     given the weights are mixed into each per-edge term, so two weightings
-    of the SAME (src, dst) set get distinct fingerprints (the invariant the
-    CSR engine enforces in ``CsrEngine.__init__``; weighted kernels like
-    ``sssp`` must pass it or a re-weighted resume silently loads the old
-    weighting's distances). One extra pass; only computed when
+    of the SAME (src, dst) set get distinct fingerprints (weighted kernels
+    like ``sssp`` must pass it or a re-weighted resume silently loads the
+    old weighting's distances). One extra pass; only computed when
     checkpointing is enabled."""
     return edge_checksum_and_count(eds, weight_col)[0]
 
@@ -135,7 +147,7 @@ def edge_checksum_and_count(
 
 
 # ---------------------------------------------------------------------------
-# Message reduce: one combine, two executors
+# Message reduce: one combine, shared by every executor
 # ---------------------------------------------------------------------------
 
 
@@ -161,13 +173,68 @@ def _identity(combine: str, size: int) -> np.ndarray:
 
 def _fold_sparse(combine: str, key: np.ndarray, val) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_fold` over arbitrary int64 keys: (distinct keys, values)."""
+    if combine == "count":
+        return np.unique(key, return_counts=True)
     u, inv = np.unique(key, return_inverse=True)
     return u, _fold(combine, inv, val, len(u))
 
 
+def _merge(combine: str, out: np.ndarray, key: np.ndarray, val) -> None:
+    """Fold one pre-combined partial (distinct ``key``) into ``out`` in
+    place: partial mins are min-ed, partial sums and counts summed.
+    ``val`` is viewed as ``out``'s dtype because an unpickled array's dtype
+    is not numpy's canonical instance, and ``ufunc.at`` then misses its
+    fast path: ~1 ms instead of ~0.03 ms per 10k-row partial (numpy 1.26)."""
+    at = np.minimum.at if combine == "min" else np.add.at
+    at(out, key, val.view(out.dtype))
+
+
+def _merge_sparse(combine: str, parts: list) -> tuple[np.ndarray, np.ndarray]:
+    """Fold sparse partials ``[(keys, values)]`` into (ascending distinct
+    keys, values); values ``None`` marks raw ``count`` messages, one per
+    key. Sort and reduce segments: raw piles alone take one in-place sort
+    and count segment lengths — no inverse array, no ``bincount``
+    (BENCH/BASELINE.md r5, the 400M-edge LPA gather)."""
+    if not parts:
+        return _EMPTY, _EMPTY
+    keys = np.concatenate([k for k, _ in parts])
+    if all(v is None for _, v in parts):
+        keys.sort()
+        starts = _starts(keys)
+        return keys[starts], np.diff(np.append(starts, len(keys)))
+    vals = np.concatenate(
+        [np.ones(len(k), dtype=np.int64) if v is None else v for k, v in parts]
+    )
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = _starts(keys)
+    at = np.minimum if combine == "min" else np.add
+    return keys[starts], at.reduceat(vals[order], starts)
+
+
+def _starts(a: np.ndarray) -> np.ndarray:
+    """Where each run of equal values begins in the sorted ``a``."""
+    new = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _columns(state: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """State columns as checkpoint shards hold them (bool masks as int64)."""
+    return {k: v.astype(np.int64) if v.dtype == bool else v for k, v in state.items()}
+
+
+def _restore(init: dict, loaded: dict) -> dict[str, np.ndarray]:
+    """Checkpointed columns in the dtypes of the kernel's init state."""
+    return {k: loaded[k].astype(v.dtype, copy=False) for k, v in init.items()}
+
+
 class _Edges:
-    """The static edge table and the executor that runs message reduces
-    over it (module docstring)."""
+    """The broadcast engine: the static edge table, the executor that runs
+    message reduces over it (module docstring), and the state of the
+    kernel it runs, with the whole graph as one vertex slice."""
+
+    num_partitions = 8  # checkpoint shards
 
     def __init__(
         self,
@@ -181,6 +248,7 @@ class _Edges:
                 f"reduce must be 'auto', 'local' or 'driver', got {reduce!r}"
             )
         self.num_vertices = num_vertices
+        self.ids = np.arange(num_vertices, dtype=np.int64)
         self.weight_col = weight_col
         self.cols = ["src", "dst"] + ([weight_col] if weight_col else [])
         # project and pin the blocks in the object store once
@@ -192,9 +260,39 @@ class _Edges:
         ):
             tbl = collect_table(self.ds).combine_chunks()
             self.arrays = tuple(_int64(tbl[c]) for c in self.cols)
+        if weight_col:
+            _check_weights(
+                self.arrays[2].min(initial=0)
+                if self.arrays is not None
+                else self.ds.min(weight_col)
+            )
 
-    def checksum(self) -> int:
-        return edge_checksum(self.ds, self.weight_col)
+    @cached_property
+    def deg(self) -> np.ndarray:
+        return self.reduce(_out_degree, "count")
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """The graph's identity: (V, E) and the edge checksum."""
+        checksum = edge_checksum(self.ds, self.weight_col)
+        return edge_fingerprint(self.num_vertices, self.num_edges, str(checksum))
+
+    # -- the executor interface of _run --------------------------------------
+    def init(self, kernel) -> None:
+        self.state = kernel.init(self)
+
+    def step(self, kernel) -> dict:
+        self.state, metric = kernel.step(self, self.state)
+        return metric
+
+    def save(self, mgr, it: int, metric: dict, parent: int | None) -> None:
+        mgr.save(it, {"id": self.ids, **_columns(self.state)}, metric, parent)
+
+    def load(self, mgr):
+        ck = mgr.latest()
+        if ck is not None:
+            self.state = _restore(self.state, ck.state)
+        return ck
 
     def reduce(self, msg, combine: str, *state: np.ndarray, sparse: bool = False):
         """Run ``msg(state, src, dst[, w]) -> (key, value)`` over every
@@ -216,21 +314,14 @@ class _Edges:
         msgs = self.ds.map_batches(partial, batch_format="pyarrow").iter_batches(
             batch_size=1 << 20, batch_format="pyarrow"
         )
-        # partials of a count are summed, partials of a min are min-ed
         if sparse:
-            parts = [
-                (_int64(b["k"]), b["v"].to_numpy(zero_copy_only=False))
-                for b in msgs
-            ]
-            if not parts:
-                return _EMPTY, _EMPTY
-            ks, vs = zip(*parts)
-            merge = "min" if combine == "min" else "sum"
-            return _fold_sparse(merge, np.concatenate(ks), np.concatenate(vs))
+            return _merge_sparse(
+                combine,
+                [(_int64(b["k"]), b["v"].to_numpy(zero_copy_only=False)) for b in msgs],
+            )
         out = _identity(combine, self.num_vertices)
-        at = np.minimum.at if combine == "min" else np.add.at
         for b in msgs:
-            at(out, _int64(b["k"]), b["v"].to_numpy(zero_copy_only=False))
+            _merge(combine, out, _int64(b["k"]), b["v"].to_numpy(zero_copy_only=False))
         return out
 
 
@@ -238,20 +329,56 @@ def _int64(col) -> np.ndarray:
     return col.to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
 
 
-# Message functions: (state, src, dst[, w]) -> (key, value); value None
-# for ``count``. Module-level so Ray ships them by reference.
+def _slot(ids: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Positions in the ascending id slice ``ids`` of the ``targets`` it
+    holds."""
+    pos = np.searchsorted(ids, targets)
+    hit = pos < len(ids)
+    hit[hit] = ids[pos[hit]] == targets[hit]
+    return pos[hit]
 
 
-def _to_dst(st, src, dst):
+# Message functions: (emitted, src, dst, *w) -> (key, value); value None
+# for ``count``. Only SSSP's reads the weights; the others ignore them, so
+# any kernel runs on a weighted layout. Module-level so Ray ships them by
+# reference.
+
+
+def _to_dst(st, src, dst, *_):
     return dst, st[0][src]
 
 
-def _to_src(st, src, dst):
+def _to_src(st, src, dst, *_):
     return src, st[0][dst]
 
 
-def _out_degree(st, src, dst):
+def _out_degree(st, src, dst, *_):
     return src, None
+
+
+def _from_flagged(st, src, dst, *_):
+    """One count along each out-edge of a flagged src."""
+    return dst[st[0][src]], None
+
+
+def _relax(st, src, dst, w):
+    """dist[src] + w along the out-edges of frontier vertices."""
+    dist, frontier = st
+    live = frontier[src]
+    return dst[live], dist[src[live]] + w[live]
+
+
+def _hop(st, src, dst, *_):
+    """BFS's relaxation: w ≡ 1, whatever weights the layout carries."""
+    dist, frontier = st
+    live = frontier[src]
+    return dst[live], dist[src[live]] + 1
+
+
+def _check_weights(w_min) -> None:
+    """Run once where the weights are loaded, not per superstep."""
+    if w_min is not None and w_min < 0:
+        raise ValueError("sssp requires non-negative weights")
 
 
 # ---------------------------------------------------------------------------
@@ -259,75 +386,162 @@ def _out_degree(st, src, dst):
 # ---------------------------------------------------------------------------
 
 
+class _Kernel:
+    """A vertex program (module docstring). ``name`` labels its
+    checkpoints; ``key`` holds the run parameters a resume must match
+    (seeds, sources, k), ``params`` the ones it records."""
+
+    combine = "sum"
+    # sparse: one message per edge keyed dst·M + x, x < M (LPA's pair count)
+    sparse = False
+    # how the CSR engine merges one metric over partitions: counts sum,
+    # residuals (``linf_residual``) take the max
+    merge_metric = staticmethod(sum)
+    key = ""
+    params: dict | None = None
+
+    def scalar(self, st: dict, v) -> float:
+        """A per-slice float that ``apply`` needs summed over the graph."""
+        return 0.0
+
+    def result(self, st: dict) -> np.ndarray:
+        return st[self.col]
+
+    def step(self, g: _Edges, st: dict) -> tuple[dict, dict]:
+        """One superstep on the broadcast engine."""
+        inc = g.reduce(self.msg, self.combine, *self.emit(st, g), sparse=self.sparse)
+        return self.apply(st, inc, g, self.scalar(st, g))
+
+
 def _run(
-    g: _Edges,
-    kernel: str,
-    tag: str,
-    state: dict[str, np.ndarray],
-    step,
+    ex,
+    kernel: _Kernel,
     max_iters: int,
     checkpoint_dir: str | None,
     resume: bool,
     keep_last: int | None,
-    params: dict | None = None,
     checkpoint_every: int = 1,
-) -> tuple[dict[str, np.ndarray], int, bool, list[dict]]:
-    """Run ``step`` until it reports convergence or ``max_iters``.
+) -> tuple[int, bool, list[dict]]:
+    """Run ``kernel`` on executor ``ex`` until ``kernel.done`` or
+    ``max_iters``; returns ``(iterations, converged, history)``.
 
-    ``state`` maps each checkpoint column to its initial per-vertex array;
-    ``step(state) -> (state, metric, converged)`` runs one superstep.
-    Checkpoints hold the whole state, keyed by ``tag`` + the edge checksum,
-    so a resume continues bitwise-identically; resuming a converged run
-    returns its final state without another superstep (an extra one would
-    break the resume ≡ uninterrupted invariant). Returns ``(state,
-    iterations, converged, history)``.
+    The executor holds the state: ``init(kernel)``, ``step(kernel) ->
+    metric``, ``save(mgr, it, metric, parent)`` and ``load(mgr) ->
+    checkpoint | None``, plus ``fingerprint`` (the graph's identity) and
+    ``num_partitions`` (checkpoint shards). Checkpoints hold every state
+    column, so a resume continues bitwise-identically; resuming a
+    converged run returns its final state without another superstep (an
+    extra one would break the resume ≡ uninterrupted invariant).
+    ``iterations`` counts the supersteps completed, before and after a
+    resume.
     """
-    n = g.num_vertices
+    ex.init(kernel)
     start = 0
     mgr = None
     if checkpoint_dir:
+        fp = ex.fingerprint
         mgr = CheckpointManager(
             checkpoint_dir,
-            kernel=kernel,
-            fingerprint=edge_fingerprint(n, g.num_edges, f"{tag}|{g.checksum()}"),
-            params=params,
+            kernel=kernel.name,
+            fingerprint=f"{fp}|{kernel.key}" if kernel.key else fp,
+            params=kernel.params,
+            num_partitions=ex.num_partitions,
             keep_last=keep_last,
         )
-        ck = mgr.latest() if resume else None
+        ck = ex.load(mgr) if resume else None
         if ck is not None:
-            # restore each column's dtype (bool masks are saved as int64)
-            state = {
-                k: ck.state[k].astype(v.dtype, copy=False) for k, v in state.items()
-            }
             start = ck.iteration + 1
             if ck.manifest["metric"].get("converged"):
-                return state, start, True, []
+                return start, True, []
 
     history: list[dict] = []
     converged = False
-    it = start
     for it in range(start, max_iters):
-        state, metric, converged = step(state)
+        metric = ex.step(kernel)
+        converged = kernel.done(metric)
         history.append({"iteration": it, **metric})
         if mgr and (it % checkpoint_every == 0 or converged):
-            cols = {
-                k: v.astype(np.int64) if v.dtype == bool else v
-                for k, v in state.items()
-            }
-            mgr.save(
+            ex.save(
+                mgr,
                 it,
-                {"id": np.arange(n, dtype=np.int64), **cols},
                 {**{k: float(v) for k, v in metric.items()}, "converged": converged},
-                parent=it - 1 if it > 0 else None,
+                it - 1 if it > 0 else None,
             )
         if converged:
             break
-    return state, it + 1, converged, history
+    return start + len(history), converged, history
+
+
+def _execute(
+    g: _Edges,
+    kernel: _Kernel,
+    max_iters: int,
+    checkpoint_dir: str | None,
+    resume: bool,
+    keep_last: int | None,
+    checkpoint_every: int = 1,
+) -> KernelResult:
+    iters, converged, history = _run(
+        g, kernel, max_iters, checkpoint_dir, resume, keep_last, checkpoint_every
+    )
+    return KernelResult(kernel.result(g.state), iters, converged, history)
 
 
 # ---------------------------------------------------------------------------
 # PageRank
 # ---------------------------------------------------------------------------
+
+
+class _PageRank(_Kernel):
+    name, col = "pagerank", "rank"
+    msg = staticmethod(_to_dst)
+    merge_metric = staticmethod(max)
+
+    def __init__(self, n: int, damping: float, tol: float, reset_ids=None) -> None:
+        self.n, self.damping, self.tol = n, damping, tol
+        self.params = {"damping": damping, "tol": tol}
+        self.seeds = None
+        if reset_ids is not None:
+            seeds = np.unique(np.asarray(reset_ids, dtype=np.int64))
+            if seeds.size == 0:
+                raise ValueError("personalized pagerank needs ≥1 seed vertex")
+            if np.any((seeds < 0) | (seeds >= n)):
+                raise ValueError("seed id outside [0, num_vertices)")
+            self.seeds = seeds
+            self.key = hashlib.sha1(seeds.tobytes()).hexdigest()[:8]
+
+    def _r0(self, v) -> np.ndarray:
+        """The personalized teleport vector: uniform over the seeds."""
+        r0 = np.zeros(len(v.ids))
+        r0[_slot(v.ids, self.seeds)] = 1.0 / len(self.seeds)
+        return r0
+
+    def init(self, v):
+        if self.seeds is None:
+            return {"rank": np.full(len(v.ids), 1.0 / self.n)}
+        return {"rank": self._r0(v)}
+
+    def emit(self, st, v):
+        dangling = v.deg == 0
+        contrib = st["rank"] / np.where(dangling, 1.0, v.deg)
+        contrib[dangling] = 0.0
+        return (contrib,)
+
+    def scalar(self, st, v):
+        return st["rank"][v.deg == 0].sum()  # the dangling mass
+
+    def apply(self, st, sums, v, dangling_mass):
+        ranks, d = st["rank"], self.damping
+        if self.seeds is None:
+            new_ranks = (1.0 - d) / self.n + d * (sums + dangling_mass / self.n)
+        else:
+            r0 = self._r0(v)
+            new_ranks = (1.0 - d) * r0 + d * (sums + dangling_mass * r0)
+        resid = float(np.max(np.abs(new_ranks - ranks), initial=0.0))
+        return {"rank": new_ranks}, {"linf_residual": resid}
+
+    def done(self, metric):
+        return metric["linf_residual"] < self.tol
 
 
 def pagerank(
@@ -360,53 +574,36 @@ def pagerank(
     ``reduce`` picks the executor (module docstring); "local" and
     "driver" differ only in float summation order.
     """
-    g = _Edges(edges, num_vertices, reduce)
-    out_deg = g.reduce(_out_degree, "count").astype(np.float64)
-    dangling = out_deg == 0.0
-    safe_deg = np.where(dangling, 1.0, out_deg)
-
-    r0 = None
-    seed_tag = ""
-    if reset_ids is not None:
-        seeds = np.unique(np.asarray(reset_ids, dtype=np.int64))
-        if seeds.size == 0:
-            raise ValueError("personalized pagerank needs ≥1 seed vertex")
-        if np.any((seeds < 0) | (seeds >= num_vertices)):
-            raise ValueError("seed id outside [0, num_vertices)")
-        r0 = np.zeros(num_vertices)
-        r0[seeds] = 1.0 / len(seeds)
-        seed_tag = "|" + hashlib.sha1(seeds.tobytes()).hexdigest()[:8]
-
-    def step(st):
-        ranks = st["rank"]
-        contrib = ranks / safe_deg
-        contrib[dangling] = 0.0
-        sums = g.reduce(_to_dst, "sum", contrib)
-        dangling_mass = ranks[dangling].sum()
-        if r0 is None:
-            new_ranks = (1.0 - damping) / num_vertices + damping * (
-                sums + dangling_mass / num_vertices
-            )
-        else:
-            new_ranks = (1.0 - damping) * r0 + damping * (
-                sums + dangling_mass * r0
-            )
-        resid = float(np.max(np.abs(new_ranks - ranks)))
-        return {"rank": new_ranks}, {"linf_residual": resid}, resid < tol
-
-    init = r0.copy() if r0 is not None else np.full(num_vertices, 1.0 / num_vertices)
-    st, iters, converged, history = _run(
-        g, "pagerank", "pr" + seed_tag, {"rank": init}, step, max_iters,
-        checkpoint_dir, resume, checkpoint_keep_last,
-        params={"damping": damping, "tol": tol},
-        checkpoint_every=checkpoint_every,
+    kernel = _PageRank(num_vertices, damping, tol, reset_ids)
+    return _execute(
+        _Edges(edges, num_vertices, reduce), kernel, max_iters, checkpoint_dir,
+        resume, checkpoint_keep_last, checkpoint_every,
     )
-    return KernelResult(st["rank"], iters, converged, history)
 
 
 # ---------------------------------------------------------------------------
 # Connected components (min-id label propagation)
 # ---------------------------------------------------------------------------
+
+
+class _MinLabel(_Kernel):
+    name, col, combine = "cc", "component", "min"
+    msg = staticmethod(_to_dst)
+
+    def init(self, v):
+        return {"component": v.ids}
+
+    def emit(self, st, v):
+        return (st["component"],)
+
+    def apply(self, st, mins, v, _):
+        labels = st["component"]
+        new_labels = np.minimum(labels, mins)
+        changed = int(np.count_nonzero(new_labels != labels))
+        return {"component": new_labels}, {"changed": changed}
+
+    def done(self, metric):
+        return metric["changed"] == 0
 
 
 def connected_components(
@@ -427,19 +624,10 @@ def connected_components(
     shuffles for fewer rounds; plain exchange keeps one ``min`` reduce
     per round.
     """
-    g = _Edges(edges_undirected, num_vertices, reduce)
-
-    def step(st):
-        labels = st["component"]
-        new_labels = np.minimum(labels, g.reduce(_to_dst, "min", labels))
-        changed = int(np.count_nonzero(new_labels != labels))
-        return {"component": new_labels}, {"changed": changed}, changed == 0
-
-    st, iters, converged, history = _run(
-        g, "cc", "cc", {"component": np.arange(num_vertices, dtype=np.int64)},
-        step, max_iters, checkpoint_dir, resume, checkpoint_keep_last,
+    return _execute(
+        _Edges(edges_undirected, num_vertices, reduce), _MinLabel(), max_iters,
+        checkpoint_dir, resume, checkpoint_keep_last,
     )
-    return KernelResult(st["component"], iters, converged, history)
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +635,40 @@ def connected_components(
 # ---------------------------------------------------------------------------
 
 
-def _label_pair(st, src, dst):
-    labels = st[0]
-    return dst * (len(labels) + 1) + labels[src], None
+class _LabelPropagation(_Kernel):
+    name, col, combine, sparse = "lpa", "label", "count", True
+
+    def __init__(self, n: int) -> None:
+        self.M = n + 1
+        if self.M * (self.M + 1) >= np.iinfo(np.int64).max:
+            raise ValueError("V too large for int64 encode-max-decode; use map_groups")
+
+    def init(self, v):
+        return {"label": v.ids}
+
+    def emit(self, st, v):
+        return (st["label"],)
+
+    def msg(self, st, src, dst, *_):
+        return dst * self.M + st[0][src], None
+
+    def apply(self, st, counts, v, _):
+        """``counts`` arrive with ascending pairs (``np.unique``,
+        :func:`_merge_sparse`), so each dst's pairs are one contiguous
+        segment: a segment max, no scatter ``maximum.at``."""
+        pair, cnt = counts
+        M, labels = self.M, st["label"]
+        enc = cnt.astype(np.int64, copy=False) * M + (M - 1 - pair % M)
+        dst = pair // M
+        starts = _starts(dst)
+        new_labels = labels.copy()
+        if len(starts):
+            new_labels[dst[starts]] = M - 1 - np.maximum.reduceat(enc, starts) % M
+        changed = int(np.count_nonzero(new_labels != labels))
+        return {"label": new_labels}, {"changed": changed}
+
+    def done(self, metric):
+        return metric["changed"] == 0
 
 
 def label_propagation(
@@ -471,28 +690,11 @@ def label_propagation(
     Deterministic by construction (exact-match vs oracle, FIXTURES.md F3);
     both executors are exact-identical.
     """
-    M = num_vertices + 1
-    if M * (M + 1) >= np.iinfo(np.int64).max:
-        raise ValueError("V too large for int64 encode-max-decode; use map_groups")
-    g = _Edges(edges_undirected, num_vertices, reduce)
-
-    def step(st):
-        labels = st["label"]
-        pair, cnt = g.reduce(_label_pair, "count", labels, sparse=True)
-        enc = cnt.astype(np.int64, copy=False) * M + (M - 1 - pair % M)
-        keys = np.full(num_vertices, -1, dtype=np.int64)
-        np.maximum.at(keys, pair // M, enc)
-        new_labels = labels.copy()
-        has_nbrs = keys >= 0
-        new_labels[has_nbrs] = M - 1 - (keys[has_nbrs] % M)
-        changed = int(np.count_nonzero(new_labels != labels))
-        return {"label": new_labels}, {"changed": changed}, changed == 0
-
-    st, iters, converged, history = _run(
-        g, "lpa", "lpa", {"label": np.arange(num_vertices, dtype=np.int64)},
-        step, max_rounds, checkpoint_dir, resume, checkpoint_keep_last,
+    kernel = _LabelPropagation(num_vertices)
+    return _execute(
+        _Edges(edges_undirected, num_vertices, reduce), kernel, max_rounds,
+        checkpoint_dir, resume, checkpoint_keep_last,
     )
-    return KernelResult(st["label"], iters, converged, history)
 
 
 # ---------------------------------------------------------------------------
@@ -500,53 +702,42 @@ def label_propagation(
 # ---------------------------------------------------------------------------
 
 
-def _relax(st, src, dst, w=None):
-    """dist[src] + w along the out-edges of frontier vertices (BFS: w ≡ 1)."""
-    dist, frontier = st
-    live = frontier[src]
-    if w is None:
-        return dst[live], dist[src[live]] + 1
-    if len(w) and w.min() < 0:
-        raise ValueError("sssp requires non-negative weights")
-    return dst[live], dist[src[live]] + w[live]
+class _Frontier(_Kernel):
+    """The BFS/SSSP program: relax from the frontier until no distance
+    improves; the frontier is a state column next to the distances."""
 
+    combine = "min"
 
-def _frontier_search(
-    g: _Edges,
-    kernel: str,
-    col: str,
-    sources,
-    max_iters: int,
-    checkpoint_dir: str | None,
-    resume: bool,
-    keep_last: int | None,
-) -> KernelResult:
-    """The BFS/SSSP body: relax from the frontier until no distance
-    improves; the frontier is checkpointed with the distances."""
-    src_ids = np.asarray(sources, dtype=np.int64)
-    if src_ids.size == 0:
-        raise ValueError(f"{kernel} needs at least one source vertex")
-    n = g.num_vertices
-    if np.any((src_ids < 0) | (src_ids >= n)):
-        raise ValueError("source id outside [0, num_vertices)")
-    dist = np.full(n, UNREACHED, dtype=np.int64)
-    dist[src_ids] = 0
-    frontier = np.zeros(n, dtype=bool)
-    frontier[src_ids] = True
+    def __init__(self, name: str, col: str, n: int, sources) -> None:
+        src_ids = np.asarray(sources, dtype=np.int64)
+        if src_ids.size == 0:
+            raise ValueError(f"{name} needs at least one source vertex")
+        if np.any((src_ids < 0) | (src_ids >= n)):
+            raise ValueError("source id outside [0, num_vertices)")
+        self.name, self.col, self.sources = name, col, src_ids
+        self.msg = _relax if name == "sssp" else _hop
+        self.key = hashlib.sha1(np.sort(src_ids).tobytes()).hexdigest()[:8]
 
-    def step(st):
-        dist = st[col]
-        new_dist = np.minimum(dist, g.reduce(_relax, "min", dist, st["frontier"]))
+    def init(self, v):
+        dist = np.full(len(v.ids), UNREACHED, dtype=np.int64)
+        frontier = np.zeros(len(v.ids), dtype=bool)
+        at = _slot(v.ids, self.sources)
+        dist[at] = 0
+        frontier[at] = True
+        return {self.col: dist, "frontier": frontier}
+
+    def emit(self, st, v):
+        return st[self.col], st["frontier"]
+
+    def apply(self, st, mins, v, _):
+        dist = st[self.col]
+        new_dist = np.minimum(dist, mins)
         frontier = new_dist != dist
         fsize = int(np.count_nonzero(frontier))
-        return {col: new_dist, "frontier": frontier}, {"frontier_size": fsize}, fsize == 0
+        return {self.col: new_dist, "frontier": frontier}, {"frontier_size": fsize}
 
-    src_tag = hashlib.sha1(np.sort(src_ids).tobytes()).hexdigest()[:8]
-    st, iters, converged, history = _run(
-        g, kernel, f"{kernel}|{src_tag}", {col: dist, "frontier": frontier},
-        step, max_iters, checkpoint_dir, resume, keep_last,
-    )
-    return KernelResult(st[col], iters, converged, history)
+    def done(self, metric):
+        return metric["frontier_size"] == 0
 
 
 def bfs_hops(
@@ -573,10 +764,10 @@ def bfs_hops(
     Directed by default; pass a symmetrized edge table for undirected
     hops.
     """
-    g = _Edges(edges, num_vertices, reduce)
-    return _frontier_search(
-        g, "bfs", "hops", sources, max_iters, checkpoint_dir, resume,
-        checkpoint_keep_last,
+    kernel = _Frontier("bfs", "hops", num_vertices, sources)
+    return _execute(
+        _Edges(edges, num_vertices, reduce), kernel, max_iters, checkpoint_dir,
+        resume, checkpoint_keep_last,
     )
 
 
@@ -602,10 +793,10 @@ def sssp(
     The weight column is part of the checkpoint fingerprint, so a
     re-weighted resume cannot load the old weighting's distances.
     """
-    g = _Edges(edges_weighted, num_vertices, reduce, weight_col=weight_col)
-    return _frontier_search(
-        g, "sssp", "dist", sources, max_iters, checkpoint_dir, resume,
-        checkpoint_keep_last,
+    kernel = _Frontier("sssp", "dist", num_vertices, sources)
+    return _execute(
+        _Edges(edges_weighted, num_vertices, reduce, weight_col=weight_col),
+        kernel, max_iters, checkpoint_dir, resume, checkpoint_keep_last,
     )
 
 
@@ -614,9 +805,41 @@ def sssp(
 # ---------------------------------------------------------------------------
 
 
-def _peel(st, src, dst):
-    kill, alive = st
-    return dst[kill[src] & alive[dst]], None
+class _KCore(_Kernel):
+    """Each superstep kills the alive vertices of degree < k, and each
+    killed vertex sends one decrement along its out-edges. Decrements
+    that reach dead vertices are harmless: dead degrees are zeroed."""
+
+    name, combine = "kcore", "count"
+    msg = staticmethod(_from_flagged)
+
+    def __init__(self, k: int) -> None:
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        self.k = k
+        self.key = str(k)
+
+    def init(self, v):
+        return {"deg": v.deg.copy(), "alive": np.ones(len(v.ids), dtype=bool)}
+
+    def _kill(self, st):
+        return st["alive"] & (st["deg"] < self.k)
+
+    def emit(self, st, v):
+        return (self._kill(st),)
+
+    def apply(self, st, lost, v, _):
+        kill = self._kill(st)
+        alive = st["alive"] & ~kill
+        deg = st["deg"] - lost
+        deg[~alive] = 0
+        return {"deg": deg, "alive": alive}, {"killed": int(np.count_nonzero(kill))}
+
+    def done(self, metric):
+        return metric["killed"] == 0
+
+    def result(self, st):
+        return st["alive"].astype(np.int64)
 
 
 def k_core(
@@ -632,38 +855,19 @@ def k_core(
     """Maximal subgraph where every vertex keeps degree ≥ k — the classic
     peel, expressed as supersteps that DECREMENT: after the initial degree
     pass, only vertices REMOVED in a round emit messages (one count per
-    still-alive neighbor), so total message volume across all rounds is
-    O(E) — the property that makes distributed peeling viable at scale
-    (recomputing full degrees each round would be O(E·rounds)).
+    neighbor), so total message volume across all rounds is O(E) — the
+    property that makes distributed peeling viable at scale (recomputing
+    full degrees each round would be O(E·rounds)).
 
     ``edges_undirected`` must contain both directions (symmetrize first);
     degree = count of outgoing rows per vertex in that table. Returns
     state[v] = 1 if v is in the k-core else 0.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    g = _Edges(edges_undirected, num_vertices, reduce)
-
-    def step(st):
-        deg, alive = st["deg"], st["alive"]
-        kill = alive & (deg < k)
-        n_kill = int(np.count_nonzero(kill))
-        if n_kill == 0:
-            return st, {"killed": 0}, True
-        alive = alive & ~kill
-        deg = deg - g.reduce(_peel, "count", kill, alive)
-        deg[~alive] = 0
-        return {"deg": deg, "alive": alive}, {"killed": n_kill}, False
-
-    init = {
-        "deg": g.reduce(_out_degree, "count"),
-        "alive": np.ones(num_vertices, dtype=bool),
-    }
-    st, iters, converged, history = _run(
-        g, "kcore", f"kcore{k}", init, step, max_iters, checkpoint_dir,
-        resume, checkpoint_keep_last,
+    kernel = _KCore(k)
+    return _execute(
+        _Edges(edges_undirected, num_vertices, reduce), kernel, max_iters,
+        checkpoint_dir, resume, checkpoint_keep_last,
     )
-    return KernelResult(st["alive"].astype(np.int64), iters, converged, history)
 
 
 # ---------------------------------------------------------------------------
@@ -683,6 +887,29 @@ class HitsResult:
 def _l2(v: np.ndarray) -> np.ndarray:
     n = float(np.sqrt(np.sum(v * v)))
     return v / n if n > 0 else v
+
+
+class _Hits(_Kernel):
+    name = "hits"
+
+    def __init__(self, max_iters: int, tol: float) -> None:
+        self.tol = tol
+        self.params = {"max_iters": max_iters, "tol": tol}
+
+    def init(self, v):
+        return {"hub": np.ones(len(v.ids)), "auth": np.zeros(len(v.ids))}
+
+    def step(self, g, st):
+        auth = _l2(g.reduce(_to_dst, "sum", st["hub"]))
+        hub = _l2(g.reduce(_to_src, "sum", auth))
+        resid = max(
+            float(np.max(np.abs(auth - st["auth"]))),
+            float(np.max(np.abs(hub - st["hub"]))),
+        )
+        return {"hub": hub, "auth": auth}, {"linf_residual": resid}
+
+    def done(self, metric):
+        return self.tol > 0 and metric["linf_residual"] < self.tol
 
 
 def hits(
@@ -707,32 +934,40 @@ def hits(
     per the equivalence tests. Checkpoints hold both vectors, so a resume
     continues mid-power-iteration bitwise-identically."""
     g = _Edges(edges, num_vertices, reduce)
-
-    def step(st):
-        auth = _l2(g.reduce(_to_dst, "sum", st["hub"]))
-        hub = _l2(g.reduce(_to_src, "sum", auth))
-        resid = max(
-            float(np.max(np.abs(auth - st["auth"]))),
-            float(np.max(np.abs(hub - st["hub"]))),
-        )
-        return {"hub": hub, "auth": auth}, {"linf_residual": resid}, (
-            tol > 0 and resid < tol
-        )
-
-    init = {
-        "hub": np.ones(num_vertices, dtype=np.float64),
-        "auth": np.zeros(num_vertices, dtype=np.float64),
-    }
-    st, iters, converged, history = _run(
-        g, "hits", "hits", init, step, max_iters, checkpoint_dir, resume,
-        checkpoint_keep_last, params={"max_iters": max_iters, "tol": tol},
+    iters, converged, history = _run(
+        g, _Hits(max_iters, tol), max_iters, checkpoint_dir, resume,
+        checkpoint_keep_last,
     )
-    return HitsResult(st["hub"], st["auth"], iters, converged, history)
+    return HitsResult(g.state["hub"], g.state["auth"], iters, converged, history)
 
 
 # ---------------------------------------------------------------------------
 # Katz centrality
 # ---------------------------------------------------------------------------
+
+
+class _Katz(_Kernel):
+    name, col = "katz", "katz"
+    msg = staticmethod(_to_dst)
+    merge_metric = staticmethod(max)
+
+    def __init__(self, alpha: float, beta: float, tol: float) -> None:
+        self.alpha, self.beta, self.tol = alpha, beta, tol
+        self.params = {"alpha": alpha, "beta": beta, "tol": tol}
+
+    def init(self, v):
+        return {"katz": np.full(len(v.ids), self.beta, dtype=np.float64)}
+
+    def emit(self, st, v):
+        return (st["katz"],)
+
+    def apply(self, st, sums, v, _):
+        new_x = self.beta + self.alpha * sums
+        resid = float(np.max(np.abs(new_x - st["katz"])))
+        return {"katz": new_x}, {"linf_residual": resid}
+
+    def done(self, metric):
+        return self.tol > 0 and metric["linf_residual"] < self.tol
 
 
 def katz_centrality(
@@ -759,20 +994,10 @@ def katz_centrality(
     division or dangling redistribution). With ``tol=0`` runs exactly
     ``max_iters`` supersteps — the oracle-parity convention for the
     recursive-CTE SQL twin."""
-    g = _Edges(edges, num_vertices, reduce)
-
-    def step(st):
-        x = st["katz"]
-        new_x = beta + alpha * g.reduce(_to_dst, "sum", x)
-        resid = float(np.max(np.abs(new_x - x)))
-        return {"katz": new_x}, {"linf_residual": resid}, tol > 0 and resid < tol
-
-    st, iters, converged, history = _run(
-        g, "katz", "katz", {"katz": np.full(num_vertices, beta, dtype=np.float64)},
-        step, max_iters, checkpoint_dir, resume, checkpoint_keep_last,
-        params={"alpha": alpha, "beta": beta, "tol": tol},
+    return _execute(
+        _Edges(edges, num_vertices, reduce), _Katz(alpha, beta, tol), max_iters,
+        checkpoint_dir, resume, checkpoint_keep_last,
     )
-    return KernelResult(st["katz"], iters, converged, history)
 
 
 # ---------------------------------------------------------------------------
@@ -780,14 +1005,36 @@ def katz_centrality(
 # ---------------------------------------------------------------------------
 
 
-def _undecided_priority(st, src, dst):
+def _undecided_priority(st, src, dst, *_):
     undec, p = st
     live = undec[src] & undec[dst]
     return dst[live], p[src[live]]
 
 
-def _joined_neighbor(st, src, dst):
-    return dst[st[0][src]], None
+class _Mis(_Kernel):
+    name, col = "mis", "state"
+
+    def __init__(self, n: int, seed: int) -> None:
+        from .oracle import mis_priority
+
+        self.p = mis_priority(np.arange(n, dtype=np.int64), seed)
+        self.key = str(seed)
+        self.params = {"seed": seed}
+
+    def init(self, v):
+        return {"state": np.zeros(len(v.ids), dtype=np.int64)}
+
+    def step(self, g, st):
+        state = st["state"]
+        undec = state == 0
+        join = undec & (self.p < g.reduce(_undecided_priority, "min", undec, self.p))
+        state[join] = 1
+        dom = g.reduce(_from_flagged, "count", join) > 0
+        state[dom & (state == 0)] = 2
+        return {"state": state}, {"undecided": int(np.count_nonzero(state == 0))}
+
+    def done(self, metric):
+        return metric["undecided"] == 0
 
 
 def maximal_independent_set(
@@ -811,24 +1058,7 @@ def maximal_independent_set(
     ``count`` of joined neighbors — undecided neighbors of joiners become
     DOMINATED. States int64: 0 undecided / 1 in MIS / 2 dominated;
     isolated vertices join in round one."""
-    from .oracle import mis_priority
-
-    g = _Edges(edges_undirected, num_vertices, reduce)
-    p = mis_priority(np.arange(num_vertices, dtype=np.int64), seed)
-
-    def step(st):
-        state = st["state"]
-        undec = state == 0
-        join = undec & (p < g.reduce(_undecided_priority, "min", undec, p))
-        state[join] = 1
-        dom = g.reduce(_joined_neighbor, "count", join) > 0
-        state[dom & (state == 0)] = 2
-        n_left = int(np.count_nonzero(state == 0))
-        return {"state": state}, {"undecided": n_left}, n_left == 0
-
-    st, iters, converged, history = _run(
-        g, "mis", f"mis|{seed}", {"state": np.zeros(num_vertices, dtype=np.int64)},
-        step, max_iters, checkpoint_dir, resume, checkpoint_keep_last,
-        params={"seed": seed},
+    return _execute(
+        _Edges(edges_undirected, num_vertices, reduce), _Mis(num_vertices, seed),
+        max_iters, checkpoint_dir, resume, checkpoint_keep_last,
     )
-    return KernelResult(st["state"], iters, converged, history)

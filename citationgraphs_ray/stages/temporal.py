@@ -460,7 +460,14 @@ def path_aggregate(
                 }
             )
         g = df.groupby(key, sort=False, dropna=False)[value_col]
-        agg = g.agg(n_steps="size", path=lambda s: sep.join(s.astype(str)))
+        # as string_agg: NULL values are skipped but their rows still
+        # count, and a group of only NULL values has a NULL path
+        agg = g.agg(
+            n_steps="size",
+            path=lambda s: (
+                sep.join(s.dropna().astype(str)) if s.notna().any() else None
+            ),
+        )
         out = agg.reset_index()
         return pa.table(
             {
@@ -468,7 +475,9 @@ def path_aggregate(
                 "n_steps": pa.array(
                     out["n_steps"].to_numpy().astype(np.int64)
                 ),
-                "path": pa.array(out["path"].tolist(), type=pa.string()),
+                "path": pa.array(
+                    out["path"].tolist(), type=pa.string(), from_pandas=True
+                ),
             }
         )
 

@@ -182,15 +182,36 @@ def test_cli_bfs_and_kcore(tmp_path, capsys):
         ), engine
 
 
-def test_cli_kcore_csr_shards_rejected(tmp_path, capsys):
-    """kcore+csr+shards would expose the ENCODED state column — the CLI
-    must refuse loudly instead of silently falling back."""
+def test_cli_kcore_csr_shards(tmp_path, capsys):
+    """kcore+csr+shards writes the 0/1 ``in_kcore`` membership straight
+    from the workers, equal to the oracle."""
+    import glob
+
+    import pandas as pd
+
+    from citationgraphs_ray.graph.oracle import k_core_oracle
+    from citationgraphs_ray.stages.edges import extract_edge_table
+
+    cdir = _corpus_dir(tmp_path)
+    edges, vids = extract_edge_table(ray.data.read_parquet(cdir))
+    earr = edges.to_pandas()[["src", "dst"]].to_numpy().astype(np.int64)
+    V = vids.count()
+    out = str(tmp_path / "out_kcore_shards")
     rc = main(
-        ["--corpus", "x", "--output", "y", "--kernel", "kcore",
-         "--engine", "csr", "--output-mode", "shards"]
+        ["--corpus", cdir, "--output", out, "--kernel", "kcore",
+         "--engine", "csr", "--num-partitions", "4",
+         "--workdir", str(tmp_path / "wd_kc"), "--kcore-k", "3",
+         "--output-mode", "shards"]
     )
-    assert rc == 2
-    assert "ENCODED" in capsys.readouterr().err
+    assert rc == 0
+    info = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert info["engine"] == "csr" and info["rows"] == V
+    shards = sorted(glob.glob(f"{out}/state-*.parquet"))
+    df = pd.concat([pq.read_table(s).to_pandas() for s in shards])
+    assert set(df.columns) == {"id", "in_kcore"}
+    df = df.sort_values("id")
+    assert np.array_equal(df["id"].to_numpy(), np.arange(V))
+    assert np.array_equal(df["in_kcore"].to_numpy(), k_core_oracle(earr, V, k=3))
 
 
 def test_cli_hits_and_ppr(tmp_path, capsys):

@@ -541,6 +541,40 @@ def test_path_aggregate_order_and_ties():
     assert got.n_steps.tolist() == [3, 1]
 
 
+def test_path_aggregate_null_values_match_sql_twin():
+    """NULL values are skipped as by string_agg, count(*) still counts
+    their rows, and an all-NULL group gets a NULL path."""
+    import duckdb
+
+    from citationgraphs_ray.pipelines.queries import ORACLE_SQL
+    from citationgraphs_ray.stages.temporal import path_aggregate
+
+    events = pd.DataFrame(
+        {
+            "user_id": [1, 1, 1, 2, 2, 3, 3],
+            "ts": [1, 2, 2, 1, 2, 5, 5],
+            "event_type": ["a", None, "b", None, None, "c", None],
+        }
+    )
+    got = (
+        path_aggregate(_ds(events), "user_id", "ts", "event_type", sep="->")
+        .to_pandas()
+        .sort_values("user_id")
+        .reset_index(drop=True)
+    )
+    want = (
+        duckdb.sql(ORACLE_SQL["user_event_paths"])
+        .df()
+        .sort_values("user_id")
+        .reset_index(drop=True)
+    )
+    assert got["n_steps"].tolist() == want["n_steps"].tolist() == [3, 2, 2]
+    assert got["path"].tolist() == ["a->b", None, "c"]
+    assert want["path"].where(want["path"].notna(), None).tolist() == [
+        "a->b", None, "c",
+    ]
+
+
 def test_rank_in_group_rejects_null_order_values():
     from citationgraphs_ray.stages.temporal import rank_in_group
 
