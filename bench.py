@@ -160,10 +160,10 @@ def stream_canary(procs: int = 8, seconds: float = 2.0, mb: int = 64) -> float:
 
 
 def _workload_task(f: str) -> float:
-    from citationgraphs_ray.stages.edges import _fused_read_kernel
+    from citationgraphs_ray.stages.edges import _read_extract
 
     t0 = time.time()
-    _fused_read_kernel([f], None)
+    _read_extract((f,), None)
     return time.time() - t0
 
 
@@ -372,24 +372,21 @@ def run_bench(num_cpus: int, sections: tuple[str, ...]) -> dict:
         )
 
     if "extract_dist" in sections:
-        # extraction with every sub-stage FORCED onto its 10^12-file
-        # engine (distributed-sort mint, hash-join resolve, shuffle
-        # dedup) — the scale path whose W-scaling is meaningful: it is
-        # all slot-gated Ray tasks/shuffles, unlike the driver-assisted
-        # auto regime below BROADCAST_RESOLVE_MAX_ROWS whose fixed driver
-        # costs Amdahl-bound the 8→32 ratio at sandbox scale.
+        # extraction alone on the bench corpus (exchange mint, hash-keyed
+        # resolve, dedup fused into pass 2) — all slot-gated Ray tasks,
+        # so its W-scaling is meaningful
         corpus_dir = ensure_bench_corpus()
         dsx = ray.data.read_parquet(corpus_dir)
         dsx.count()  # warm page cache (untimed)
         t0 = time.time()
-        edges_d, vids_d = extract_edge_table(dsx, mode="distributed")
+        edges_d, vids_d = extract_edge_table(dsx)
         edges_d = edges_d.materialize()
         n_edges_d = edges_d.count()
         t_d = time.time() - t0
         results["extract_dist_sec"] = round(t_d, 3)
         results["extract_dist_edges"] = n_edges_d
         log(
-            f"[{num_cpus} cpus] distributed-regime extraction: "
+            f"[{num_cpus} cpus] extraction: "
             f"{t_d:.1f}s ({n_edges_d} edges)"
         )
 

@@ -410,7 +410,7 @@ class CsrEngine:
         mgr.save_manifest(it, metric, parent, flat)
 
     def load(self, mgr):
-        ck = mgr.latest()
+        ck = mgr.latest_manifest()  # each worker reads its own shards
         if ck is not None:
             it_dir = mgr.iter_dir(ck.iteration)
             ray.get([a.load_shards.remote(it_dir) for a in self.workers])

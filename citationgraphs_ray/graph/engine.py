@@ -429,9 +429,11 @@ def _run(
     metric``, ``save(mgr, it, metric, parent)`` and ``load(mgr) ->
     checkpoint | None``, plus ``fingerprint`` (the graph's identity) and
     ``num_partitions`` (checkpoint shards). Checkpoints hold every state
-    column, so a resume continues bitwise-identically; resuming a
-    converged run returns its final state without another superstep (an
-    extra one would break the resume ≡ uninterrupted invariant).
+    column, so a resume continues bitwise-identically. A resume whose
+    checkpoint metric already passes ``kernel.done`` under THIS run's
+    parameters (e.g. its ``tol``, not the checkpointed run's) returns that
+    state without another superstep (an extra one would break the
+    resume ≡ uninterrupted invariant); otherwise it continues.
     ``iterations`` counts the supersteps completed, before and after a
     resume.
     """
@@ -451,7 +453,7 @@ def _run(
         ck = ex.load(mgr) if resume else None
         if ck is not None:
             start = ck.iteration + 1
-            if ck.manifest["metric"].get("converged"):
+            if kernel.done(ck.manifest["metric"]):
                 return start, True, []
 
     history: list[dict] = []

@@ -7,25 +7,26 @@ symmetrizes on save via nested sets (CitationGraphs.go:2003-2026 — G2).
 Here the canonical representation is an **edge table** ``(src:int64,
 dst:int64)``; adjacency is always derived, never node-embedded.
 
-Pipeline (streaming, zero-copy Arrow):
+Pipeline (``extract_edge_table``; one plan for every corpus):
 
-    read_parquet(corpus, columns=[repo,path,lang,content])
-      → map_batches(ExtractImportEdges)        # stateless, regex per actor
-      → resolve (repo,path)→id                 # broadcast vertex map / join
-      → drop self-loops, groupby(src,dst) dedup
-      → write_parquet / downstream kernels
+    source groups: parquet paths (bare read_parquet) or block refs of
+                   the materialized (repo, path, lang, content) projection
+      → sample ≤32 keys per sampled part     → driver mint splitters
+      → one task per group: read → regex extract (polars) → row hashes
+          ├─ distinct (repo, path), range-bucketed  → mint exchange
+          └─ 96-bit edge hashes, hash-bucketed      → resolve exchange
+      → mint reduce: sort + adjacent-unique, ids = offset + rank
+      → resolve pass 1 (src) → pass 2 (dst, self-loop drop, dedup)
 
-``content`` is projected away inside the extraction stage so the wide blob
-column never reaches a shuffle (SURVEY.md §7.4).
+Both exchanges are raw-task bucketed exchanges (see the block below), so
+``content`` never crosses a shuffle (SURVEY.md §7.4) and no driver object
+holds the vertex map.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import re
-import threading
-import time
 
 import numpy as np
 import pyarrow as pa
@@ -33,24 +34,12 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..utils import collect_table, fast_distinct, fast_grouped_agg
+from ..utils import fast_distinct, fast_grouped_agg
 
 # Regexes matching the synthetic corpus grammar (corpus.py): same-repo
 # ``import m<k>`` lines and cross-repo ``from org<A>/repo<B>.m<k> import``
 # lines. Real-world extractors plug in here (user-extension hook, SURVEY.md
 # §2.11): any callable str -> list[(dst_repo_or_None, dst_module)].
-_TRACE = bool(os.environ.get("GRAFT_TRACE"))
-_TRACE_T0 = 0.0
-
-
-def _tr(msg: str) -> None:
-    """Driver-side phase tracing for the distributed extraction path
-    (GRAFT_TRACE=1) — wall-clock since extract_edge_table entry. Debug
-    instrumentation only; never on in benches or tests."""
-    if _TRACE:
-        print(f"[trace +{time.time() - _TRACE_T0:7.2f}s] {msg}", flush=True)
-
-
 _SAME_REPO = re.compile(r"^import m(\d+)\s*$", re.MULTILINE)
 _CROSS_REPO = re.compile(r"^from ([\w./-]+/[\w.-]+)\.m(\d+) import", re.MULTILINE)
 
@@ -71,7 +60,7 @@ def _extract_edges_pl(df) -> "object":
     the Python ``finditer`` loop per core on the bench corpus (1.10 s
     vs 2.34 s per 181k-file fragment) with far less allocator/bus
     traffic — the extraction pass is the dominant compute of the
-    distributed pipeline. Exact-equality-tested against the loop."""
+    extraction pipeline. Exact-equality-tested against the loop."""
     import polars as pl
 
     df = df.filter(
@@ -199,32 +188,6 @@ def extract_import_edges_batch(batch: pa.Table) -> pa.Table:
     return _MODULE_EXTRACTOR(batch)
 
 
-def _hash_edge_cols(t: pa.Table) -> pa.Table:
-    """(src_repo, src_path, dst_repo, dst_path) string edges → the
-    ``(s1, s2, d1, d2)`` 128-bit endpoint-hash exchange layout. ONE
-    definition — the fused extraction stage and resolve_edges' join path
-    must stay byte-identical or the exchanges stop matching."""
-    s1, s2 = _row_hashes(t["src_repo"], t["src_path"])
-    d1, d2 = _row_hashes(t["dst_repo"], t["dst_path"])
-    return pa.table(
-        {
-            "s1": pa.array(s1.view(np.int64)),
-            "s2": pa.array(s2.view(np.int32)),
-            "d1": pa.array(d1.view(np.int64)),
-            "d2": pa.array(d2.view(np.int32)),
-        }
-    )
-
-
-def extract_hashed_edges_batch(batch: pa.Table) -> pa.Table:
-    """Fused extract → row-hash for the distributed resolve: emits
-    ``(s1, s2, d1, d2)`` 128-bit endpoint hashes right where edges are
-    born, so no string edge row ever enters the join exchange (the
-    hash-keyed resolve's map-side hashing cost, folded into the
-    extraction pass)."""
-    return _hash_edge_cols(_MODULE_EXTRACTOR(batch))
-
-
 def sha256_content(batch: pa.Table) -> pa.Table:
     """Append per-row sha256(content) — the input_hint invariant column.
 
@@ -245,77 +208,6 @@ def sha256_content(batch: pa.Table) -> pa.Table:
     )
 
 
-def mint_vertex_ids(
-    corpus: ray.data.Dataset, mode: str = "auto"
-) -> ray.data.Dataset:
-    """Dense int64 vertex ids for every file: rank over sorted (repo, path).
-
-    Deterministic and order-independent (unlike the reference's first-seen
-    vocab ids, CitationGraphs.go:143-147, which depend on map iteration
-    order). Returns ``(repo, path, id)``.
-
-    Two equivalent rank engines (equivalence-tested):
-
-    - ``driver`` (the broadcast regime, vertex map ≤
-      ``BROADCAST_RESOLVE_MAX_ROWS``): one C++ ``Table.sort_by`` on the
-      collected distinct table. The map is driver-held in this regime
-      anyway (the fused extraction probe ``ray.put``s it), and Ray's
-      distributed sort costs ~2-4 s of sample/range-partition fixed
-      overhead that dominates small-table minting — the profiled residual
-      in the round-2 extraction scaling numbers.
-    - ``distributed`` (the 10^12-file path): ONE sampled-splitter
-      coarse-bucket exchange (``_ranked_ids_distributed``) with the
-      per-block distinct COMBINER map-side and the global distinct, the
-      sort, and the local-rank assignment all fused into each bucket
-      task (buckets are key-range-disjoint, so per-bucket distinct IS
-      global distinct); no driver object ever holds V rows on the
-      above-threshold paths. (Previously a separate fast_distinct
-      exchange fed a rank-only shuffle — two exchanges and ~6 Ray
-      barriers of fixed cost, the profiled anti-scaling residual in the
-      r3/r4 extraction scaling: ~2.7 s at BOTH 8 and 32 cpus on the
-      733k-vertex bench corpus. The distinct exchange was pure overhead
-      for corpus input, where (repo, path) is already ~unique per row;
-      the map-side combiner keeps the exchange volume identical to the
-      old post-distinct partials when duplicates do exist.)
-    """
-    if mode == "distributed":
-        return _ranked_ids_distributed(
-            corpus.select_columns(["repo", "path"])
-        )
-    verts = fast_distinct(
-        corpus.select_columns(["repo", "path"]), ["repo", "path"]
-    )
-    if mode == "auto":
-        mode = (
-            "driver"
-            if verts.count() <= BROADCAST_RESOLVE_MAX_ROWS
-            else "distributed"
-        )
-    if mode == "driver":
-        tbl = collect_table(verts).combine_chunks()
-        tbl = tbl.sort_by([("repo", "ascending"), ("path", "ascending")])
-        tbl = tbl.append_column(
-            "id", pa.array(np.arange(len(tbl), dtype=np.int64))
-        )
-        return ray.data.from_arrow(tbl)
-    return _ranked_ids_distributed(verts)
-
-
-def _ranked_ids_distributed(
-    rows: ray.data.Dataset, num_buckets: int | None = None
-) -> ray.data.Dataset:
-    """Dense global sorted-rank ids over the distinct ``(repo, path)``
-    rows of ``rows`` (which may contain duplicates) — Dataset wrapper
-    around ``_ranked_ids_refs`` (see there for the plan)."""
-    vid_refs, _ = _ranked_ids_refs(rows, num_buckets)
-    if not vid_refs:
-        return ray.data.from_arrow(_VIDS_SCHEMA.empty_table())
-    return ray.data.from_arrow_refs(vid_refs)
-
-
-_VIDS_SCHEMA = pa.schema(
-    [("repo", pa.string()), ("path", pa.string()), ("id", pa.int64())]
-)
 _VERT_SCHEMA = pa.schema([("repo", pa.string()), ("path", pa.string())])
 _VH_SCHEMA = pa.schema(
     [("h1", pa.int64()), ("h2", pa.int32()), ("id", pa.int64())]
@@ -330,26 +222,14 @@ _EH_SCHEMA = pa.schema(
 )
 
 
-@ray.remote
-def _sample_vertex_keys(t: pa.Table) -> pa.Table:
-    """Evenly-spaced per-block (repo, path) sample — splitter input."""
-    n = t.num_rows
-    if n == 0:
-        return _VERT_SCHEMA.empty_table()
-    idx = np.unique(np.linspace(0, n - 1, min(n, 32)).astype(np.int64))
-    return t.select(["repo", "path"]).take(pa.array(idx))
-
-
-def _vert_distinct(t: pa.Table) -> pa.Table:
-    """Split-task combiner: per-task distinct (repo, path)."""
-    return t.group_by(["repo", "path"]).aggregate([])
-
-
 def _splitters_from_samples(samp: pa.Table, P: int) -> np.ndarray:
     """Evenly-spaced quantile splitters (P-1 boundaries) over the
-    NUL-joined sort keys of a (repo, path) sample table — shared by the
-    generic mint and the direct-read regime so both stay consistent with
-    ``_mint_rank_reduce``'s range-disjointness assumption."""
+    NUL-joined sort keys of a (repo, path) sample table. An empty sample
+    gives no splitters (every row lands in bucket 0); splitters only
+    balance bucket sizes — ``_mint_rank_reduce`` needs only range-disjoint
+    buckets."""
+    if samp.num_rows == 0:
+        return np.array([], dtype=object)
     keys_sorted = np.sort(
         _exact_keys(samp["repo"], samp["path"]).to_numpy(
             zero_copy_only=False
@@ -412,8 +292,8 @@ def _mint_rank_reduce(t: pa.Table | None) -> tuple[pa.Table, int]:
 @ray.remote(num_returns=2)
 def _attach_ids(t: pa.Table, offset: int) -> tuple[pa.Table, pa.Table]:
     """Bucket finalizer: ids = offset + local rank; emits the vids block
-    AND its hashed twin (h1, h2, id) in one task, so the distributed
-    extraction needs no separate hash_vertices pass."""
+    AND its hashed twin (h1, h2, id) in one task, so the resolve exchange
+    needs no separate vertex-hashing pass."""
     ids = pa.array(np.arange(offset, offset + t.num_rows, dtype=np.int64))
     vids = pa.table({"repo": t["repo"], "path": t["path"], "id": ids})
     if t.num_rows:
@@ -430,108 +310,8 @@ def _attach_ids(t: pa.Table, offset: int) -> tuple[pa.Table, pa.Table]:
     return vids, vh
 
 
-def _ranked_ids_refs(
-    rows: ray.data.Dataset, num_buckets: int | None = None
-) -> tuple[list, list]:
-    """Distributed mint on the raw-task exchange: returns
-    ``(vids_block_refs, vh_block_refs)`` in global-rank order (empty
-    lists for empty input); no driver object ever holds V rows.
-
-    Plan: (1) per-block distinct COMBINER + sort key (map_batches);
-    (2) deterministic evenly-spaced key samples per block → driver
-    splitters (tiny); (3) ONE raw-task bucket exchange
-    (``_split_blocks``/``_reduce_buckets``) where the split task assigns
-    range buckets via vectorized ``searchsorted`` and the reduce task
-    sorts, drops cross-block duplicates and emits its local rank count;
-    (4) per-bucket ``_attach_ids`` adds ``id = offset + rank`` and the
-    hashed twin. Ids equal the global sorted rank regardless of splitter
-    quality (splitters only balance bucket sizes; correctness needs only
-    range-disjoint buckets).
-
-    vs the previous ``groupby(__bucket).map_groups`` form (Ray Data's
-    sort-based shuffle + a separate counts aggregate + a repartition):
-    measured on the 2.9M-vertex bench corpus the sort-shuffle mint cost
-    4.5 s @ 8 cpus and ANTI-scaled to 5.5 s @ 32 (barrier/sampling fixed
-    cost); this form is ~1.5 s at both.
-    """
-    if num_buckets is None:
-        num_buckets = min(
-            128, max(2, 2 * int(ray.cluster_resources().get("CPU", 8)))
-        )
-    P = num_buckets
-
-    src = rows.select_columns(["repo", "path"]).materialize()
-    refs = _materialized_block_refs(src)
-    _tr(f"mint: src materialized ({len(refs)} blocks)")
-    if not refs:
-        return [], []
-    # tiny per-block sample tasks (≤32 rows each) → driver splitters;
-    # no keyed/materialized intermediate — the '\0'-joined sort key
-    # (NUL sorts below every key byte, so prefix repos rank first
-    # exactly like the 2-column sort) is computed where it's consumed:
-    # driver-side on the samples, split-side for bucketing, reduce-side
-    # for the sort.
-    samp = pa.concat_tables(
-        ray.get([_sample_vertex_keys.remote(r) for r in refs])
-    )
-    if samp.num_rows == 0:
-        return [], []
-    bucket_fn = _range_bucketer(_splitters_from_samples(samp, P))
-
-    # the per-group distinct COMBINER is fused into the split tasks
-    # (prep_fn) — same duplicate-volume protection as the old dedicated
-    # map_batches pass, zero extra plasma round-trips
-    splits = _split_refs(
-        refs,
-        _pa_schema(src, _VERT_SCHEMA),
-        bucket_fn,
-        P,
-        prep_fn=_vert_distinct,
-    )
-    outs, metas = _reduce_exchange([splits], P, _mint_rank_reduce)
-    _tr(f"mint: exchange launched ({len(splits)} splits, P={P})")
-    sizes = np.asarray(ray.get(metas), dtype=np.int64)
-    _tr("mint: reduce metas collected")
-    offsets = np.zeros(P, dtype=np.int64)
-    offsets[1:] = np.cumsum(sizes)[:-1]
-    vid_refs, vh_refs = [], []
-    for p in range(P):
-        v, h = _attach_ids.remote(outs[p], int(offsets[p]))
-        vid_refs.append(v)
-        vh_refs.append(h)
-    return vid_refs, vh_refs
-
-
-# Vertex-map rows above which resolve_edges switches from the broadcast
-# dict probe to distributed hash joins (the map no longer fits one object
-# at 10^12-file scale).
-BROADCAST_RESOLVE_MAX_ROWS = 5_000_000
-
-
-def _finish_edges(t: pa.Table) -> pa.Table:
-    """Post-join projection: (src, dst) int64, self-loops dropped."""
-    src = t["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-    dst = t["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
-    keep = src != dst
-    return pa.table({"src": pa.array(src[keep]), "dst": pa.array(dst[keep])})
-
-
-def _hash_vertices(t: pa.Table) -> pa.Table:
-    """(repo, path, id) → (h1, h2, id): the 128-bit row-hash pair the
-    hash-keyed distributed resolve joins on (same hashes VertexProbe
-    probes with; uint64 reinterpreted as int64 for Arrow join keys)."""
-    h1, h2 = _row_hashes(t["repo"], t["path"])
-    return pa.table(
-        {
-            "h1": pa.array(h1.view(np.int64)),
-            "h2": pa.array(h2.view(np.int32)),
-            "id": t["id"],
-        }
-    )
-
-
 class _VertexHashCollision(Exception):
-    """A (h1, h2) collision in the vertex map (P ≈ V²/2^129): the
+    """A (h1, h2) collision in the vertex map (P ≈ V²/2^97): the
     hash-keyed resolve is unsafe — callers fall back to the exact string
     join. Detected for free inside pass-1's reduce tasks (same-h1 rows
     land in the same bucket, so per-bucket adjacent-duplicate detection
@@ -583,7 +363,7 @@ def _exchange_partitions(approx_rows: int) -> int:
 # ---------------------------------------------------------------------------
 # Raw-task bucketed exchange
 #
-# The resolve passes and the distributed id mint all need the same shape:
+# The resolve passes and the id mint all need the same shape:
 # co-locate rows by a coarse bucket key, then run a vectorized kernel per
 # bucket. Ray Data expresses that as groupby(bucket).map_groups — a
 # sort-based shuffle whose boundary-sampling pass, string/sort-key
@@ -597,39 +377,16 @@ def _exchange_partitions(approx_rows: int) -> int:
 # zero-copy slices via num_returns=P) feed P reduce tasks (concat + the
 # per-bucket kernel) — the canonical Ray MapReduce shuffle, with P² small
 # objects and NO sort-boundary sampling, no padded union schema, and no
-# aggregator actors. Consecutive exchanges FUSE: a reduce task can
-# re-bucket its own output for the next pass (``_reduce_and_resplit``),
-# and a split task can run a map-side combiner first (``prep_fn``), so a
-# two-pass resolve touches the object store exactly once per pass.
-# Datasets remain the interface at both ends
-# (materialized blocks in, ``from_arrow_refs`` out); lineage-based
+# aggregator actors. Exchanges FUSE with their neighbours: the extraction
+# task is the map side of both the mint and the resolve exchange, and a
+# reduce task re-buckets its own output for the next pass
+# (``_reduce_and_resplit``), so a two-pass resolve touches the object
+# store exactly once per pass. Datasets remain the interface at both ends
+# (parquet paths or materialized blocks in, ``from_arrow_refs`` out); lineage-based
 # reconstruction still covers worker loss because every piece is a task
 # output. On a multi-node cluster P tracks data volume
 # (``_exchange_partitions``), exactly like the old form.
 # ---------------------------------------------------------------------------
-
-
-def _materialized_block_refs(ds: ray.data.Dataset) -> list:
-    refs: list = []
-    for b in ds.iter_internal_ref_bundles():
-        refs.extend(b.block_refs)
-    return refs
-
-
-def _pa_schema(
-    ds: ray.data.Dataset, fallback: pa.Schema | None = None
-) -> pa.Schema:
-    s = ds.schema()
-    if s is None:
-        # zero-row materialized dataset: schema is unknowable — use the
-        # caller's static schema (all exchange inputs have one)
-        if fallback is None:
-            raise ValueError("empty dataset with no fallback schema")
-        return fallback
-    base = getattr(s, "base_schema", None)
-    if isinstance(base, pa.Schema):
-        return base
-    return pa.schema(list(zip(s.names, s.types)))
 
 
 def _grouped(refs: list, max_groups: int) -> list[list]:
@@ -663,18 +420,11 @@ def _bucket_slices(
 
 
 @ray.remote
-def _split_blocks(bucket_fn, P: int, schema: pa.Schema, prep_fn, *blocks):
+def _split_blocks(bucket_fn, P: int, schema: pa.Schema, *blocks):
     """Map side: concat this task's blocks, bucket every row with ONE
-    vectorized bucket_fn + argsort, return P zero-copy slices.
-    ``prep_fn`` (optional) runs on the concatenated table first — the
-    fused map-side combiner hook (e.g. per-task distinct)."""
+    vectorized bucket_fn + argsort, return P zero-copy slices."""
     tabs = [t for t in blocks if t.num_rows]
-    if not tabs:
-        e = schema.empty_table()
-        return [e] * P
-    t = pa.concat_tables(tabs)
-    if prep_fn is not None:
-        t = prep_fn(t)
+    t = pa.concat_tables(tabs) if tabs else schema.empty_table()
     return _bucket_slices(t, bucket_fn, P, schema)
 
 
@@ -709,97 +459,14 @@ def _reduce_and_resplit(
     (measured on the 96M-edge corpus: the standalone stage-1 re-split
     cost 2.6-3.8 s on top of the reduce)."""
     tbl, meta = reduce_fn(*_gather_sides(counts, pieces))
-    if tbl.num_rows == 0:
-        return [schema.empty_table()] * P_next + [meta]
-    b = bucket_fn(tbl, P_next)
-    order = np.argsort(b, kind="stable")
-    tbl = tbl.take(pa.array(order))
-    bounds = np.searchsorted(b[order], np.arange(P_next + 1))
-    return [
-        tbl.slice(bounds[p], bounds[p + 1] - bounds[p])
-        for p in range(P_next)
-    ] + [meta]
+    return _bucket_slices(tbl, bucket_fn, P_next, schema) + [meta]
 
 
-def _split_refs(
-    refs: list, schema: pa.Schema, bucket_fn, P: int, prep_fn=None
-) -> list:
+def _split_refs(refs: list, schema: pa.Schema, bucket_fn, P: int) -> list:
     return [
-        _split_blocks.options(num_returns=P).remote(
-            bucket_fn, P, schema, prep_fn, *g
-        )
+        _split_blocks.options(num_returns=P).remote(bucket_fn, P, schema, *g)
         for g in _grouped(refs, P)
     ]
-
-
-def _split_side(
-    ds: ray.data.Dataset,
-    bucket_fn,
-    P: int,
-    schema: pa.Schema | None = None,
-) -> list:
-    """Split a MATERIALIZED dataset's blocks into P buckets."""
-    return _split_refs(
-        _materialized_block_refs(ds), _pa_schema(ds, schema), bucket_fn, P
-    )
-
-
-def _split_streaming(
-    ds: ray.data.Dataset,
-    bucket_fn,
-    P: int,
-    schema: pa.Schema,
-    prep_fn=None,
-    rows_per_task: int | None = None,
-) -> list:
-    """Exchange map side OVERLAPPED with the producing stage: drive the
-    (lazy) upstream dataset with ``iter_internal_ref_bundles`` and
-    launch a split task as soon as ~EXCHANGE_ROWS_PER_PARTITION rows of
-    blocks have materialized — instead of a full ``materialize()``
-    barrier between the producer and the exchange. In the distributed
-    extraction the producer (regex extraction over ``content``) is the
-    dominant compute at low parallelism; riding it with the split wave
-    removes a full store pass's worth of wall time from the critical
-    path and releases extraction blocks as soon as their split task
-    finishes (nothing pins the whole hashed table anymore).
-
-    ``prep_fn`` is forwarded to the split tasks (runs on the concatenated
-    input BEFORE bucketing) — the map-side fusion hook: passing the
-    extraction kernel here makes the corpus-projection blocks feed
-    extract+bucket in ONE task, so the intermediate hashed-edge table is
-    never written to (or re-read from) the object store.
-    ``rows_per_task`` overrides the flush threshold — fused-compute
-    callers size tasks by INPUT rows for parallel balance rather than by
-    exchange-output volume."""
-    flush_rows = (
-        rows_per_task if rows_per_task is not None else EXCHANGE_ROWS_PER_PARTITION
-    )
-    splits: list = []
-    pending: list = []
-    rows = 0
-    # bundles with unknown row counts (num_rows() None) must still advance
-    # the flush threshold, else every unknown-count block accumulates into
-    # ONE oversized split task (silent skew / memory blowup); assume a
-    # full-sized block per unknown bundle as the conservative proxy
-    unknown_bundle_rows = max(1, flush_rows // 8)
-    for b in ds.iter_internal_ref_bundles():
-        pending.extend(b.block_refs)
-        n = b.num_rows()
-        rows += n if n is not None else unknown_bundle_rows * len(b.block_refs)
-        if rows >= flush_rows:
-            splits.append(
-                _split_blocks.options(num_returns=P).remote(
-                    bucket_fn, P, schema, prep_fn, *pending
-                )
-            )
-            pending, rows = [], 0
-    if pending:
-        splits.append(
-            _split_blocks.options(num_returns=P).remote(
-                bucket_fn, P, schema, prep_fn, *pending
-            )
-        )
-    return splits
 
 
 def _reduce_exchange(splits_per_side: list, P: int, reduce_fn):
@@ -836,7 +503,7 @@ def _probe_reduce(
     (k1, k2) keys against the vertex map's (h1, h2) with a vectorized
     lexsort + searchsorted probe (the probe walks duplicate-h1 runs to
     their end, so matching is exact on the full 128-bit pair). Unmatched
-    left rows drop (dangling imports), exactly like the broadcast probe.
+    left rows drop (dangling imports).
 
     ``guard=True`` (pass 1) additionally counts duplicate (h1, h2) pairs
     in this bucket's vertex-map rows — same-h1 rows always share a
@@ -892,30 +559,25 @@ def _probe_reduce(
     return reduce
 
 
-def _make_finish(dedup: bool):
-    """Pass-2 post kernel: drop self-loops; ``dedup=True`` additionally
-    emits per-bucket-distinct (src, dst) — globally distinct because a
-    given (src, dst) always carries the same (d1, d2) key and so always
-    lands in the same pass-2 bucket."""
-
-    def finish(t: pa.Table) -> pa.Table:
-        src = t["src"].to_numpy(zero_copy_only=False)
-        dst = t["dst"].to_numpy(zero_copy_only=False)
-        keep = src != dst
+def _finish_edges(t: pa.Table) -> pa.Table:
+    """Pass-2 post kernel: drop self-loops and emit distinct (src, dst) —
+    globally distinct because a given (src, dst) always carries the same
+    (d1, d2) key and so always lands in the same pass-2 bucket."""
+    src = t["src"].to_numpy(zero_copy_only=False)
+    dst = t["dst"].to_numpy(zero_copy_only=False)
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    if len(src):
+        # lexsort + adjacent-unique: np.unique on a structured dtype
+        # falls back to generic comparison sort (~6x slower — it was
+        # the whole pass-2 wall time at bench scale)
+        order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
+        keep = np.empty(len(src), dtype=bool)
+        keep[0] = True
+        keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
         src, dst = src[keep], dst[keep]
-        if dedup and len(src):
-            # lexsort + adjacent-unique: np.unique on a structured dtype
-            # falls back to generic comparison sort (~6x slower — it was
-            # the whole pass-2 wall time at bench scale)
-            order = np.lexsort((dst, src))
-            src, dst = src[order], dst[order]
-            keep = np.empty(len(src), dtype=bool)
-            keep[0] = True
-            keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-            src, dst = src[keep], dst[keep]
-        return pa.table({"src": pa.array(src), "dst": pa.array(dst)})
-
-    return finish
+    return pa.table({"src": pa.array(src), "dst": pa.array(dst)})
 
 
 _STAGE1_SCHEMA = pa.schema(
@@ -923,52 +585,23 @@ _STAGE1_SCHEMA = pa.schema(
 )
 
 
-def _resolve_hashed(
-    hashed_edges: "ray.data.Dataset | None",
-    vh: "ray.data.Dataset | list",
-    num_partitions: int | None = None,
-    dedup: bool = False,
-    presplit_l1: list | None = None,
-) -> ray.data.Dataset:
+def _resolve_hashed(l1: list, vh_refs: list, P: int) -> ray.data.Dataset:
     """Resolve (s1,s2)→src then (d1,d2)→dst with two raw-task bucket
     exchanges (see the exchange block above). Only int64 columns cross
-    the exchange; unmatched endpoints drop exactly like the broadcast
-    probe, and self-loops drop in the pass-2 bucket task.
+    the exchange; unmatched endpoints drop, and the pass-2 bucket task
+    drops self-loops and dedups (``_finish_edges``) — no extra shuffle.
 
-    ``vh`` is the hashed vertex map — a materialized Dataset or a list
-    of block refs (the distributed mint hands refs straight over). Both
-    passes bucket the map by h1, so it is SPLIT ONCE and the split
-    outputs are reused. Pass 2 consumes pass 1's bucket outputs directly
-    as refs — per-bucket pipelined, no barrier, no repartition.
-
-    ``dedup=True`` fuses the global edge dedup into the pass-2 buckets
-    (see ``_make_finish``) — no extra shuffle.
-
-    ``presplit_l1`` hands over already-launched edge-side split refs
-    (``_split_streaming`` — the exchange map side riding the extraction
-    stage); ``hashed_edges`` is ignored (may be None) in that case.
+    ``l1`` is the edge side's already-launched split outputs (one list
+    of P refs per extraction task, bucketed by s1); ``vh_refs`` are the
+    hashed vertex-map blocks from ``_attach_ids``. Both passes bucket the
+    map by h1, so it is SPLIT ONCE and the split outputs are reused.
+    Pass 2 consumes pass 1's bucket outputs directly as refs — per-bucket
+    pipelined, no barrier, no repartition.
 
     Raises ``_VertexHashCollision`` if the map's (h1, h2) pairs are not
-    unique (P ≈ V²/2^129) — callers fall back to the exact string join.
+    unique (P ≈ V²/2^97) — the caller falls back to the exact string join.
     """
-    vh_is_refs = isinstance(vh, list)
-    if num_partitions is None:
-        if vh_is_refs:
-            raise ValueError("num_partitions required when vh is refs")
-        # E ≈ O(10·V) working estimate; callers with a better edge-count
-        # estimate pass num_partitions explicitly
-        num_partitions = _exchange_partitions(vh.count() * 10)
-    P = num_partitions
-    if vh_is_refs:
-        r_splits = _split_refs(vh, _VH_SCHEMA, _bucket_on("h1"), P)
-    else:
-        r_splits = _split_side(vh, _bucket_on("h1"), P, schema=_VH_SCHEMA)
-    if presplit_l1 is not None:
-        l1 = presplit_l1
-    else:
-        l1 = _split_side(
-            hashed_edges, _bucket_on("s1"), P, schema=_EH_SCHEMA
-        )
+    r_splits = _split_refs(vh_refs, _VH_SCHEMA, _bucket_on("h1"), P)
     # pass 1 reduces are FUSED with pass 2's map side
     # (_reduce_and_resplit): each bucket task probes src and immediately
     # re-buckets its output by d1 into P slices — the stage-1 table is
@@ -987,9 +620,7 @@ def _resolve_hashed(
     # pass 2 is submitted before the collision check so it pipelines
     # behind pass 1's buckets; on the effectively-never collision path
     # the in-flight work is simply discarded
-    reduce2 = _probe_reduce(
-        ("d1", "d2"), ["src"], "dst", post=_make_finish(dedup)
-    )
+    reduce2 = _probe_reduce(("d1", "d2"), ["src"], "dst", post=_finish_edges)
     counts2 = [P, len(r_splits)]
     out2 = []
     for q in range(P):
@@ -998,114 +629,35 @@ def _resolve_hashed(
         ]
         o, _ = _reduce_buckets.remote(reduce2, counts2, *pieces)
         out2.append(o)
-    _tr(f"exchange submitted (P={P}, l1={len(l1)}, r={len(r_splits)})")
     if sum(ray.get(metas1)):
         raise _VertexHashCollision
-    _tr("pass-1 metas collected (stage-1 probe done)")
-    if _TRACE:
-        ray.wait(out2, num_returns=len(out2), fetch_local=False)
-        _tr("pass-2 buckets done")
     return ray.data.from_arrow_refs(out2)
 
 
-def resolve_edges(
-    raw_edges: ray.data.Dataset,
-    vertex_ids: ray.data.Dataset,
-    mode: str = "auto",
-    num_join_partitions: int | None = None,
+def _join_strings(
+    raw_edges: ray.data.Dataset, vertex_ids: ray.data.Dataset
 ) -> ray.data.Dataset:
-    """Resolve string-keyed edges to ``(src:int64, dst:int64)``.
-
-    Two equivalent engines (parametrized-tested identical):
-
-    - ``broadcast`` (small V): the vertex map is ``ray.put`` once and
-      probed per batch — the SURVEY.md §2.7 broadcast-join pattern for
-      the reference's ``Nodes`` dict probes (CitationGraphs.go:1536-1537).
-    - ``join`` (the 10^12-file path, where no single object can hold the
-      map): two raw-task bucket exchanges (``_resolve_hashed``) — on
-      128-bit ROW HASHES of (repo, path), not the strings. Both sides
-      are hashed map-side (vectorized polars ``hash_rows``, the same
-      pair ``VertexProbe`` probes with), so the exchange ships only
-      int64 columns: the edge side shrinks from 4 string columns
-      (~100+ B/row) to four int64s, and in-bucket matching is integer,
-      not string (profiled: the string-keyed form was 33 s of a 51 s
-      extraction at 8 CPUs). A uniqueness guard on the map's (h1, h2) —
-      fused into pass-1's reduce tasks — falls back to the exact string
-      Ray join on any collision (P ≈ V²/2^129 — the same documented
-      risk bound as ``VertexProbe``'s fast path).
-
-    ``mode="auto"`` picks by vertex-map size. Self-loops are dropped in
-    both. Unresolvable dsts (dangling imports) are dropped, mirroring
-    "unresolved-edge dropping" in FIXTURES.md.
-    """
-    if mode == "auto":
-        mode = (
-            "broadcast"
-            if vertex_ids.count() <= BROADCAST_RESOLVE_MAX_ROWS
-            else "join"
-        )
-    if mode in ("join", "join_strings"):
-        finish = _finish_edges
-
-        if mode == "join":
-            vh = vertex_ids.map_batches(
-                _hash_vertices, batch_format="pyarrow"
-            ).materialize()
-
-            # materialized: the exchange splits need block refs (and
-            # the split tasks coalesce blocks themselves — no
-            # repartition pass)
-            P = num_join_partitions or _exchange_partitions(
-                vh.count() * 10
-            )
-            eh = raw_edges.map_batches(
-                _hash_edge_cols, batch_format="pyarrow"
-            ).materialize()
-            try:
-                return _resolve_hashed(eh, vh, num_partitions=P)
-            except _VertexHashCollision:
-                pass  # exact string join below
-
-        if num_join_partitions is None:
-            # the string-keyed Ray-join fallback (collision path) keeps
-            # the aggregator-actor-aware CPUs/2 sizing
-            num_join_partitions = _join_partitions()
-        vs = vertex_ids.map_batches(
-            lambda t: pa.table(
-                {"src_repo": t["repo"], "src_path": t["path"], "src": t["id"]}
-            ),
-            batch_format="pyarrow",
-        )
-        vd = vertex_ids.map_batches(
-            lambda t: pa.table(
-                {"dst_repo": t["repo"], "dst_path": t["path"], "dst": t["id"]}
-            ),
-            batch_format="pyarrow",
-        )
-        j = raw_edges.join(
-            vs, "inner", num_join_partitions, on=("src_repo", "src_path")
-        ).join(vd, "inner", num_join_partitions, on=("dst_repo", "dst_path"))
-        return j.map_batches(finish, batch_format="pyarrow")
-
-    keys_ref = ray.put(_vertex_lookup(vertex_ids))
-
-    class Resolve:
-        """Vectorized ``VertexProbe`` probe (hash searchsorted; exact
-        hashtable fallback) — the old per-row dict loop was 15 s at 7M
-        edge rows."""
-
-        def __init__(self) -> None:
-            self.lookup: VertexProbe = ray.get(keys_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            s = self.lookup.probe(batch["src_repo"], batch["src_path"])
-            d = self.lookup.probe(batch["dst_repo"], batch["dst_path"])
-            keep = (s >= 0) & (d >= 0) & (s != d)
-            return pa.table(
-                {"src": pa.array(s[keep]), "dst": pa.array(d[keep])}
-            )
-
-    return raw_edges.map_batches(Resolve, batch_format="pyarrow", concurrency=(1, 32))
+    """The exact collision fallback: resolve string-keyed raw edges
+    against the minted ``(repo, path, id)`` map with two Ray string
+    joins, then drop self-loops and dedup. Unresolvable dsts (dangling
+    imports) drop, mirroring "unresolved-edge dropping" in FIXTURES.md."""
+    P = _join_partitions()
+    vs = vertex_ids.map_batches(
+        lambda t: pa.table(
+            {"src_repo": t["repo"], "src_path": t["path"], "src": t["id"]}
+        ),
+        batch_format="pyarrow",
+    )
+    vd = vertex_ids.map_batches(
+        lambda t: pa.table(
+            {"dst_repo": t["repo"], "dst_path": t["path"], "dst": t["id"]}
+        ),
+        batch_format="pyarrow",
+    )
+    j = raw_edges.join(vs, "inner", P, on=("src_repo", "src_path")).join(
+        vd, "inner", P, on=("dst_repo", "dst_path")
+    )
+    return dedup_edges(j.map_batches(_finish_edges, batch_format="pyarrow"))
 
 
 def dedup_edges(edges: ray.data.Dataset) -> ray.data.Dataset:
@@ -1168,7 +720,7 @@ def _row_hashes(
     every exchange/probe row sheds 4 B (the resolve exchange is
     memory-bus-bound; 96.3M-edge bench: ~0.8 GB less traffic per pass).
     Uniqueness over the vertex map is still GUARDED, not assumed — the
-    collision fallback (string join / exact hashtable) keeps resolution
+    collision fallback (exact string join) keeps resolution
     exact at any hash width; P(any map collision) ≈ V²/2^97 (~5e-17 at
     the 2.9M-vertex bench, ~6e-6 at 10^12 files).
     """
@@ -1179,9 +731,9 @@ def _row_hashes(
 
 def _pl_row_hashes(df) -> tuple[np.ndarray, np.ndarray]:
     """THE one definition of the endpoint hash pipeline over a 2-column
-    polars frame — every producer (``_hash_edge_cols``, ``_attach_ids``
-    via ``_row_hashes``, the direct-read ``_fused_read_kernel``) must go
-    through here or the exchanges stop matching."""
+    polars frame — both producers (``_attach_ids`` via ``_row_hashes``
+    and the extraction kernel ``_read_extract``) must go through here or
+    the exchanges stop matching."""
     return (
         df.hash_rows(seed=0).to_numpy().astype(np.uint64),
         df.hash_rows(seed=1).to_numpy().astype(np.uint64).astype(np.uint32),
@@ -1196,132 +748,33 @@ def _exact_keys(repo, path) -> "pa.Array":
     )
 
 
-class VertexProbe:
-    """Broadcast vertex map (repo, path) → id with a vectorized probe.
-
-    Fast form: three numpy arrays — the map's 128-bit row hashes
-    (``_row_hashes``) sorted by h1, plus ids — so actors deserialize the
-    broadcast object zero-copy from plasma (the previous pandas
-    string-index Series cost ~1 s of Python-string rebuild per actor
-    across the 32-actor ramp) and probe via ``searchsorted`` + double-hash
-    verify. The build verifies h1 is collision-free over the map
-    (P ≈ V²/2^65; at the 5M-row broadcast cap ~7e-7) and falls back to an
-    exact pandas string hashtable otherwise, so resolution of *mapped*
-    keys is always exact. A dangling (unmapped) key can only resolve
-    spuriously by colliding with a map entry in all 128 bits.
-    """
-
-    def __init__(self, h1, h2, ids, exact=None) -> None:
-        self.h1, self.h2, self.ids, self.exact = h1, h2, ids, exact
-
-    def __len__(self) -> int:
-        return len(self.exact) if self.exact is not None else len(self.ids)
-
-    @staticmethod
-    def build(vert_tbl: pa.Table, force_exact: bool = False) -> "VertexProbe":
-        ids = vert_tbl["id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        if not force_exact:
-            h1, h2 = _row_hashes(vert_tbl["repo"], vert_tbl["path"])
-            order = np.argsort(h1, kind="stable")
-            h1s = h1[order]
-            if not (len(h1s) and np.any(h1s[1:] == h1s[:-1])):
-                return VertexProbe(h1s, h2[order], ids[order])
-        import pandas as pd
-
-        keys = _exact_keys(vert_tbl["repo"], vert_tbl["path"])
-        return VertexProbe(
-            None, None, None, pd.Series(ids, index=keys.to_pandas())
-        )
-
-    def probe(self, repo, path) -> np.ndarray:
-        """Vectorized (repo, path) → id; -1 for unmapped keys."""
-        if self.exact is not None:
-            got = (
-                _exact_keys(repo, path)
-                .to_pandas()
-                .map(self.exact)
-                .to_numpy(dtype=np.float64, na_value=np.nan)
-            )
-            return np.where(np.isnan(got), -1, got).astype(np.int64)
-        n = len(repo)
-        if not len(self.h1) or not n:
-            return np.full(n, -1, dtype=np.int64)
-        q1, q2 = _row_hashes(repo, path)
-        idx = np.minimum(
-            np.searchsorted(self.h1, q1), len(self.h1) - 1
-        )
-        hit = (self.h1[idx] == q1) & (self.h2[idx] == q2)
-        return np.where(hit, self.ids[idx], -1).astype(np.int64)
-
-
-def _vertex_lookup(vertex_ids: ray.data.Dataset) -> VertexProbe:
-    """Build the broadcast probe from the (repo, path, id) dataset."""
-    return VertexProbe.build(collect_table(vertex_ids))
-
-
-def _probe_resolve_dedup(raw: pa.Table, lookup: "VertexProbe") -> pa.Table:
-    """Broadcast-probe resolve + per-block dedup of raw string edges —
-    THE one definition shared by the fused actor stage and the fused
-    direct-read tasks. Drops unresolved endpoints and self-loops; per-
-    block distinct via a composite int64 key (ids < M in the broadcast
-    regime this path is gated to)."""
-    s = lookup.probe(raw["src_repo"], raw["src_path"])
-    d = lookup.probe(raw["dst_repo"], raw["dst_path"])
-    keep = (s >= 0) & (d >= 0) & (s != d)
-    M = len(lookup) + 1
-    uniq = np.unique(s[keep] * M + d[keep])
-    return pa.table(
-        {"src": pa.array(uniq // M), "dst": pa.array(uniq % M)}
-    )
-
-
-class ExtractResolveEdges(ExtractImportEdges):
-    """Fused extract → resolve → per-block dedup in ONE actor stage.
-
-    The two-stage form ships every raw string edge row (4 string columns)
-    through the object store between the extract and resolve pools; fusing
-    probes the broadcast vertex map right where the edges are born and
-    emits already-distinct int64 pairs per block — one actor-pool ramp-up
-    and a full plasma pass less (the extraction stage's dominant
-    non-compute cost at bench scale).
-    """
-
-    def __init__(self, lookup_ref) -> None:
-        super().__init__()
-        self.lookup: VertexProbe = ray.get(lookup_ref)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return _probe_resolve_dedup(super().__call__(batch), self.lookup)
-
-
-# Columns the distributed extraction actually consumes; the direct-read
-# regime prunes the parquet scan to exactly these.
+# The corpus columns extraction consumes; parquet reads prune to these.
 _CORPUS_COLUMNS = ["repo", "path", "lang", "content"]
 
-# Target input rows per fused read+extract+split task (direct-read
-# regime). Sized so one task's decompressed content (~300 B/row synthetic;
-# real code files are larger but the reader streams row groups) plus its
-# edge output stays well under a worker heap; at 10^12 files this yields
-# ~5M tasks — fine, they launch in waves bounded by cluster slots.
-_DIRECT_TASK_ROWS = 200_000
+# Target input rows per extraction task. Sized so one task's decompressed
+# content (~300 B/row synthetic; real code files are larger but the reader
+# streams row groups) plus its edge output stays well under a worker heap;
+# at 10^12 files this yields ~5M tasks — fine, they launch in waves
+# bounded by cluster slots.
+_TASK_ROWS = 200_000
 
-# Max parquet fragments sampled for mint splitters in the direct-read
-# regime (evenly spaced; ≤32 rows each). Splitter quality only affects
-# bucket balance, never correctness.
-_SPLITTER_SAMPLE_FILES = 512
+# Max source parts (parquet files or blocks) sampled for mint splitters
+# (evenly spaced; ≤32 rows each). Splitter quality only affects bucket
+# balance, never correctness.
+_SPLITTER_SAMPLE_PARTS = 512
 
 
 def _corpus_parquet_paths(ds: ray.data.Dataset):
     """Return ``(paths, filesystem)`` iff ``ds`` is a bare
     ``read_parquet``; else ``(None, None)``.
 
-    The direct-read regime bails out on ANY transform — including
+    Parquet-path sources bail out on ANY transform — including
     projections (on Ray 2.49 ``input_files()`` is empty after a Project
     anyway, and absorbing one blindly would be unsafe: Project carries
     renames and expressions whose silent loss under an independent
     re-read means wrong rows) — plus row filters, block UDFs, and hive
-    partition columns. Introspection failures (Ray internals moved)
-    degrade to the generic streaming-handover path, never to an error."""
+    partition columns. Such corpora, and introspection failures (Ray
+    internals moved), take the block source instead, never an error."""
     try:
         from ray.data._internal.logical.operators.read_operator import Read
 
@@ -1349,377 +802,164 @@ def _corpus_parquet_paths(ds: ray.data.Dataset):
         return None, None
 
 
-@ray.remote
-def _sample_parquet_keys(path: str, fs) -> pa.Table:
-    """≤32 evenly-spaced (repo, path) rows from one parquet file —
-    splitter input for the direct-read mint (column-pruned scan)."""
+def _read_source(parts: tuple, fs, columns: list[str]):
+    """One source group as a polars frame. Parts are parquet paths (read
+    column-pruned: the native polars reader on local filesystems, pyarrow
+    otherwise) or corpus blocks — block refs passed as top-level task
+    arguments, which Ray resolves to the blocks themselves."""
+    import polars as pl
+    import pyarrow.fs as pafs
     import pyarrow.parquet as pq
+    from ray.data.block import BlockAccessor
 
-    t = pq.read_table(path, columns=["repo", "path"], filesystem=fs)
-    if t.num_rows == 0:
-        return _VERT_SCHEMA.empty_table()
-    idx = np.unique(
-        np.linspace(0, t.num_rows - 1, min(t.num_rows, 32)).astype(np.int64)
+    if not isinstance(parts[0], str):
+        return pl.from_arrow(
+            pa.concat_tables(
+                [BlockAccessor.for_block(b).to_arrow().select(columns) for b in parts]
+            )
+        )
+    if fs is None or isinstance(fs, pafs.LocalFileSystem):
+        return pl.read_parquet(list(parts), columns=columns)
+    return pl.from_arrow(
+        pa.concat_tables(
+            [pq.read_table(p, columns=columns, filesystem=fs) for p in parts]
+        )
     )
+
+
+@ray.remote
+def _sample_keys(fs, part) -> pa.Table:
+    """≤32 evenly-spaced (repo, path) rows of one source part — splitter
+    input for the mint exchange."""
+    t = _read_source((part,), fs, ["repo", "path"]).to_arrow().cast(_VERT_SCHEMA)
+    n = t.num_rows
+    idx = np.unique(np.linspace(0, n - 1, min(n, 32)).astype(np.int64))
     return t.take(pa.array(idx))
 
 
-def _fused_read_kernel(paths: list, fs) -> tuple[pa.Table, pa.Table]:
-    """Read this task's parquet fragments column-pruned and produce
-    ``(distinct_vertices, hashed_edges)`` — all in polars on the local
-    filesystem (native reader + Rust-regex extraction + row hashing,
-    no arrow↔polars round-trips; measured 1.63 s vs 2.0 s per 181k-file
-    fragment), pyarrow otherwise. The hash pipeline is value-identical
-    to ``extract_hashed_edges_batch`` (equality-tested)."""
+def _read_extract(parts: tuple, fs) -> tuple[pa.Table, pa.Table]:
+    """One source group → ``(distinct (repo, path), 96-bit edge hashes)``.
+
+    All in polars: native parquet reader or ``from_arrow`` on blocks,
+    Rust-regex extraction and in-place row hashing, no arrow↔polars
+    round-trips (measured 1.63 s vs 2.0 s per 181k-file fragment against
+    the pyarrow form)."""
     import polars as pl
-    import pyarrow.fs as pafs
 
-    if fs is None or isinstance(fs, pafs.LocalFileSystem):
-        df = pl.read_parquet(
-            paths if len(paths) > 1 else paths[0], columns=_CORPUS_COLUMNS
-        )
-        v = df.select("repo", "path").unique().to_arrow().cast(_VERT_SCHEMA)
-        e = _extract_edges_pl(df)
-        s1, s2 = _pl_row_hashes(
-            e.select(pl.col("src_repo").alias("r"), pl.col("src_path").alias("p"))
-        )
-        d1, d2 = _pl_row_hashes(
-            e.select(pl.col("dst_repo").alias("r"), pl.col("dst_path").alias("p"))
-        )
-        eh = pa.table(
-            {
-                "s1": pa.array(s1.view(np.int64)),
-                "s2": pa.array(s2.view(np.int32)),
-                "d1": pa.array(d1.view(np.int64)),
-                "d2": pa.array(d2.view(np.int32)),
-            }
-        )
-        return v, eh
-    import pyarrow.parquet as pq
-
-    t = pa.concat_tables(
-        [
-            pq.read_table(p, columns=_CORPUS_COLUMNS, filesystem=fs)
-            for p in paths
-        ]
+    df = _read_source(parts, fs, _CORPUS_COLUMNS)
+    v = df.select("repo", "path").unique().to_arrow().cast(_VERT_SCHEMA)
+    e = _extract_edges_pl(df)
+    s1, s2 = _pl_row_hashes(
+        e.select(pl.col("src_repo").alias("r"), pl.col("src_path").alias("p"))
     )
-    return _vert_distinct(t.select(["repo", "path"])), (
-        extract_hashed_edges_batch(t)
+    d1, d2 = _pl_row_hashes(
+        e.select(pl.col("dst_repo").alias("r"), pl.col("dst_path").alias("p"))
     )
-
-
-def _read_raw_edges(paths: list, fs) -> pa.Table:
-    """Read fragments column-pruned and return the RAW string edge table
-    (polars native read + extraction on local filesystems, pyarrow
-    otherwise) — the fused broadcast regime's direct-read input."""
-    import polars as pl
-    import pyarrow.fs as pafs
-
-    if fs is None or isinstance(fs, pafs.LocalFileSystem):
-        df = pl.read_parquet(
-            paths if len(paths) > 1 else paths[0], columns=_CORPUS_COLUMNS
-        )
-        return _extract_edges_pl(df).to_arrow().cast(_RAW_EDGE_SCHEMA)
-    import pyarrow.parquet as pq
-
-    t = pa.concat_tables(
-        [
-            pq.read_table(p, columns=_CORPUS_COLUMNS, filesystem=fs)
-            for p in paths
-        ]
+    eh = pa.table(
+        {
+            "s1": pa.array(s1.view(np.int64)),
+            "s2": pa.array(s2.view(np.int32)),
+            "d1": pa.array(d1.view(np.int64)),
+            "d2": pa.array(d2.view(np.int32)),
+        }
     )
-    return _extract_edges_vectorized(t)
+    return v, eh
 
 
 @ray.remote
-def _read_extract_resolve(paths: list, fs, lookup: "VertexProbe") -> pa.Table:
-    """Fused-regime direct-read task: read → extract → broadcast-probe
-    resolve → per-task dedup. Content lives only in this task's heap
-    (the map_batches form round-trips every content block through the
-    object store between the read stage and the extract actors). The
-    broadcast vertex map arrives as an ObjectRef argument — Ray resolves
-    it zero-copy from plasma per task."""
-    return _probe_resolve_dedup(_read_raw_edges(paths, fs), lookup)
+def _extract_split(fs, splitters: np.ndarray, Pm: int, P: int, *parts):
+    """Read + mint-combine + extract + bucket in ONE task per source
+    group (``_read_extract``), emitting
 
-
-def _path_groups(paths: list, n_files: int) -> list[list]:
-    """Group fragment paths so each direct-read task sees
-    ~``_DIRECT_TASK_ROWS`` input rows."""
-    rows_per_file = max(1, n_files // max(1, len(paths)))
-    files_per_task = max(1, _DIRECT_TASK_ROWS // rows_per_file)
-    return [
-        paths[i : i + files_per_task]
-        for i in range(0, len(paths), files_per_task)
-    ]
-
-
-@ray.remote
-def _read_vert_edge_split(
-    paths: list, fs, splitters: np.ndarray, Pm: int, P: int
-):
-    """Fused read + mint-combine + extract + bucket in ONE task: read
-    this task's parquet fragments column-pruned, emit
-
-    - ``Pm`` range-bucketed slices of the per-task-distinct vertex keys
+    - ``Pm`` range-bucketed slices of the group's distinct vertex keys
       (mint exchange map side), then
     - ``P`` hash-bucketed slices of the extracted 96-bit edge hashes
       (resolve exchange map side).
 
-    The wide ``content`` column lives only inside this task's heap — it
-    is never written to the object store (the streaming-handover path
-    round-trips ~decompressed-corpus-size through plasma twice; at the
-    96M-edge bench that was the single largest non-compute bus cost)."""
-    v, e = _fused_read_kernel(paths, fs)
-    vs = _bucket_slices(v, _range_bucketer(splitters), Pm, _VERT_SCHEMA)
-    es = _bucket_slices(e, _bucket_on("s1"), P, _EH_SCHEMA)
-    return vs + es
+    For parquet sources the wide ``content`` column lives only inside
+    this task's heap; it is never written to the object store."""
+    v, eh = _read_extract(parts, fs)
+    return _bucket_slices(
+        v, _range_bucketer(splitters), Pm, _VERT_SCHEMA
+    ) + _bucket_slices(eh, _bucket_on("s1"), P, _EH_SCHEMA)
 
 
-def _extract_distributed_direct(
-    paths: list, fs, n_files: int
-) -> tuple[ray.data.Dataset, ray.data.Dataset]:
-    """Direct-read distributed extraction: one parquet scan feeds mint
-    AND extraction (the generic path reads the corpus twice — once for
-    (repo, path) mint input, once with content for extraction — and
-    round-trips every content block through plasma between the read
-    stage and the split tasks)."""
-    P = _exchange_partitions(n_files * 10)
-    Pm = min(128, max(2, 2 * int(ray.cluster_resources().get("CPU", 8))))
-    # Splitter sampling is BOUNDED: quality only affects bucket balance
-    # (correctness needs only range-disjoint buckets — see
-    # _ranked_ids_refs), so ≤512 evenly-spaced files × ≤32 rows each is
-    # plenty at any corpus size; sampling every file would launch one
-    # task per fragment (~5M at the 10^12-file design point) and concat
-    # an unbounded driver table.
-    if len(paths) > _SPLITTER_SAMPLE_FILES:
-        idx = np.linspace(
-            0, len(paths) - 1, _SPLITTER_SAMPLE_FILES
-        ).astype(np.int64)
-        sample_paths = [paths[i] for i in np.unique(idx)]
-    else:
-        sample_paths = paths
-    samp = pa.concat_tables(
-        ray.get([_sample_parquet_keys.remote(p, fs) for p in sample_paths])
-    )
-    _tr(f"direct: splitter samples read ({samp.num_rows} keys)")
-    if samp.num_rows == 0:
-        return (
-            ray.data.from_arrow(
-                pa.schema(
-                    [("src", pa.int64()), ("dst", pa.int64())]
-                ).empty_table()
-            ),
-            ray.data.from_arrow(_VIDS_SCHEMA.empty_table()),
-        )
-    splitters = _splitters_from_samples(samp, Pm)
-    groups = _path_groups(paths, n_files)
-    outs = [
-        _read_vert_edge_split.options(num_returns=Pm + P).remote(
-            g, fs, splitters, Pm, P
-        )
-        for g in groups
-    ]
-    vsplits = [o[:Pm] for o in outs]
-    l1 = [o[Pm:] for o in outs]
-    _tr(f"direct: {len(groups)} fused read tasks launched (Pm={Pm}, P={P})")
-
-    mouts, metas = _reduce_exchange([vsplits], Pm, _mint_rank_reduce)
-    sizes = np.asarray(ray.get(metas), dtype=np.int64)
-    _tr("direct: mint reduce metas collected")
-    offsets = np.zeros(Pm, dtype=np.int64)
-    offsets[1:] = np.cumsum(sizes)[:-1]
-    vid_refs, vh_refs = [], []
-    for p in range(Pm):
-        vref, href = _attach_ids.remote(mouts[p], int(offsets[p]))
-        vid_refs.append(vref)
-        vh_refs.append(href)
-    vids = ray.data.from_arrow_refs(vid_refs)
-    edges = _resolve_hashed(
-        None, vh_refs, num_partitions=P, dedup=True, presplit_l1=l1
-    )
-    return edges, vids
+def _source_groups(parts: list, rows: list) -> list[list]:
+    """Contiguous groups of source parts, ~``_TASK_ROWS`` input rows each."""
+    groups: list[list] = [[]]
+    n = 0
+    for part, r in zip(parts, rows):
+        if n >= _TASK_ROWS:
+            groups.append([])
+            n = 0
+        groups[-1].append(part)
+        n += r
+    return groups if groups[0] else []
 
 
 def extract_edge_table(
     corpus: ray.data.Dataset,
-    mode: str = "auto",
 ) -> tuple[ray.data.Dataset, ray.data.Dataset]:
     """Full minimum-slice pipeline (SURVEY.md §7.1).
 
     corpus → extract → mint ids → resolve → dedup. Returns
-    ``(edges(src,dst), vertex_ids(repo,path,id))``.
+    ``(edges(src,dst), vertex_ids(repo,path,id))``; ids are the dense
+    rank over sorted ``(repo, path)`` (deterministic and order-independent,
+    unlike the reference's first-seen vocab ids, CitationGraphs.go:143-147).
+    Self-loops and dangling imports drop; edges are distinct.
 
-    ``mode="fused"`` (the auto pick when the vertex map fits one object)
-    runs extract+resolve+partial-dedup as ONE actor stage
-    (``ExtractResolveEdges``); ``mode="staged"`` keeps the two-pool form —
-    the only choice when the vertex map must be joined distributively.
-    ``mode="distributed"`` forces every sub-stage onto its 10^12-file
-    engine regardless of input size — distributed bucketed-rank id mint,
-    staged extraction, bucketed-exchange resolve with the global dedup
-    fused into the dst-keyed pass; no driver object ever holds the
-    vertex map. It exists so the scale path can be
-    equivalence-tested and scaling-benched end-to-end at sandbox scale
-    (the auto regimes are deliberately driver-assisted below
-    ``BROADCAST_RESOLVE_MAX_ROWS`` and Amdahl-bound in W-scaling).
-    All modes are equivalence-tested.
+    One plan for every corpus (see the module docstring). A bare
+    ``read_parquet`` is read inside the extraction tasks from its paths;
+    any other corpus is materialized as its (repo, path, lang, content)
+    projection and its blocks are the source. Either way one sampled
+    splitter set drives ONE range-bucketed mint exchange, whose reduce
+    sorts and drops cross-task duplicates (buckets are key-range-disjoint,
+    so per-bucket distinct IS global distinct) and ``_attach_ids`` adds
+    ``id = offset + rank`` and the hashed twin; ``_resolve_hashed`` then
+    resolves both endpoints with the global dedup fused into pass 2. No
+    driver object ever holds V rows. On the effectively-never vertex
+    hash collision the already-minted ids resolve the raw string edges
+    through ``_join_strings`` instead.
     """
-    if mode == "distributed":
-        global _TRACE_T0
-        _TRACE_T0 = time.time()
-        slim = corpus.select_columns(["repo", "path", "lang", "content"])
-        paths, fs = _corpus_parquet_paths(corpus)
-        if paths is not None:
-            try:
-                return _extract_distributed_direct(
-                    paths, fs, corpus.count()
-                )
-            except _VertexHashCollision:
-                # exact string path (P ≈ V²/2^97 — effectively never)
-                raw = slim.map_batches(
-                    extract_import_edges_batch, batch_format="pyarrow"
-                )
-                vids = mint_vertex_ids(corpus, mode="distributed")
-                return (
-                    dedup_edges(
-                        resolve_edges(raw, vids, mode="join_strings")
-                    ),
-                    vids,
-                )
-        # V ≈ corpus rows (one file per row; parquet-metadata-fast count),
-        # E ≈ 10·V — decouples the partition pick from the mint chain so
-        # the two subtrees below can run concurrently
-        n_files = corpus.count()
-        P = _exchange_partitions(n_files * 10)
-
-        # The id mint and the hashed-edge extraction are INDEPENDENT
-        # subtrees that only meet at the resolve exchange — run them
-        # concurrently on two driver threads (each materialize drives
-        # its own streaming executor; the slots are shared, so this
-        # pipelines the mint's combiner pass under the extraction's
-        # compute; the mint's exchange itself is raw tasks and overlaps
-        # anything).
-        out: dict = {}
-
-        def _mint_chain() -> None:
-            # refs, not a Dataset: the exchange consumes the mint's
-            # bucket outputs (and their hashed twins from _attach_ids)
-            # directly — no re-execution per consumer (ADVICE r3), no
-            # separate hash_vertices pass, no separate collision guard
-            # (fused into resolve pass 1).
-            out["vid_refs"], out["vh_refs"] = _ranked_ids_refs(
-                corpus.select_columns(["repo", "path"])
-            )
-            _tr("mint chain done (vid/vh refs ready)")
-
-        def _extract_chain() -> None:
-            # FUSED extract+split: corpus-projection blocks stream
-            # straight into split tasks whose prep_fn is the extraction
-            # kernel — extract, hash and bucket happen in ONE task, so
-            # the ~3.5 GB hashed-edge table (E rows × 32 B at bench
-            # scale) is never written to or re-read from the object
-            # store between extraction and the exchange (measured: the
-            # handover round-trip was ~2-3 s of pure memory-bus traffic
-            # per leg and scaled WORSE than the regex compute). Task
-            # granularity is sized by INPUT rows: ~2 tasks per exchange
-            # partition keeps every CPU fed at both scaling legs without
-            # P² object blowup.
-            out["l1_splits"] = _split_streaming(
-                slim,
-                _bucket_on("s1"),
-                P,
-                _EH_SCHEMA,
-                prep_fn=extract_hashed_edges_batch,
-                rows_per_task=max(20_000, n_files // (2 * P)),
-            )
-            _tr(f"extract chain done ({len(out['l1_splits'])} split tasks launched)")
-
-        errs: list[BaseException] = []
-
-        def _guard(fn):
-            def run():
-                try:
-                    fn()
-                except BaseException as e:  # propagate to the driver
-                    errs.append(e)
-
-            return run
-
-        threads = [
-            threading.Thread(target=_guard(_mint_chain), daemon=True),
-            threading.Thread(target=_guard(_extract_chain), daemon=True),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errs:
-            raise errs[0]
-        vids = (
-            ray.data.from_arrow_refs(out["vid_refs"])
-            if out["vid_refs"]
-            else ray.data.from_arrow(_VIDS_SCHEMA.empty_table())
-        )
-        try:
-            # dedup fused into the pass-2 buckets — no separate shuffle
-            edges = _resolve_hashed(
-                None,
-                out["vh_refs"],
-                num_partitions=P,
-                dedup=True,
-                presplit_l1=out["l1_splits"],
-            )
-        except _VertexHashCollision:
-            # exact string path (P ≈ V²/2^129 — effectively never); the
-            # hashed extraction above is discarded on this path
-            raw = slim.map_batches(
-                extract_import_edges_batch, batch_format="pyarrow"
-            )
-            edges = dedup_edges(
-                resolve_edges(raw, vids, mode="join_strings")
-            )
-        return edges, vids
-    vids = mint_vertex_ids(corpus)
-    if mode == "auto":
-        mode = (
-            "fused"
-            if vids.count() <= BROADCAST_RESOLVE_MAX_ROWS
-            else "staged"
-        )
-    slim = corpus.select_columns(["repo", "path", "lang", "content"])
-    if mode == "fused":
-        keys_ref = ray.put(_vertex_lookup(vids))
-        paths, fs = _corpus_parquet_paths(corpus)
-        if paths is not None:
-            # direct-read regime: read + extract + probe + per-task dedup
-            # in one raw task per fragment group — content never enters
-            # the object store, and there is no actor-pool ramp
-            partial = ray.data.from_arrow_refs(
-                [
-                    _read_extract_resolve.remote(g, fs, keys_ref)
-                    for g in _path_groups(paths, corpus.count())
-                ]
-            )
-        else:
-            partial = slim.map_batches(
-                ExtractResolveEdges,
-                fn_constructor_kwargs={"lookup_ref": keys_ref},
-                batch_format="pyarrow",
-                concurrency=(1, 32),
-            )
-        # The per-block np.unique in the probe+dedup kernel is globally
-        # complete whenever corpus rows are unique on (repo, path): every
-        # (src, dst) is born from exactly one corpus row (src = the
-        # emitting file) and each row lives in exactly one block/task, so
-        # cross-block duplicates cannot exist. Gate on corpus.count() == V
-        # (parquet-metadata-fast); duplicated inputs keep the full global
-        # dedup shuffle.
-        if corpus.count() == vids.count():
-            edges = partial
-        else:
-            edges = fast_distinct(partial, ["src", "dst"])
+    paths, fs = _corpus_parquet_paths(corpus)
+    slim = corpus.select_columns(_CORPUS_COLUMNS)
+    if paths is not None:
+        n_files = corpus.count()  # parquet metadata, no scan
+        parts, rows = paths, [n_files / len(paths)] * len(paths)
     else:
-        raw = slim.map_batches(
-            extract_import_edges_batch, batch_format="pyarrow"
+        slim = slim.materialize()
+        parts, rows = [], []
+        for bundle in slim.iter_internal_ref_bundles():
+            parts.extend(bundle.block_refs)
+            rows.extend(m.num_rows for m in bundle.metadata)
+        n_files = sum(rows)
+    # V ≈ corpus rows (one file per row), E ≈ 10·V
+    P = _exchange_partitions(n_files * 10)
+    Pm = min(128, max(2, 2 * int(ray.cluster_resources().get("CPU", 8))))
+    # Splitter sampling is BOUNDED: ≤512 evenly-spaced parts × ≤32 rows
+    # each is plenty at any corpus size; sampling every part would launch
+    # one task per fragment (~5M at the 10^12-file design point) and
+    # concat an unbounded driver table.
+    step = max(1, -(-len(parts) // _SPLITTER_SAMPLE_PARTS))
+    samples = ray.get([_sample_keys.remote(fs, p) for p in parts[::step]])
+    splitters = _splitters_from_samples(
+        pa.concat_tables([_VERT_SCHEMA.empty_table(), *samples]), Pm
+    )
+    outs = [
+        _extract_split.options(num_returns=Pm + P).remote(
+            fs, splitters, Pm, P, *g
         )
-        edges = dedup_edges(resolve_edges(raw, vids))
+        for g in _source_groups(parts, rows)
+    ]
+
+    mouts, metas = _reduce_exchange([[o[:Pm] for o in outs]], Pm, _mint_rank_reduce)
+    offsets = np.zeros(Pm, dtype=np.int64)
+    offsets[1:] = np.cumsum(np.asarray(ray.get(metas), dtype=np.int64))[:-1]
+    ids = [_attach_ids.remote(mouts[p], int(offsets[p])) for p in range(Pm)]
+    vids = ray.data.from_arrow_refs([v for v, _ in ids])
+    try:
+        edges = _resolve_hashed([o[Pm:] for o in outs], [h for _, h in ids], P)
+    except _VertexHashCollision:
+        raw = slim.map_batches(extract_import_edges_batch, batch_format="pyarrow")
+        edges = _join_strings(raw, vids)
     return edges, vids

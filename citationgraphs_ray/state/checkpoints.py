@@ -39,7 +39,7 @@ _ITER_RE = re.compile(r"^iter_(\d{6})$")
 @dataclass
 class LoadedCheckpoint:
     iteration: int
-    state: dict[str, np.ndarray]
+    state: dict[str, np.ndarray] | None
     manifest: dict[str, Any]
 
 
@@ -178,7 +178,10 @@ class CheckpointManager:
         return removed
 
     # -- load ---------------------------------------------------------------
-    def latest(self) -> LoadedCheckpoint | None:
+    def latest_manifest(self) -> LoadedCheckpoint | None:
+        """The newest complete checkpoint's iteration and manifest, with no
+        state shard read (``state`` is None) — for engines whose
+        partitions read their own shards."""
         best = -1
         for name in os.listdir(self.root):
             m = _ITER_RE.match(name)
@@ -189,11 +192,19 @@ class CheckpointManager:
             best = max(best, int(m.group(1)))
         if best < 0:
             return None
-        it_dir = os.path.join(self.root, f"iter_{best:06d}")
-        with open(os.path.join(it_dir, "MANIFEST.json")) as f:
-            manifest = json.load(f)
+        with open(os.path.join(self.root, f"iter_{best:06d}", "MANIFEST.json")) as f:
+            return LoadedCheckpoint(iteration=best, state=None, manifest=json.load(f))
+
+    def latest(self) -> LoadedCheckpoint | None:
+        """The newest complete checkpoint with every shard read and the
+        state sorted by id."""
+        ck = self.latest_manifest()
+        if ck is None:
+            return None
+        it_dir = os.path.join(self.root, f"iter_{ck.iteration:06d}")
         tables = [
-            pq.read_table(os.path.join(it_dir, p["file"])) for p in manifest["parts"]
+            pq.read_table(os.path.join(it_dir, p["file"]))
+            for p in ck.manifest["parts"]
         ]
         tbl = pa.concat_tables(tables)
         state = {
@@ -201,8 +212,8 @@ class CheckpointManager:
             for name in tbl.column_names
         }
         order = np.argsort(state["id"], kind="stable")
-        state = {k: v[order] for k, v in state.items()}
-        return LoadedCheckpoint(iteration=best, state=state, manifest=manifest)
+        ck.state = {k: v[order] for k, v in state.items()}
+        return ck
 
 
 def _atomic_write_json(path: str, obj: Any) -> None:

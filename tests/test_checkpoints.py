@@ -113,6 +113,20 @@ def test_resume_after_convergence_is_noop(small_edges, ckdir):
     assert again.iterations == full.iterations
 
 
+def test_resume_judges_convergence_with_current_tol(small_edges, ckdir):
+    """A checkpoint that converged under a looser tol is not converged
+    under a tighter one: the resume continues and ends bitwise-equal to
+    a fresh tight run, superstep count included."""
+    edges, vids = small_edges
+    V = vids.count()
+    loose = pagerank(edges, V, tol=1e-4, checkpoint_dir=ckdir)
+    fresh = pagerank(edges, V, tol=1e-12)
+    assert loose.converged and loose.iterations < fresh.iterations
+    resumed = pagerank(edges, V, tol=1e-12, checkpoint_dir=ckdir, resume=True)
+    assert np.array_equal(resumed.state, fresh.state)
+    assert (resumed.iterations, resumed.converged) == (fresh.iterations, True)
+
+
 def test_different_graph_same_shape_rejected(small_edges, ckdir):
     """A graph with identical (V, E) but different edges must not resume
     from another graph's checkpoint (edge checksum in the fingerprint)."""

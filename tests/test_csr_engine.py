@@ -92,6 +92,43 @@ def test_csr_checkpoint_resume(engines, tmp_path):
     assert len(shards) == dir_eng.P
 
 
+def test_csr_resume_judges_convergence_with_current_tol(engines, tmp_path):
+    """engine._run's resume stop test on the CSR executor: a tol=1e-4
+    checkpoint resumed at tol=1e-12 equals a fresh tol=1e-12 run."""
+    _, _, dir_eng, _ = engines
+    ck = str(tmp_path / "ck")
+    _, it_loose, conv = dir_eng.pagerank(tol=1e-4, checkpoint_dir=ck)
+    fresh, it_fresh, _ = dir_eng.pagerank(tol=1e-12)
+    assert conv and it_loose < it_fresh
+    resumed, it_res, conv_res = dir_eng.pagerank(
+        tol=1e-12, checkpoint_dir=ck, resume=True
+    )
+    assert np.array_equal(resumed, fresh)
+    assert (it_res, conv_res) == (it_fresh, True)
+
+
+def test_csr_resume_reads_no_shard_on_driver(engines, tmp_path, monkeypatch):
+    """CSR workers read their own checkpoint shards; the driver reads
+    only the manifest."""
+    import pyarrow.parquet as pq
+
+    _, _, dir_eng, _ = engines
+    ck = str(tmp_path / "ck")
+    full, _, _ = dir_eng.pagerank(tol=1e-10)
+    dir_eng.pagerank(tol=1e-10, max_iters=3, checkpoint_dir=ck)
+    reads = []
+    real = pq.read_table
+
+    def spy(source, *a, **k):
+        reads.append(str(source))
+        return real(source, *a, **k)
+
+    monkeypatch.setattr(pq, "read_table", spy)
+    resumed, _, conv = dir_eng.pagerank(tol=1e-10, checkpoint_dir=ck, resume=True)
+    assert conv and np.array_equal(resumed, full)
+    assert not [r for r in reads if "state-" in r]
+
+
 def test_csr_checkpoint_worker_count_independent(small_edges, tmp_path):
     """Checkpoint written with W=2 workers resumes under W=4 (shards are
     per partition, not per worker)."""

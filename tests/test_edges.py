@@ -2,22 +2,52 @@
 
 import hashlib
 
-import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray.data
 
 from citationgraphs_ray.corpus import generate_corpus
+from citationgraphs_ray.stages import edges as edges_mod
 from citationgraphs_ray.stages.edges import (
     ExtractImportEdges,
+    _corpus_parquet_paths,
     dedup_edges,
     extract_edge_table,
     in_degrees,
-    mint_vertex_ids,
     out_degrees,
     sha256_content,
     symmetrize_edges,
 )
+
+SOURCES = ("parquet", "blocks")
+
+
+def _corpus(kind: str, tables: list, tmp_path) -> ray.data.Dataset:
+    """The corpus ``tables`` as a bare read_parquet (one file per table,
+    the parquet-path source) or as in-memory blocks (the block source)."""
+    if kind == "blocks":
+        return ray.data.from_arrow(tables)
+    d = tmp_path / f"pq{len(list(tmp_path.iterdir()))}"
+    d.mkdir()
+    for i, t in enumerate(tables):
+        pq.write_table(t, str(d / f"part-{i}.parquet"))
+    ds = ray.data.read_parquet(str(d))
+    assert _corpus_parquet_paths(ds)[0], "bare read_parquet must read by path"
+    return ds
+
+
+def _sorted(ds: ray.data.Dataset, cols: list[str]):
+    return ds.to_pandas().sort_values(cols).reset_index(drop=True)
+
+
+def _edge_keys(edges: ray.data.Dataset, vids: ray.data.Dataset) -> set:
+    """The edge table mapped back to (src_repo, src_path, dst_repo, dst_path)."""
+    id2key = {r.id: (r.repo, r.path) for r in vids.to_pandas().itertuples()}
+    return {
+        (*id2key[s], *id2key[d])
+        for s, d in zip(*edges.to_pandas()[["src", "dst"]].T.values)
+    }
 
 
 def test_corpus_deterministic():
@@ -30,70 +60,7 @@ def test_corpus_deterministic():
 
 
 def test_extraction_matches_generator_ground_truth(small_corpus, small_edges):
-    edges, vids = small_edges
-    # map ids back to (repo, path)
-    vt = vids.to_pandas()
-    id2key = {r.id: (r.repo, r.path) for r in vt.itertuples()}
-    got = set()
-    for b in edges.iter_batches(batch_format="pyarrow"):
-        for s, d in zip(b["src"].to_pylist(), b["dst"].to_pylist()):
-            sr, sp = id2key[s]
-            dr, dp = id2key[d]
-            got.add((sr, sp, dr, dp))
-    assert got == small_corpus.expected_edges
-
-
-def test_resolve_edges_join_equals_broadcast(small_corpus, small_edges):
-    """The distributed-hash-join resolve engine must produce the exact
-    same edge table as the broadcast dict probe (VERDICT #5: at 10^12
-    files the vertex map cannot be a driver dict)."""
-    from citationgraphs_ray.stages.edges import resolve_edges
-
-    edges_bc, vids = small_edges  # broadcast path (default at this size)
-    ds = ray.data.from_arrow(small_corpus.table)
-    slim = ds.select_columns(["repo", "path", "lang", "content"])
-    raw = slim.map_batches(
-        ExtractImportEdges, batch_format="pyarrow", concurrency=(1, 4)
-    )
-    edges_join = dedup_edges(resolve_edges(raw, vids, mode="join"))
-    a = edges_bc.to_pandas().sort_values(["src", "dst"]).reset_index(drop=True)
-    b = (
-        edges_join.to_pandas()
-        .sort_values(["src", "dst"])
-        .reset_index(drop=True)
-    )
-    assert a.equals(b)
-
-
-def test_extract_fused_equals_staged(small_corpus):
-    """The fused extract+resolve+dedup actor stage must produce exactly
-    the staged two-pool pipeline's edge table."""
-    from citationgraphs_ray.stages.edges import extract_edge_table
-
-    ds = ray.data.from_arrow(small_corpus.table)
-    ef, vf = extract_edge_table(ds, mode="fused")
-    es, vs = extract_edge_table(ds, mode="staged")
-    a = ef.to_pandas().sort_values(["src", "dst"]).reset_index(drop=True)
-    b = es.to_pandas().sort_values(["src", "dst"]).reset_index(drop=True)
-    assert a.equals(b)
-    assert vf.count() == vs.count()
-
-
-def test_extract_distributed_equals_fused(small_corpus):
-    """mode="distributed" (forced 10^12-file engines: distributed-sort
-    mint, hash-join resolve, shuffle dedup) must produce exactly the
-    fused broadcast-regime edge table AND the same vertex-id mapping."""
-    from citationgraphs_ray.stages.edges import extract_edge_table
-
-    ds = ray.data.from_arrow(small_corpus.table)
-    ef, vf = extract_edge_table(ds, mode="fused")
-    ed, vd = extract_edge_table(ds, mode="distributed")
-    a = ef.to_pandas().sort_values(["src", "dst"]).reset_index(drop=True)
-    b = ed.to_pandas().sort_values(["src", "dst"]).reset_index(drop=True)
-    assert a.equals(b)
-    mf = vf.to_pandas().sort_values(["repo", "path"]).reset_index(drop=True)
-    md = vd.to_pandas().sort_values(["repo", "path"]).reset_index(drop=True)
-    assert mf.equals(md)
+    assert _edge_keys(*small_edges) == small_corpus.expected_edges
 
 
 def test_resolve_hashed_collision_guard_raises():
@@ -101,68 +68,112 @@ def test_resolve_hashed_collision_guard_raises():
     fused into pass-1's reduce tasks (same-h1 rows share a bucket, so
     per-bucket adjacent-duplicate detection IS the global check)."""
     from citationgraphs_ray.stages.edges import (
-        _resolve_hashed,
+        _EH_SCHEMA,
         _VertexHashCollision,
+        _bucket_on,
+        _bucket_slices,
+        _resolve_hashed,
     )
 
     vh = pa.table(
         {
             "h1": pa.array([1, 1, 2], type=pa.int64()),
-            "h2": pa.array([5, 5, 6], type=pa.int64()),
+            "h2": pa.array([5, 5, 6], type=pa.int32()),
             "id": pa.array([0, 1, 2], type=pa.int64()),
         }
     )
     eh = pa.table(
         {
             "s1": pa.array([1], type=pa.int64()),
-            "s2": pa.array([5], type=pa.int64()),
+            "s2": pa.array([5], type=pa.int32()),
             "d1": pa.array([2], type=pa.int64()),
-            "d2": pa.array([6], type=pa.int64()),
+            "d2": pa.array([6], type=pa.int32()),
         }
     )
+    l1 = [[ray.put(t) for t in _bucket_slices(eh, _bucket_on("s1"), 4, _EH_SCHEMA)]]
     with pytest.raises(_VertexHashCollision):
-        _resolve_hashed(
-            ray.data.from_arrow(eh).materialize(),
-            ray.data.from_arrow(vh).materialize(),
-            num_partitions=4,
-        )
+        _resolve_hashed(l1, [ray.put(vh)], 4)
 
 
-def test_extract_distributed_collision_fallback(small_corpus, monkeypatch):
-    """When the hashed resolve reports a collision, the distributed path
-    must fall back to the exact string join and still produce the
-    correct edge table."""
-    from citationgraphs_ray.stages import edges as edges_mod
+def _check_collision_fallback(kind, small_corpus, tmp_path, monkeypatch):
+    """Force the hashed resolve to report a collision: the exact string
+    join must still produce the generator's edges, on the ids the mint
+    already produced."""
 
     def always_collide(*a, **k):
         raise edges_mod._VertexHashCollision
 
+    ds = _corpus(kind, [small_corpus.table], tmp_path)
+    _, v_ref = extract_edge_table(ds)
     monkeypatch.setattr(edges_mod, "_resolve_hashed", always_collide)
-    ds = ray.data.from_arrow(small_corpus.table)
-    ed, vd = edges_mod.extract_edge_table(ds, mode="distributed")
-    vt = vd.to_pandas()
-    id2key = {r.id: (r.repo, r.path) for r in vt.itertuples()}
-    got = {
-        (*id2key[s], *id2key[d])
-        for s, d in zip(*ed.to_pandas()[["src", "dst"]].T.values)
-    }
-    assert got == small_corpus.expected_edges
+    ed, vd = extract_edge_table(ds)
+    assert _edge_keys(ed, vd) == small_corpus.expected_edges
+    assert not ed.to_pandas().duplicated().any()
+    assert _sorted(vd, ["id"]).equals(_sorted(v_ref, ["id"]))
 
 
-def test_extract_distributed_empty_corpus():
-    """Zero-row corpus through the forced-distributed path: no edges,
-    no vertex ids, no crash in the empty-exchange wiring."""
-    empty = pa.table(
-        {
-            "repo": pa.array([], type=pa.string()),
-            "path": pa.array([], type=pa.string()),
-            "lang": pa.array([], type=pa.string()),
-            "content": pa.array([], type=pa.string()),
-        }
-    )
-    ed, vd = extract_edge_table(ray.data.from_arrow(empty), mode="distributed")
-    assert ed.count() == 0
-    assert vd.count() == 0
+def test_extract_distributed_collision_fallback(small_corpus, tmp_path, monkeypatch):
+    _check_collision_fallback("blocks", small_corpus, tmp_path, monkeypatch)
+
+
+def test_extract_distributed_direct_collision_fallback(
+    small_corpus, tmp_path, monkeypatch
+):
+    _check_collision_fallback("parquet", small_corpus, tmp_path, monkeypatch)
+
+
+def test_extract_distributed_empty_corpus(small_corpus, tmp_path):
+    """Zero-row corpus from either source: no edges, no vertex ids, no
+    crash in the empty-exchange wiring."""
+    empty = small_corpus.table.schema.empty_table()
+    for kind in SOURCES:
+        ed, vd = extract_edge_table(_corpus(kind, [empty], tmp_path))
+        assert ed.count() == 0
+        assert vd.count() == 0
+
+
+def test_vertex_ids_dense_and_sorted(small_corpus, tmp_path):
+    n = small_corpus.table.num_rows
+    for kind in SOURCES:
+        _, vids = extract_edge_table(_corpus(kind, [small_corpus.table], tmp_path))
+        vids = _sorted(vids, ["id"])
+        assert list(vids.id) == list(range(n))
+        keys = list(zip(vids.repo, vids.path))
+        assert keys == sorted(keys)
+
+
+def test_vertex_ids_distributed_dedups_duplicated_keys(
+    small_corpus, tmp_path, monkeypatch
+):
+    """A doubled corpus, one copy per extraction task, must mint the
+    exact same (repo, path, id) table and the same distinct edges: the
+    mint reduce and the pass-2 dedup see duplicates across tasks."""
+    monkeypatch.setattr(edges_mod, "_TASK_ROWS", 1)
+    t = small_corpus.table
+    for kind in SOURCES:
+        e1, v1 = extract_edge_table(_corpus(kind, [t], tmp_path))
+        e2, v2 = extract_edge_table(_corpus(kind, [t, t], tmp_path))
+        assert _sorted(v2, ["id"]).equals(_sorted(v1, ["id"]))
+        a = _sorted(e2, ["src", "dst"])
+        assert not a.duplicated(["src", "dst"]).any()
+        assert a.equals(_sorted(e1, ["src", "dst"]))
+
+
+def test_extract_parquet_source_equals_block_source(small_corpus, tmp_path):
+    """Reading the parquet paths inside the extraction tasks and reading
+    the materialized blocks must give the same edge table and ids."""
+    ep, vp = extract_edge_table(_corpus("parquet", [small_corpus.table], tmp_path))
+    eb, vb = extract_edge_table(_corpus("blocks", [small_corpus.table], tmp_path))
+    assert _sorted(ep, ["src", "dst"]).equals(_sorted(eb, ["src", "dst"]))
+    assert _sorted(vp, ["id"]).equals(_sorted(vb, ["id"]))
+
+
+def test_extract_filtered_parquet_takes_block_source(small_corpus, tmp_path):
+    """A row filter over read_parquet must not be read by path (the
+    filter would be lost); the block source gives the generator's edges."""
+    ds = _corpus("parquet", [small_corpus.table], tmp_path).filter(lambda r: True)
+    assert _corpus_parquet_paths(ds) == (None, None)
+    assert _edge_keys(*extract_edge_table(ds)) == small_corpus.expected_edges
 
 
 def test_dedup_idempotent_and_no_self_loops(small_edges):
@@ -179,53 +190,6 @@ def test_symmetrize(small_edges):
     und = symmetrize_edges(edges).to_pandas()
     pairs = set(zip(und.src, und.dst))
     assert all((d, s) in pairs for s, d in pairs)
-
-
-def test_vertex_ids_dense_and_sorted(small_corpus):
-    ds = ray.data.from_arrow(small_corpus.table)
-    vids = mint_vertex_ids(ds).to_pandas().sort_values("id")
-    n = small_corpus.table.num_rows
-    assert list(vids.id) == list(range(n))
-    keys = list(zip(vids.repo, vids.path))
-    assert keys == sorted(keys)
-
-
-def test_vertex_ids_driver_equals_distributed(small_corpus):
-    """Both rank engines (driver C++ sort vs Ray sort + zip_with_index)
-    mint byte-identical (repo, path, id) tables."""
-    ds = ray.data.from_arrow(small_corpus.table)
-    drv = (
-        mint_vertex_ids(ds, mode="driver")
-        .to_pandas()
-        .sort_values("id")
-        .reset_index(drop=True)
-    )
-    dst = (
-        mint_vertex_ids(ds, mode="distributed")
-        .to_pandas()
-        .sort_values("id")
-        .reset_index(drop=True)
-    )
-    assert drv.equals(dst)
-
-
-def test_vertex_ids_distributed_dedups_duplicated_keys(small_corpus):
-    """The distributed mint folds the distinct into its bucket shuffle —
-    a doubled corpus must mint the exact same (repo, path, id) table."""
-    doubled = pa.concat_tables([small_corpus.table, small_corpus.table])
-    a = (
-        mint_vertex_ids(ray.data.from_arrow(small_corpus.table), mode="distributed")
-        .to_pandas()
-        .sort_values("id")
-        .reset_index(drop=True)
-    )
-    b = (
-        mint_vertex_ids(ray.data.from_arrow(doubled), mode="distributed")
-        .to_pandas()
-        .sort_values("id")
-        .reset_index(drop=True)
-    )
-    assert a.equals(b)
 
 
 def test_degrees_consistent(small_edges):
@@ -264,51 +228,6 @@ def test_empty_edge_rows_markdown():
         assert ex(md_only).num_rows == 0
 
 
-def test_vertex_probe_fast_equals_exact():
-    """VertexProbe's hash fast path and the exact pandas fallback must
-    agree, including misses (dangling keys) and chunked-array inputs."""
-    from citationgraphs_ray.stages.edges import VertexProbe
-
-    tbl = pa.table(
-        {
-            "repo": [f"org{i % 7}/repo{i}" for i in range(500)],
-            "path": [f"src/m{i}.py" for i in range(500)],
-            "id": list(range(500)),
-        }
-    )
-    fast = VertexProbe.build(tbl)
-    exact = VertexProbe.build(tbl, force_exact=True)
-    assert fast.exact is None and exact.exact is not None
-    assert len(fast) == len(exact) == 500
-    repo = pa.chunked_array(
-        [
-            ["org0/repo0", "org1/repo8", "nowhere/none"],
-            ["org3/repo3", "org0/repo7"],
-        ]
-    )
-    path = pa.chunked_array(
-        [["src/m0.py", "src/m8.py", "src/m1.py"], ["src/m3.py", "src/m7.py"]]
-    )
-    a = fast.probe(repo, path)
-    b = exact.probe(repo, path)
-    assert a.tolist() == b.tolist() == [0, 8, -1, 3, 7]
-
-
-def test_extract_fused_dedups_duplicated_corpus_rows():
-    """The fused skip-global-distinct gate must detect duplicated
-    (repo, path) corpus rows and keep the full dedup shuffle."""
-    corp = generate_corpus(n_repos=8, seed=42)
-    doubled = pa.concat_tables([corp.table, corp.table])
-    e_dup, _ = extract_edge_table(ray.data.from_arrow(doubled), mode="fused")
-    e_ref, _ = extract_edge_table(
-        ray.data.from_arrow(corp.table), mode="fused"
-    )
-    a = e_dup.to_pandas().sort_values(["src", "dst"]).reset_index(drop=True)
-    b = e_ref.to_pandas().sort_values(["src", "dst"]).reset_index(drop=True)
-    assert not a.duplicated(["src", "dst"]).any()
-    assert a.equals(b)
-
-
 def test_vectorized_extractor_equals_python_loop(small_corpus):
     """The polars (Rust-regex) extraction kernel must emit exactly the
     Python ``finditer`` loop's rows (same multiset — order-insensitive),
@@ -342,65 +261,3 @@ def test_vectorized_extractor_equals_python_loop(small_corpus):
         assert [str(t) for t in ex(batch).schema.types] == ["string"] * 4
 
 
-def test_extract_distributed_direct_read_equals_fused(small_corpus, tmp_path):
-    """A parquet-backed corpus must take the direct-read regime (fused
-    read+extract+bucket tasks — content never enters the object store)
-    and produce exactly the fused-mode edge table and vertex ids."""
-    from citationgraphs_ray.corpus import write_corpus_parquet
-    from citationgraphs_ray.stages.edges import (
-        _corpus_parquet_paths,
-        extract_edge_table,
-    )
-
-    ds = ray.data.read_parquet(
-        write_corpus_parquet(small_corpus, str(tmp_path / "pq"))
-    )
-    paths, _fs = _corpus_parquet_paths(ds)
-    assert paths, "bare read_parquet must be detected as direct-readable"
-    ef, vf = extract_edge_table(ds, mode="fused")
-    ed, vd = extract_edge_table(ds, mode="distributed")
-    # the parquet-backed fused path (direct-read tasks) must also equal
-    # the in-memory fused path (map_batches actor stage)
-    em, _ = extract_edge_table(
-        ray.data.from_arrow(small_corpus.table), mode="fused"
-    )
-    a0 = ef.to_pandas().sort_values(["src", "dst"]).reset_index(drop=True)
-    b0 = em.to_pandas().sort_values(["src", "dst"]).reset_index(drop=True)
-    assert a0.equals(b0)
-    a = ef.to_pandas().sort_values(["src", "dst"]).reset_index(drop=True)
-    b = ed.to_pandas().sort_values(["src", "dst"]).reset_index(drop=True)
-    assert a.equals(b)
-    mf = vf.to_pandas().sort_values(["repo", "path"]).reset_index(drop=True)
-    md = vd.to_pandas().sort_values(["repo", "path"]).reset_index(drop=True)
-    assert mf.equals(md)
-    # transforms beyond projection must NOT take the direct path
-    p2, _ = _corpus_parquet_paths(ds.filter(lambda r: True))
-    assert p2 is None
-
-
-def test_extract_distributed_direct_collision_fallback(
-    small_corpus, tmp_path, monkeypatch
-):
-    """The direct-read regime's _VertexHashCollision handler (fresh
-    distributed mint + exact string join) must produce the correct edge
-    table — forced by making the hashed resolve always collide."""
-    from citationgraphs_ray.corpus import write_corpus_parquet
-    from citationgraphs_ray.stages import edges as edges_mod
-
-    def always_collide(*a, **k):
-        raise edges_mod._VertexHashCollision
-
-    monkeypatch.setattr(edges_mod, "_resolve_hashed", always_collide)
-    ds = ray.data.read_parquet(
-        write_corpus_parquet(small_corpus, str(tmp_path / "pq"))
-    )
-    paths, _ = edges_mod._corpus_parquet_paths(ds)
-    assert paths, "must exercise the DIRECT path's fallback branch"
-    ed, vd = edges_mod.extract_edge_table(ds, mode="distributed")
-    vt = vd.to_pandas()
-    id2key = {r.id: (r.repo, r.path) for r in vt.itertuples()}
-    got = {
-        (*id2key[s], *id2key[d])
-        for s, d in zip(*ed.to_pandas()[["src", "dst"]].T.values)
-    }
-    assert got == small_corpus.expected_edges
