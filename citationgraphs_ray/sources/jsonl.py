@@ -58,7 +58,15 @@ def read_documents_jsonl(
                     cols[name] = t[name]
         return pa.table(cols)
 
-    return ray.data.read_json(paths).map_batches(
+    # partitioning=None: the documents contract lives in the rows, so a
+    # hive-style directory name (``lang=en/``) must not inject columns.
+    # It also keeps the read tasks off Ray's lazy ``import fsspec`` (done
+    # by the hive path parser inside each task): ``schema()`` cancels the
+    # in-flight read tasks once it has one block, and a cancel landing in
+    # a worker's first ``import fsspec`` leaves fsspec half-initialized in
+    # that worker, so every later file read there fails with
+    # "partially initialized module 'fsspec' has no attribute 'utils'".
+    return ray.data.read_json(paths, partitioning=None).map_batches(
         normalize, batch_format="pyarrow"
     )
 

@@ -2,6 +2,7 @@
 
 import hashlib
 
+import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -166,6 +167,60 @@ def test_extract_parquet_source_equals_block_source(small_corpus, tmp_path):
     eb, vb = extract_edge_table(_corpus("blocks", [small_corpus.table], tmp_path))
     assert _sorted(ep, ["src", "dst"]).equals(_sorted(eb, ["src", "dst"]))
     assert _sorted(vp, ["id"]).equals(_sorted(vb, ["id"]))
+
+
+def _oracle_tables(corpus) -> tuple:
+    """Driver-side (edges, vertex_ids) frames built from the generator:
+    ids are the dense rank over sorted distinct (repo, path), edges are
+    the generator's ground-truth edges on those ids."""
+    cols = corpus.table.select(["repo", "path"]).to_pydict()
+    keys = sorted(set(zip(cols["repo"], cols["path"])))
+    vids = pd.DataFrame(keys, columns=["repo", "path"])
+    vids["id"] = range(len(keys))
+    key2id = {k: i for i, k in enumerate(keys)}
+    pairs = sorted(
+        (key2id[(sr, sp)], key2id[(dr, dp)])
+        for sr, sp, dr, dp in corpus.expected_edges
+    )
+    edges = pd.DataFrame(pairs, columns=["src", "dst"])
+    return edges, vids
+
+
+def _assert_equals_oracle(corpus, edges, vids):
+    e_ref, v_ref = _oracle_tables(corpus)
+    got_e = _sorted(edges, ["src", "dst"])
+    got_v = _sorted(vids, ["id"])
+    assert got_e.src.tolist() == e_ref.src.tolist()
+    assert got_e.dst.tolist() == e_ref.dst.tolist()
+    assert got_v[["repo", "path", "id"]].values.tolist() == v_ref.values.tolist()
+
+
+def test_extract_distributed_equals_fused(small_corpus, tmp_path):
+    """The block source (distributed-sort mint, hash-keyed resolve,
+    shuffle dedup) must produce exactly the driver-side oracle's edge
+    table AND vertex-id mapping."""
+    ed, vd = extract_edge_table(_corpus("blocks", [small_corpus.table], tmp_path))
+    _assert_equals_oracle(small_corpus, ed, vd)
+
+
+def test_extract_distributed_direct_read_equals_fused(small_corpus, tmp_path):
+    """A bare read_parquet corpus must be read by path inside the
+    extraction tasks (content never enters the object store) and produce
+    exactly the driver-side oracle's edge table and vertex ids."""
+    ds = _corpus("parquet", [small_corpus.table], tmp_path)
+    ed, vd = extract_edge_table(ds)
+    _assert_equals_oracle(small_corpus, ed, vd)
+
+
+def test_extract_fused_dedups_duplicated_corpus_rows(tmp_path):
+    """Duplicated (repo, path) corpus rows inside one table must mint no
+    extra ids and emit no duplicate edges, from either source."""
+    corp = generate_corpus(n_repos=8, seed=42)
+    doubled = pa.concat_tables([corp.table, corp.table])
+    for kind in SOURCES:
+        e_dup, v_dup = extract_edge_table(_corpus(kind, [doubled], tmp_path))
+        assert not _sorted(e_dup, ["src", "dst"]).duplicated(["src", "dst"]).any()
+        _assert_equals_oracle(corp, e_dup, v_dup)
 
 
 def test_extract_filtered_parquet_takes_block_source(small_corpus, tmp_path):

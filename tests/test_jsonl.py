@@ -43,3 +43,13 @@ def test_jsonl_normalizes_partial_schema(tmp_path):
     # extras preserved on request
     kept = read_documents_jsonl(str(p), keep_extra_columns=True).to_pandas()
     assert "meta" in kept.columns
+
+
+def test_jsonl_ignores_hive_directory_names(tmp_path):
+    # contract columns come from the rows, never from a `lang=xx/` path
+    d = tmp_path / "lang=de"
+    d.mkdir()
+    (d / "part.jsonl").write_text(json.dumps({"doc_id": 7, "text": "hallo"}) + "\n")
+    got = read_documents_jsonl(str(tmp_path)).to_pandas()
+    assert list(got.columns) == DOCUMENTS_SCHEMA.names
+    assert got.doc_id.tolist() == [7] and pd.isna(got.lang.tolist()[0])
