@@ -118,6 +118,8 @@ def main(argv: list[str] | None = None) -> int:
     from .graph.triangles import triangle_counts
     from .stages.edges import extract_edge_table, symmetrize_edges
 
+    # Ray's default hive partitioning stays on here, unlike the package's
+    # own reads: a user's corpus may really be laid out as ``lang=py/``.
     corpus = ray.data.read_parquet(args.corpus)
     edges, vids = extract_edge_table(corpus)
     edges = edges.materialize()

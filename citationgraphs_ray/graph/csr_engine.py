@@ -18,6 +18,14 @@ vertex slice. Design (SURVEY.md §4.3, BASELINE.json north_rule):
   (observed: identical throughput at both "cluster sizes"). W sized to the
   session's CPU count restores a real parallelism limit — W
   single-threaded worker processes.
+- **Workers are borrowed, not spawned.** Starting a worker process is most
+  of building an engine (1.5-1.8 s of a 1.7-2.0 s ``CsrEngine()`` on a
+  1-CPU host), and every resume builds a new engine. So the Ray session
+  keeps one pool of idle workers: an engine borrows W of them (starting
+  only the ones the pool lacks), loads each with its partitions
+  (``reset``), and ``shutdown`` empties them and gives them back. A worker
+  lost mid-run is named in the error together with the checkpoint to
+  resume from, and never goes back to the pool.
 - Per owned partition, a worker builds once: the out-degrees and the
   out-edges grouped by destination partition q, each edge's dst a
   compact key — the index of its (q, local dst id) among the partition's
@@ -49,12 +57,14 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import threading
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 import ray.data
+from ray.exceptions import RayActorError, RayError
 
 from .engine import (
     _columns,
@@ -168,23 +178,35 @@ class _Partition:
 
 @ray.remote(num_cpus=0)
 class CsrWorker:
-    """Owns partitions {p : p % W == wid}; single-threaded numpy inside.
-    Executes one kernel of engine.py at a time: ``init``, then one
-    ``scatter`` and one ``gather`` per superstep.
+    """Serves one engine at a time, lent by the session pool: ``reset``
+    gives it partitions {p : p % W == wid}, and ``reset()`` empties it
+    again before it goes back. Single-threaded numpy inside. Executes one
+    kernel of engine.py at a time: ``init``, then one ``scatter`` and one
+    ``gather`` per superstep.
 
     num_cpus=0: the TRUE parallelism limit is the worker count W (that many
     single-threaded processes exist, period); holding scheduler CPU slots
     for the actors' lifetime would starve any Ray Data stage sharing the
     session (measured deadlock under pytest's 4-CPU session)."""
 
-    def __init__(self, wid: int, num_workers: int, P: int, V: int) -> None:
+    def __init__(self) -> None:
+        self.reset()
+
+    # -- setup --------------------------------------------------------------
+    def reset(
+        self, wid: int = 0, num_workers: int = 1, P: int = 0, V: int = 0
+    ) -> bool:
+        """Own the partitions {p : p % W == wid} of a P-partition,
+        V-vertex graph, with no edges, routing, kernel or state yet; the
+        defaults own nothing (an idle worker)."""
         self.W = num_workers
         self.P = P
         self.parts = {
             p: _Partition(p, P, V) for p in range(P) if p % num_workers == wid
         }
+        self.kernel = None
+        return True
 
-    # -- setup --------------------------------------------------------------
     def build(self, edge_dir: str, weight_col: str | None = None) -> int:
         return sum(
             pt.build(edge_dir, weight_col) for pt in self.parts.values()
@@ -302,9 +324,40 @@ class CsrWorker:
         return True
 
 
+# Idle CsrWorker handles of the current Ray session, and the session they
+# belong to. Only idle workers are held here: a lent worker lives and dies
+# with its engine's handles. The key is the driver's node id — a new local
+# session gets a new one, while job ids restart at 01000000 after
+# ``ray.shutdown()``/``ray.init()`` in one process — with the job id, which
+# tells two connections to one running cluster apart. At most one idle
+# worker per session CPU is kept: an auto-sized engine never needs more,
+# and each idle worker is a process of ~190 MB RSS.
+_pool: dict = {"session": None, "idle": []}
+_pool_lock = threading.Lock()
+
+
+def _session() -> tuple[str, str]:
+    ctx = ray.get_runtime_context()
+    return ctx.get_node_id(), ctx.get_job_id()
+
+
+def _borrow(n: int) -> list:
+    """``n`` workers for one engine: idle ones first, new ones for the
+    rest. A past session's handles are dropped, never lent."""
+    key = _session()
+    with _pool_lock:
+        if _pool["session"] != key:
+            _pool.update(session=key, idle=[])
+        idle = _pool["idle"]
+        lent = [idle.pop() for _ in range(min(n, len(idle)))]
+    return lent + [CsrWorker.remote() for _ in range(n - len(lent))]
+
+
 class CsrEngine:
     """Driver-side BSP orchestrator over W CsrWorker actors (P partitions);
-    the executor ``engine._run`` drives.
+    the executor ``engine._run`` drives. The workers are borrowed from the
+    session pool and returned by ``shutdown``, after which every call
+    raises ``RuntimeError``.
 
     Every kernel method returns ``(state, iterations, converged)``;
     ``assemble=False`` skips the V-sized driver array (state is None) —
@@ -361,12 +414,30 @@ class CsrEngine:
                 edges, edge_dir, num_partitions, weight_col=weight_col
             )
             open(marker, "w").close()
-        self.workers = [
-            CsrWorker.remote(w, self.W, num_partitions, num_vertices)
-            for w in range(self.W)
+        self._mgr = None  # the running kernel's CheckpointManager
+        self._session = _session()
+        self.workers = _borrow(self.W)
+        try:
+            self._load_workers(edge_dir)
+        except BaseException:  # e.g. a negative weight: workers go back
+            self.shutdown()
+            raise
+
+    def _load_workers(self, edge_dir: str) -> None:
+        """Give each worker its partitions (a borrowed worker that died
+        while idle is replaced), build them and exchange the routing."""
+        resets = [
+            a.reset.remote(w, self.W, self.P, self.V)
+            for w, a in enumerate(self.workers)
         ]
+        for w, ref in enumerate(resets):
+            try:
+                ray.get(ref)
+            except RayActorError:
+                self.workers[w] = CsrWorker.remote()
+                ray.get(self.workers[w].reset.remote(w, self.W, self.P, self.V))
         ray.get(
-            [a.build.remote(edge_dir, weight_col) for a in self.workers]
+            [a.build.remote(edge_dir, self.weight_col) for a in self.workers]
         )
         # one-time static routing exchange (dq arrays, actor-to-actor)
         dq_maps = ray.get([a.route_dq.remote() for a in self.workers])
@@ -383,28 +454,63 @@ class CsrEngine:
             ]
         )
 
+    def _live(self) -> list:
+        if self.workers is None:
+            raise RuntimeError(
+                "CsrEngine is shut down: its workers went back to the pool; "
+                "build a new CsrEngine"
+            )
+        return self.workers
+
+    def _get(self, refs: list) -> list:
+        """``ray.get`` of one call per worker. A lost worker is re-raised
+        with its index, its partitions and the checkpoint to resume from."""
+        try:
+            return ray.get(refs)
+        except RayError:
+            for w, ref in enumerate(refs):
+                try:
+                    ray.get(ref)
+                except RayActorError as e:
+                    raise self._lost(w) from e
+                except RayError:
+                    pass
+            raise
+
+    def _lost(self, w: int) -> RuntimeError:
+        ck = self._mgr.latest_manifest() if self._mgr else None
+        where = (
+            f"resume from checkpoint iteration {ck.iteration} in {self._mgr.root}"
+            if ck
+            else "no complete checkpoint to resume from"
+        )
+        parts = [p for p in range(self.P) if self.owner[p] == w]
+        return RuntimeError(f"CSR worker {w} (partitions {parts}) was lost; {where}")
+
     # -- the executor interface of engine._run ---------------------------------
-    def init(self, kernel) -> None:
-        ray.get([a.init.remote(kernel) for a in self.workers])
+    def init(self, kernel, mgr) -> None:
+        self._mgr = mgr
+        self._get([a.init.remote(kernel) for a in self._live()])
 
     def step(self, kernel) -> dict:
         """One superstep: scatter everywhere, route the ≤ W² bundle refs,
         gather everywhere."""
-        outs = ray.get([a.scatter.remote() for a in self.workers])
+        workers = self._live()
+        outs = self._get([a.scatter.remote() for a in workers])
         scalar = _sum_by_partition([s for _, s in outs])
         inbox: list[list] = [[] for _ in range(self.W)]
         for ob, _ in outs:
             for w, ref in ob.items():
                 inbox[w].append(ref)
-        per_worker = ray.get(
-            [a.gather.remote(scalar, *inbox[w]) for w, a in enumerate(self.workers)]
+        per_worker = self._get(
+            [a.gather.remote(scalar, *inbox[w]) for w, a in enumerate(workers)]
         )
         metrics = [m for ms in per_worker for m in ms]
         return {k: kernel.merge_metric(m[k] for m in metrics) for k in metrics[0]}
 
     def save(self, mgr, it: int, metric: dict, parent: int | None) -> None:
-        parts = ray.get(
-            [a.write_shards.remote(mgr.iter_dir(it)) for a in self.workers]
+        parts = self._get(
+            [a.write_shards.remote(mgr.iter_dir(it)) for a in self._live()]
         )
         flat = sorted((m for sub in parts for m in sub), key=lambda m: m["part"])
         mgr.save_manifest(it, metric, parent, flat)
@@ -413,11 +519,11 @@ class CsrEngine:
         ck = mgr.latest_manifest()  # each worker reads its own shards
         if ck is not None:
             it_dir = mgr.iter_dir(ck.iteration)
-            ray.get([a.load_shards.remote(it_dir) for a in self.workers])
+            self._get([a.load_shards.remote(it_dir) for a in self._live()])
         return ck
 
     def _assemble(self) -> np.ndarray:
-        state_maps = ray.get([a.get_states.remote() for a in self.workers])
+        state_maps = self._get([a.get_states.remote() for a in self._live()])
         first = next(iter(state_maps[0].values()))
         out = np.empty(self.V, dtype=first.dtype)
         for sm in state_maps:
@@ -542,16 +648,31 @@ class CsrEngine:
         (``id`` and ``col``) directly from the workers — no V-sized driver
         array (the ``_assemble`` path is the small-V convenience; this is
         the sink a 10^12-vertex run uses). Returns total rows written."""
+        workers = self._live()
         os.makedirs(out_dir, exist_ok=True)
-        parts = ray.get(
-            [a.write_shards.remote(out_dir, col) for a in self.workers]
-        )
+        parts = self._get([a.write_shards.remote(out_dir, col) for a in workers])
         flat = sorted((m for sub in parts for m in sub), key=lambda m: m["part"])
         with open(os.path.join(out_dir, "_MANIFEST.json"), "w") as f:
             json.dump({"num_partitions": self.P, "column": col, "parts": flat}, f)
         return sum(m["rows"] for m in flat)
 
     def shutdown(self) -> None:
-        for a in self.workers:
-            ray.kill(a)
-        self.workers = []
+        """Empty the workers and return them to the session pool; a lost
+        one is dropped. Idempotent; the engine never reaches them again,
+        since another engine may hold them next."""
+        workers, self.workers = self.workers, None
+        if not workers or not ray.is_initialized() or _session() != self._session:
+            return
+        refs = [a.reset.remote() for a in workers]
+        alive = []
+        for a, ref in zip(workers, refs):
+            try:
+                ray.get(ref)
+                alive.append(a)
+            except RayActorError:
+                pass
+        cpus = int(ray.cluster_resources().get("CPU", 1))
+        with _pool_lock:
+            idle = _pool["idle"]
+            idle.extend(alive)
+            del idle[: max(0, len(idle) - cpus)]  # dropped handles end their actors

@@ -278,7 +278,7 @@ class _Edges:
         return edge_fingerprint(self.num_vertices, self.num_edges, str(checksum))
 
     # -- the executor interface of _run --------------------------------------
-    def init(self, kernel) -> None:
+    def init(self, kernel, mgr) -> None:
         self.state = kernel.init(self)
 
     def step(self, kernel) -> dict:
@@ -425,8 +425,9 @@ def _run(
     """Run ``kernel`` on executor ``ex`` until ``kernel.done`` or
     ``max_iters``; returns ``(iterations, converged, history)``.
 
-    The executor holds the state: ``init(kernel)``, ``step(kernel) ->
-    metric``, ``save(mgr, it, metric, parent)`` and ``load(mgr) ->
+    The executor holds the state: ``init(kernel, mgr)`` (``mgr`` the
+    run's CheckpointManager, or None without checkpoints), ``step(kernel)
+    -> metric``, ``save(mgr, it, metric, parent)`` and ``load(mgr) ->
     checkpoint | None``, plus ``fingerprint`` (the graph's identity) and
     ``num_partitions`` (checkpoint shards). Checkpoints hold every state
     column, so a resume continues bitwise-identically. A resume whose
@@ -437,7 +438,6 @@ def _run(
     ``iterations`` counts the supersteps completed, before and after a
     resume.
     """
-    ex.init(kernel)
     start = 0
     mgr = None
     if checkpoint_dir:
@@ -450,11 +450,12 @@ def _run(
             num_partitions=ex.num_partitions,
             keep_last=keep_last,
         )
-        ck = ex.load(mgr) if resume else None
-        if ck is not None:
-            start = ck.iteration + 1
-            if kernel.done(ck.manifest["metric"]):
-                return start, True, []
+    ex.init(kernel, mgr)
+    ck = ex.load(mgr) if mgr and resume else None
+    if ck is not None:
+        start = ck.iteration + 1
+        if kernel.done(ck.manifest["metric"]):
+            return start, True, []
 
     history: list[dict] = []
     converged = False

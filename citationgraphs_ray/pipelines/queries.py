@@ -67,6 +67,9 @@ def _round6(x: np.ndarray) -> np.ndarray:
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None):
+    # Ray's default partitioning stays: Ray 2.49 raises UnboundLocalError
+    # for ``columns=`` with ``partitioning=None``, and ``select_columns``
+    # after the read would read every column (no projection pushdown).
     return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 

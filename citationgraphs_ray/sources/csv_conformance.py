@@ -220,4 +220,4 @@ def save_memberships_parquet(memberships: ray.data.Dataset, out_dir: str) -> Non
 
 
 def load_memberships_parquet(out_dir: str) -> ray.data.Dataset:
-    return ray.data.read_parquet(out_dir)
+    return ray.data.read_parquet(out_dir, partitioning=None)

@@ -132,4 +132,10 @@ def read_partitioned(out_dir: str, **kwargs) -> ray.data.Dataset:
     ]
     if not dirs:
         raise FileNotFoundError(f"no finished partitions under {out_dir}")
+    # the part-NNNNN directories are not hive-partitioned, but out_dir or
+    # a parent of it may look so (``lang=en/``): no path-derived columns.
+    # (With ``columns=`` Ray adds none unless asked, and Ray 2.49 raises
+    # UnboundLocalError for ``columns=`` with ``partitioning=None``.)
+    if "columns" not in kwargs:
+        kwargs.setdefault("partitioning", None)
     return ray.data.read_parquet(dirs, **kwargs)

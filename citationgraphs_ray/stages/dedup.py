@@ -589,7 +589,7 @@ def resolve_dup_clusters(
         finally:
             eng.shutdown()
         shards = sorted(glob.glob(os.path.join(states_dir, "state-*.parquet")))
-        return ray.data.read_parquet(shards).map_batches(
+        return ray.data.read_parquet(shards, partitioning=None).map_batches(
             lambda t: pa.table(
                 {
                     "id": t["id"],

@@ -337,7 +337,9 @@ def ivf_topk(
     # read ONLY the probed buckets — ONE list-of-paths read; the bucket id
     # rides along as the cluster_id data column written at build time (the
     # hive `cluster` column lives in the path and Ray infers it for some
-    # layouts but not others, so it is not relied on)
+    # layouts but not others, so it is not relied on). Ray's default
+    # partitioning stays: Ray 2.49 raises UnboundLocalError for
+    # ``columns=`` with ``partitioning=None``.
     paths = []
     for c in needed:
         sub = os.path.join(index_dir, f"cluster={c}")

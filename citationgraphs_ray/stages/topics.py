@@ -380,7 +380,7 @@ class LdaEngine:
                     for path, a in zip(paths, self.actors)
                 ]
             )
-            return ray.data.read_parquet(paths)
+            return ray.data.read_parquet(paths, partitioning=None)
         parts = ray.get([a.lda_doc_topics.remote(self.alpha) for a in self.actors])
         ids = np.concatenate([p[0] for p in parts])
         thetas = np.concatenate([p[1] for p in parts])
@@ -468,7 +468,7 @@ class GsdmmEngine:
                     for path, a in zip(paths, self.actors)
                 ]
             )
-            return ray.data.read_parquet(paths)
+            return ray.data.read_parquet(paths, partitioning=None)
         parts = ray.get([a.gsdmm_assignments.remote() for a in self.actors])
         ids = np.concatenate([p[0] for p in parts])
         z = np.concatenate([p[1] for p in parts])

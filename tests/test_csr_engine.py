@@ -365,3 +365,285 @@ def test_csr_personalized_pagerank(engines, tmp_path):
         dir_eng.pagerank(
             tol=1e-12, reset_ids=[1], checkpoint_dir=ck, resume=True
         )
+
+
+# -- the session worker pool ---------------------------------------------------
+
+
+def _actor_ids(eng):
+    return {a._actor_id.hex() for a in eng.workers}
+
+
+def _idle() -> list:
+    """The pool's list of idle workers, bound to this session first (the
+    first borrow of a session replaces the list)."""
+    from citationgraphs_ray.graph import csr_engine
+
+    csr_engine._borrow(0)
+    return csr_engine._pool["idle"]
+
+
+def _kill(actor, timeout=60.0):
+    """``ray.kill`` and wait, bounded, until a call on the actor fails."""
+    import time
+
+    import ray
+    from ray.exceptions import RayActorError
+
+    ray.kill(actor)
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            ray.get(actor.__ray_call__.remote(lambda self: None), timeout=timeout)
+        except RayActorError:
+            return
+        time.sleep(0.05)
+    raise TimeoutError("killed worker still answers")
+
+
+def test_pool_lends_same_workers_without_state(small_edges, tmp_path):
+    """A second engine starts no actor, and reset leaves nothing of the
+    previous engine behind: after a P=4 LPA engine, the same worker runs
+    a P=3 graph with more vertices bitwise-equal to a new worker (one
+    worker, so it held every partition of both engines)."""
+    edges, vids = small_edges
+    V = vids.count()
+    wd = str(tmp_path)
+    idle = _idle()
+    held = idle[:]
+    idle.clear()  # the first engine starts new workers
+    try:
+        a = CsrEngine(edges, V, num_partitions=4, workdir=wd, num_workers=1)
+        ids = _actor_ids(a)
+        a.label_propagation(max_rounds=5)
+        a.shutdown()
+        b = CsrEngine(edges, V + 7, num_partitions=3, workdir=wd, num_workers=1)
+        assert _actor_ids(b) == ids
+        got = b.pagerank(tol=1e-10)
+        b.shutdown()
+        held += idle
+        idle.clear()  # the reference run starts new workers
+        fresh = CsrEngine(edges, V + 7, num_partitions=3, workdir=wd, num_workers=1)
+        assert not _actor_ids(fresh) & ids
+        want = fresh.pagerank(tol=1e-10)
+        fresh.shutdown()
+    finally:
+        idle.extend(held)
+    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+
+def test_pool_live_engines_get_disjoint_workers(small_edges, tmp_path):
+    edges, vids = small_edges
+    V = vids.count()
+    e1 = CsrEngine(edges, V, num_partitions=4, workdir=str(tmp_path), num_workers=2)
+    e2 = CsrEngine(edges, V, num_partitions=4, workdir=str(tmp_path), num_workers=2)
+    try:
+        assert not _actor_ids(e1) & _actor_ids(e2)
+        assert np.array_equal(e1.pagerank(tol=1e-10)[0], e2.pagerank(tol=1e-10)[0])
+    finally:
+        e1.shutdown()
+        e2.shutdown()
+
+
+def test_pool_failed_construction_returns_workers(tmp_path):
+    """A construction that raises in the workers' build gives back every
+    worker it borrowed or started, emptied and usable."""
+    import pyarrow as pa
+    import ray.data
+
+    def idle():
+        return {a._actor_id.hex() for a in _idle()}
+
+    before = idle()
+    neg = ray.data.from_arrow(pa.table({"src": [0, 1], "dst": [1, 2], "w": [1, -1]}))
+    with pytest.raises(Exception, match="non-negative"):
+        CsrEngine(neg, 3, num_partitions=2, workdir=str(tmp_path), weight_col="w",
+                  num_workers=2)
+    after = idle()
+    assert before <= after and len(after) == max(len(before), 2)
+    ok = ray.data.from_arrow(pa.table({"src": [0, 1], "dst": [1, 2], "w": [1, 1]}))
+    eng = CsrEngine(ok, 3, num_partitions=2, workdir=str(tmp_path), weight_col="w",
+                    num_workers=2)
+    assert _actor_ids(eng) <= after
+    dist, _, conv = eng.sssp([0])
+    eng.shutdown()
+    assert conv and dist.tolist() == [0, 1, 2]
+
+
+def test_pool_replaces_a_worker_that_died_idle(small_edges, tmp_path):
+    edges, vids = small_edges
+    V = vids.count()
+    eng = CsrEngine(edges, V, num_partitions=4, workdir=str(tmp_path), num_workers=1)
+    want, _, _ = eng.pagerank(tol=1e-10)
+    eng.shutdown()
+    dead = _idle()[-1]  # the next one lent
+    _kill(dead)
+    eng = CsrEngine(edges, V, num_partitions=4, workdir=str(tmp_path), num_workers=1)
+    try:
+        assert dead._actor_id.hex() not in _actor_ids(eng)
+        got, _, _ = eng.pagerank(tol=1e-10)
+    finally:
+        eng.shutdown()
+    assert np.array_equal(got, want)
+
+
+def test_pool_keeps_one_idle_worker_per_cpu(small_edges, tmp_path):
+    import ray
+
+    edges, vids = small_edges
+    cpus = int(ray.cluster_resources()["CPU"])
+    eng = CsrEngine(edges, vids.count(), num_partitions=cpus + 1,
+                    workdir=str(tmp_path), num_workers=cpus + 1)
+    ids = _actor_ids(eng)
+    eng.shutdown()
+    kept = {a._actor_id.hex() for a in _idle()}
+    assert len(kept) == cpus and kept <= ids
+
+
+def test_pool_borrow_is_thread_safe():
+    """Threads borrowing at once never get one worker twice (the pool
+    holds placeholders here, enough that no actor starts)."""
+    import sys
+    import threading
+
+    from citationgraphs_ray.graph import csr_engine
+
+    idle = _idle()
+    held = idle[:]
+    idle[:] = [object() for _ in range(8 * 40 * 3)]
+    got: list = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def borrow():
+            for _ in range(40):
+                got.extend(csr_engine._borrow(3))
+
+        threads = [threading.Thread(target=borrow) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(switch)
+        idle[:] = held
+    assert len(got) == 8 * 40 * 3 and len({id(x) for x in got}) == len(got)
+
+
+def test_engine_refuses_use_after_shutdown(small_edges, tmp_path):
+    """A shut-down engine's workers may serve another engine: every call
+    raises, and a second shutdown returns nothing twice."""
+    edges, vids = small_edges
+    V = vids.count()
+    eng = CsrEngine(edges, V, num_partitions=4, workdir=str(tmp_path), num_workers=2)
+    eng.shutdown()
+    idle = len(_idle())
+    eng.shutdown()
+    assert len(_idle()) == idle
+    calls = [
+        lambda: eng.pagerank(),
+        lambda: eng.connected_components(checkpoint_dir=str(tmp_path / "ck")),
+        lambda: eng.k_core(2),
+        lambda: eng.step(None),
+        lambda: eng.write_states(str(tmp_path / "out"), "rank"),
+    ]
+    for call in calls:
+        with pytest.raises(RuntimeError, match="shut down"):
+            call()
+
+
+@pytest.mark.parametrize("phase", ["step", "save"])
+def test_lost_worker_is_named_and_not_pooled(small_edges, tmp_path, monkeypatch, phase):
+    """A worker killed after superstep 2 is checkpointed: the error names
+    it, its partitions and iteration 2; it never goes back to the pool,
+    and the next engine resumes to the uninterrupted ranks."""
+    edges, vids = small_edges
+    V = vids.count()
+    wd = str(tmp_path / "w")
+    ck = str(tmp_path / "ck")
+    eng = CsrEngine(edges, V, num_partitions=4, workdir=wd, num_workers=2)
+    victim = eng.workers[1]
+    real = getattr(eng, phase)
+    calls = []
+
+    def hooked(*args):
+        calls.append(args)
+        if len(calls) == 4:
+            _kill(victim)
+        return real(*args)
+
+    monkeypatch.setattr(eng, phase, hooked)
+    with pytest.raises(
+        RuntimeError, match=r"worker 1 \(partitions \[1, 3\]\) was lost; "
+        r"resume from checkpoint iteration 2 "
+    ):
+        eng.pagerank(tol=1e-10, checkpoint_dir=ck)
+    eng.shutdown()
+    dead = victim._actor_id.hex()
+    assert dead not in {a._actor_id.hex() for a in _idle()}
+    nxt = CsrEngine(edges, V, num_partitions=4, workdir=wd, num_workers=2)
+    try:
+        assert dead not in _actor_ids(nxt)
+        full, _, _ = nxt.pagerank(tol=1e-10)
+        resumed, _, conv = nxt.pagerank(tol=1e-10, checkpoint_dir=ck, resume=True)
+    finally:
+        nxt.shutdown()
+    assert conv and np.array_equal(resumed, full)
+
+
+_SESSIONS_SCRIPT = """
+import os, time
+import ray, ray.data
+import pyarrow as pa
+from citationgraphs_ray.graph import csr_engine
+
+edges = pa.table({"src": [0, 1, 2], "dst": [1, 2, 0]})
+seen, pids = [], []
+for _ in range(2):
+    ray.init(address="local", num_cpus=1, include_dashboard=False,
+             logging_level="ERROR")
+    eng = csr_engine.CsrEngine(ray.data.from_arrow(edges), 3, num_partitions=2,
+                               workdir=os.environ["WD"], num_workers=1)
+    (worker,) = eng.workers
+    seen.append(worker._actor_id.hex())
+    pids.append(ray.get(worker.__ray_call__.remote(lambda self: os.getpid())))
+    ranks, _, conv = eng.pagerank(tol=1e-12)
+    assert conv and abs(ranks.sum() - 1) < 1e-9 and abs(ranks[0] - 1 / 3) < 1e-9
+    eng.shutdown()
+    assert len(csr_engine._pool["idle"]) == 1
+    ray.shutdown()
+assert seen[0] != seen[1], seen
+
+
+def gone(pid):  # an exited process, or one left unreaped
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] in "ZX"
+    except FileNotFoundError:
+        return True
+
+
+deadline = time.monotonic() + 30
+for pid in pids:
+    while not gone(pid):
+        assert time.monotonic() < deadline, f"worker {pid} outlived ray.shutdown()"
+        time.sleep(0.1)
+print("OK")
+"""
+
+
+def test_pool_never_lends_a_past_sessions_worker(tmp_path):
+    """init → engine → shutdown → init → engine in one process: the second
+    session starts its own worker, and no worker outlives its session."""
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": root, "WD": str(tmp_path)}
+    out = subprocess.run(
+        [sys.executable, "-c", _SESSIONS_SCRIPT], env=env, cwd=str(tmp_path),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0 and out.stdout.strip().endswith("OK"), out.stderr[-3000:]

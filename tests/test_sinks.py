@@ -133,3 +133,14 @@ def test_write_partitioned_preserves_nullable_int64(tmp_path):
     assert tables.schema.field("label").type == pa.int64()
     vals = {v for v in tables["label"].to_pylist()}
     assert vals == {big, None, 7}
+
+
+def test_read_partitioned_ignores_hive_directory_names(tmp_path):
+    """A sink under a ``lang=en`` directory reads back no ``lang`` column."""
+    df = _df(200)[["k", "v"]]
+    out = str(tmp_path / "lang=en" / "sink")
+    write_partitioned(ray.data.from_pandas(df), out, "k", num_partitions=4)
+    back = read_partitioned(out)
+    assert back.schema().names == ["k", "v"]
+    got = back.to_pandas().sort_values("k").reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, df)
