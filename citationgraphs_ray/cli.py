@@ -24,6 +24,41 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from .graph.csr_engine import CsrEngine
+from .graph.engine import (
+    _Edges,
+    _Frontier,
+    _Hits,
+    _Katz,
+    _KCore,
+    _LabelPropagation,
+    _MinLabel,
+    _Mis,
+    _PageRank,
+    _run,
+)
+from .graph.triangles import triangle_counts
+from .stages.edges import extract_edge_table, symmetrize_edges
+
+
+def _seeds(args) -> list[int]:
+    return [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+
+
+# --kernel → (edge view, vertex program of graph/engine.py); "und" is the
+# symmetrized edge table. Each program names its output columns.
+KERNELS = {
+    "pagerank": ("dir", lambda a, V: _PageRank(V, a.damping, a.tol)),
+    "ppr": ("dir", lambda a, V: _PageRank(V, a.damping, a.tol, _seeds(a))),
+    "cc": ("und", lambda a, V: _MinLabel()),
+    "lpa": ("und", lambda a, V: _LabelPropagation(V)),
+    "bfs": ("und", lambda a, V: _Frontier("bfs", "hops", V, [a.bfs_source])),
+    "kcore": ("und", lambda a, V: _KCore(a.kcore_k)),
+    "hits": ("dir", lambda a, V: _Hits(a.max_iters, a.tol)),
+    "mis": ("und", lambda a, V: _Mis(41)),
+    "katz": ("dir", lambda a, V: _Katz(a.katz_alpha, 1.0, a.tol)),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -35,21 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kernel",
         default="pagerank",
-        choices=[
-            "pagerank",
-            "cc",
-            "lpa",
-            "bfs",
-            "kcore",
-            "triangles",
-            "edges",
-            "hits",
-            "ppr",
-            "mis",
-            "katz",
-        ],
-        help="analysis to run over the extracted edge table (hits/mis/katz "
-        "run on the broadcast engine regardless of --engine; ppr honors it)",
+        choices=[*KERNELS, "triangles", "edges"],
+        help="analysis to run over the extracted edge table; every kernel "
+        "but triangles and edges runs on the executor --engine names",
     )
     p.add_argument(
         "--katz-alpha",
@@ -61,8 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         default="csr",
         choices=["csr", "broadcast"],
-        help="csr = partition-actor BSP (scale path); broadcast = dense "
-        "driver-vector engine (small V); triangles/edges ignore this",
+        help="csr = partition-actor BSP (scale path); broadcast = the local "
+        "executor, a dense driver vector (small graphs); triangles/edges "
+        "ignore this",
     )
     p.add_argument("--checkpoint-dir", default=None)
     p.add_argument(
@@ -77,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["table", "shards"],
         help="table = assembled (id, value) parquet via Ray Data (small-V "
         "convenience); shards = per-partition parquet written directly by "
-        "the CSR workers, no V-sized driver array (csr engine only)",
+        "the CSR workers, no V-sized driver array (--engine csr, every "
+        "kernel but triangles and edges)",
     )
     p.add_argument("--workdir", default="/tmp/citationgraphs_ray")
     p.add_argument("--damping", type=float, default=0.85)
@@ -101,22 +126,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.output_mode == "shards" and (
+        args.engine != "csr" or args.kernel not in KERNELS
+    ):
+        parser.error("--output-mode shards needs --engine csr and a kernel")
     if not ray.is_initialized():  # reuse the submitting session if any
         # plain ray.init(): respects RAY_ADDRESS (ray job submit sets it),
         # starts a local session otherwise
         ray.init()
-
-    from .graph.csr_engine import CsrEngine
-    from .graph.engine import (
-        bfs_hops,
-        connected_components,
-        k_core,
-        label_propagation,
-        pagerank,
-    )
-    from .graph.triangles import triangle_counts
-    from .stages.edges import extract_edge_table, symmetrize_edges
 
     # Ray's default hive partitioning stays on here, unlike the package's
     # own reads: a user's corpus may really be laid out as ``lang=py/``.
@@ -124,240 +143,47 @@ def main(argv: list[str] | None = None) -> int:
     edges, vids = extract_edge_table(corpus)
     edges = edges.materialize()
     V = vids.count()
+    info = {"kernel": args.kernel, "V": V, "output": args.output}
 
     if args.kernel == "edges":
         edges.write_parquet(args.output)
         print(json.dumps({"kernel": "edges", "rows": edges.count(), "V": V}))
         return 0
-
-    if args.kernel == "hits":
-        from .graph.engine import hits
-
-        res = hits(
-            edges,
-            V,
-            max_iters=args.max_iters,
-            tol=args.tol,
-            checkpoint_dir=args.checkpoint_dir,
-            resume=args.resume,
-        )
-        out = ray.data.from_arrow(
-            pa.table(
-                {
-                    "id": pa.array(np.arange(V, dtype=np.int64)),
-                    "hub": pa.array(res.hub),
-                    "auth": pa.array(res.auth),
-                }
-            )
-        )
-        out.write_parquet(args.output)
-        print(
-            json.dumps(
-                {
-                    "kernel": "hits",
-                    "V": V,
-                    "iterations": res.iterations,
-                    "converged": bool(res.converged),
-                    "output": args.output,
-                }
-            )
-        )
+    if args.kernel == "triangles":
+        cols = {"tri_count": triangle_counts(symmetrize_edges(edges), V).state}
+        _write_table(args.output, V, cols)
+        print(json.dumps(info))
         return 0
 
-    # actual engine a kernel ran on (triangles/mis/katz and non-csr ppr
-    # always use the broadcast engine, whatever --engine says)
-    engine_used = "broadcast"
-    if args.kernel == "triangles":
-        res = triangle_counts(symmetrize_edges(edges), V)
-        state, iters, converged = res.state, res.iterations, True
-        col = "tri_count"
-    elif args.kernel == "mis":
-        from .graph.engine import maximal_independent_set
-
-        res = maximal_independent_set(
-            symmetrize_edges(edges).materialize(),
-            V,
-            max_iters=args.max_iters,
-            checkpoint_dir=args.checkpoint_dir,
-            resume=args.resume,
+    view, program = KERNELS[args.kernel]
+    kernel = program(args, V)
+    eds = edges if view == "dir" else symmetrize_edges(edges).materialize()
+    if args.engine == "csr":
+        ex = CsrEngine(
+            eds, V, num_partitions=args.num_partitions, workdir=args.workdir
         )
-        state, iters, converged = res.state, res.iterations, res.converged
-        col = "state"
-    elif args.kernel == "katz":
-        from .graph.engine import katz_centrality
-
-        res = katz_centrality(
-            edges,
-            V,
-            alpha=args.katz_alpha,
-            tol=args.tol,
-            max_iters=args.max_iters,
-            checkpoint_dir=args.checkpoint_dir,
-            resume=args.resume,
-        )
-        state, iters, converged = res.state, res.iterations, res.converged
-        col = "katz"
-    elif args.kernel == "ppr" and args.engine != "csr":
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
-        res = pagerank(
-            edges,
-            V,
-            damping=args.damping,
-            tol=args.tol,
-            max_iters=args.max_iters,
-            reset_ids=seeds,
-            checkpoint_dir=args.checkpoint_dir,
-            resume=args.resume,
-        )
-        state, iters, converged = res.state, res.iterations, res.converged
-        col = "rank"
-    elif args.engine == "csr" and args.kernel in (
-        "pagerank", "ppr", "cc", "lpa", "bfs", "kcore"
-    ):
-        # pick the kernel's edge view BEFORE constructing the engine —
-        # cc/lpa run on the symmetrized edges only, so building (and
-        # immediately discarding) a directed-edge engine would waste a
-        # full checksum + partition + CSR build
-        eng_edges = (
-            edges
-            if args.kernel in ("pagerank", "ppr")
-            else symmetrize_edges(edges).materialize()
-        )
-        eng = CsrEngine(
-            eng_edges,
-            V,
-            num_partitions=args.num_partitions,
-            workdir=args.workdir,
-        )
-        # shards mode never assembles the V-sized driver array — the
-        # state is drained straight from the workers via write_states
-        assemble = args.output_mode != "shards"
-        if args.kernel in ("pagerank", "ppr"):
-            seeds = (
-                [int(s) for s in args.seeds.split(",") if s.strip() != ""]
-                if args.kernel == "ppr"
-                else None
-            )
-            state, iters, converged = eng.pagerank(
-                damping=args.damping,
-                tol=args.tol,
-                max_iters=args.max_iters,
-                checkpoint_dir=args.checkpoint_dir,
-                resume=args.resume,
-                assemble=assemble,
-                reset_ids=seeds,
-            )
-            col = "rank"
-        elif args.kernel == "cc":
-            state, iters, converged = eng.connected_components(
-                max_iters=args.max_iters,
-                checkpoint_dir=args.checkpoint_dir,
-                resume=args.resume,
-                assemble=assemble,
-            )
-            col = "component"
-        elif args.kernel == "bfs":
-            state, iters, converged = eng.bfs_hops(
-                [args.bfs_source],
-                max_iters=args.max_iters,
-                checkpoint_dir=args.checkpoint_dir,
-                resume=args.resume,
-                assemble=assemble,
-            )
-            col = "hops"
-        elif args.kernel == "kcore":
-            state, iters, converged = eng.k_core(
-                args.kcore_k,
-                checkpoint_dir=args.checkpoint_dir,
-                resume=args.resume,
-                assemble=assemble,
-            )
-            col = "in_kcore"
-        else:
-            state, iters, converged = eng.label_propagation(
-                max_rounds=args.max_iters,
-                checkpoint_dir=args.checkpoint_dir,
-                resume=args.resume,
-                assemble=assemble,
-            )
-            col = "label"
-        if args.output_mode == "shards":
-            rows = eng.write_states(args.output, col)
-            eng.shutdown()
-            print(
-                json.dumps(
-                    {
-                        "kernel": args.kernel,
-                        "engine": "csr",
-                        "V": V,
-                        "iterations": iters,
-                        "converged": bool(converged),
-                        "output": args.output,
-                        "output_mode": "shards",
-                        "rows": rows,
-                    }
-                )
-            )
-            return 0
-        eng.shutdown()
-        engine_used = "csr"
     else:
-        kw = dict(checkpoint_dir=args.checkpoint_dir, resume=args.resume)
-        if args.kernel == "pagerank":
-            res = pagerank(
-                edges,
-                V,
-                damping=args.damping,
-                tol=args.tol,
-                max_iters=args.max_iters,
-                **kw,
-            )
-            col = "rank"
-        elif args.kernel == "cc":
-            res = connected_components(
-                symmetrize_edges(edges), V, max_iters=args.max_iters, **kw
-            )
-            col = "component"
-        elif args.kernel == "bfs":
-            res = bfs_hops(
-                symmetrize_edges(edges),
-                V,
-                sources=[args.bfs_source],
-                max_iters=args.max_iters,
-                **kw,
-            )
-            col = "hops"
-        elif args.kernel == "kcore":
-            res = k_core(
-                symmetrize_edges(edges), V, k=args.kcore_k, **kw
-            )
-            col = "in_kcore"
+        ex = _Edges(eds, V)
+    try:
+        iters, converged, _ = _run(
+            ex, kernel, args.max_iters, args.checkpoint_dir, args.resume, None
+        )
+        info.update(engine=args.engine, iterations=iters, converged=bool(converged))
+        if args.output_mode == "shards":
+            info.update(output_mode="shards", rows=ex.write_states(args.output))
         else:
-            res = label_propagation(
-                symmetrize_edges(edges), V, max_rounds=args.max_iters, **kw
-            )
-            col = "label"
-        state, iters, converged = res.state, res.iterations, res.converged
-
-    out = ray.data.from_arrow(
-        pa.table(
-            {"id": pa.array(np.arange(V, dtype=np.int64)), col: pa.array(state)}
-        )
-    )
-    out.write_parquet(args.output)
-    print(
-        json.dumps(
-            {
-                "kernel": args.kernel,
-                "engine": engine_used,
-                "V": V,
-                "iterations": iters,
-                "converged": bool(converged),
-                "output": args.output,
-            }
-        )
-    )
+            _write_table(args.output, V, ex.assemble())
+    finally:
+        if args.engine == "csr":
+            ex.shutdown()
+    print(json.dumps(info))
     return 0
+
+
+def _write_table(out_dir: str, V: int, cols: dict[str, np.ndarray]) -> None:
+    ids = np.arange(V, dtype=np.int64)
+    table = pa.table({"id": ids, **cols})
+    ray.data.from_arrow(table).write_parquet(out_dir)
 
 
 if __name__ == "__main__":

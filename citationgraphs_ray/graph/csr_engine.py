@@ -1,9 +1,10 @@
 """CSR actor-pool engine: fixed partitions hosted by a sized worker pool.
 
-The scale-out counterpart of the broadcast engine (engine.py): it runs
-the same kernel definitions — PageRank, CC, LPA, BFS, SSSP, k-core — on
-the same superstep loop (``engine._run``), with each partition as one
-vertex slice. Design (SURVEY.md §4.3, BASELINE.json north_rule):
+The scale-out executor of engine.py (``reduce="csr"``): it runs the same
+nine kernel definitions — PageRank, CC, LPA, BFS, SSSP, k-core, HITS,
+Katz, MIS — on the same superstep loop (``engine._run``), with each
+partition as one vertex slice. Design (SURVEY.md §4.3, BASELINE.json
+north_rule):
 
 - The edge table is hash-partitioned ONCE by ``src % P`` into partitioned
   Parquet (``part=<p>/``) — the resumable on-disk layout. **P is a property
@@ -32,14 +33,17 @@ vertex slice. Design (SURVEY.md §4.3, BASELINE.json north_rule):
   distinct destinations — so one fold yields every per-(p, q) message
   vector back to back. Each q's local dst ids (``dq``) are exchanged to
   q's owner ONCE; supersteps ship **values only**.
-- Superstep = BSP scatter/gather: each worker runs the kernel's message
-  function once per owned partition, pre-combines it per (p, q) with
-  ``engine._fold`` and bundles the slices into ONE plasma object per
-  destination worker (≤ W² objects/superstep, not P² — 16× fewer
-  ``ray.put``s when a P=32 run executes on W=8); receivers fetch exactly
-  their bundles actor-to-actor, fold them in (q, p) order and apply. The
-  driver only routes refs, sums per-partition scalars in partition order
-  (so results do not depend on W) and merges the metrics.
+- Superstep = one BSP scatter/gather per reduce of the kernel, in order.
+  A push runs the kernel's message function once per owned partition,
+  pre-combines it per (p, q) with ``engine._fold`` and bundles the slices
+  into ONE plasma object per destination worker (≤ W² objects per
+  reduce, not P² — 16× fewer ``ray.put``s when a P=32 run executes on
+  W=8); receivers fetch exactly their bundles actor-to-actor, fold them
+  in (q, p) order and apply. A pull sends the values back along the same
+  routing: each q-owner ships ``state[in_dq[p]]`` to p, which folds them
+  by its local src. The driver only routes refs, sums per-partition
+  scalars in partition order (so results do not depend on W) and merges
+  the metrics.
 - Checkpoints are **per partition** (not per worker): each worker writes
   shards of every state column for its owned partitions, the manifest
   (completion marker) is written last — so a run checkpointed at one
@@ -66,6 +70,7 @@ import ray
 import ray.data
 from ray.exceptions import RayActorError, RayError
 
+from ..utils import ray_session
 from .engine import (
     _columns,
     _fold,
@@ -182,7 +187,7 @@ class CsrWorker:
     gives it partitions {p : p % W == wid}, and ``reset()`` empties it
     again before it goes back. Single-threaded numpy inside. Executes one
     kernel of engine.py at a time: ``init``, then one ``scatter`` and one
-    ``gather`` per superstep.
+    ``gather`` per reduce of each superstep.
 
     num_cpus=0: the TRUE parallelism limit is the worker count W (that many
     single-threaded processes exist, period); holding scheduler CPU slots
@@ -225,7 +230,7 @@ class CsrWorker:
             self.parts[q].in_dq[p] = dq
         return True
 
-    def get_states(self) -> dict[int, np.ndarray]:
+    def get_states(self) -> dict[int, dict[str, np.ndarray]]:
         return {p: self.kernel.result(pt.state) for p, pt in self.parts.items()}
 
     # -- supersteps -----------------------------------------------------------
@@ -235,28 +240,36 @@ class CsrWorker:
             pt.state = kernel.init(pt)
         return True
 
-    def _bundle(self, slices: dict) -> dict:
-        """Group per-(p, q) message slices by DESTINATION WORKER and put
-        one object per (this worker → dest worker) pair: W² objects per
-        superstep instead of P². Identical at W == P; 16× fewer
-        ``ray.put``s when a P=32 run executes on W=8 (each put costs
-        ~0.3-1 ms regardless of size — the small-graph superstep floor)."""
+    def _bundle(self, slices: dict, pull: bool) -> dict:
+        """Group per-(p, q) message slices by DESTINATION WORKER (q's, or
+        p's for a pull) and put one object per (this worker → dest
+        worker) pair: W² objects per reduce instead of P². Identical at
+        W == P; 16× fewer ``ray.put``s when a P=32 run executes on W=8
+        (each put costs ~0.3-1 ms regardless of size — the small-graph
+        superstep floor)."""
         by_w: dict[int, dict] = {}
         for (p, q), msg in slices.items():
-            by_w.setdefault(q % self.W, {})[(p, q)] = msg
+            by_w.setdefault((p if pull else q) % self.W, {})[(p, q)] = msg
         return {w: ray.put(d) for w, d in by_w.items()}
 
-    def scatter(self) -> tuple[dict, dict[int, float]]:
-        """Messages of every owned partition, pre-combined per (p, q) and
-        bundled per destination worker, plus each partition's scalar."""
-        k = self.kernel
+    def scatter(self, i: int) -> tuple[dict, dict[int, float]]:
+        """Reduce ``i`` of the superstep: the messages of every owned
+        partition, pre-combined per (p, q) and bundled per destination
+        worker, plus each partition's scalar."""
+        ph = self.kernel.phases[i]
         out, scalars = {}, {}
         for p, pt in self.parts.items():
-            scalars[p] = k.scalar(pt.state, pt)
-            emitted = k.emit(pt.state, pt)
-            if not k.sparse:
-                key, val = k.msg(emitted, pt.src, pt.dst, *pt.w)
-                part = _fold(k.combine, key, val, len(pt.dq))
+            scalars[p] = ph.scalar(pt.state, pt)
+            if ph.msg is None:
+                continue
+            emitted = ph.emit(pt.state, pt)
+            if ph.pull:  # p is the destination side here
+                for src_p, dq in pt.in_dq.items():
+                    out[(src_p, p)] = tuple(e[dq] for e in emitted)
+                continue
+            if not ph.sparse:
+                key, val = ph.msg(emitted, pt.src, pt.dst, *pt.w)
+                part = _fold(ph.combine, key, val, len(pt.dq))
                 for q in range(self.P):
                     out[(p, q)] = part[pt.off[q] : pt.off[q + 1]]
                 continue
@@ -267,48 +280,60 @@ class CsrWorker:
             # cost (profiled on the 400M-edge bench, BENCH/BASELINE.md r5),
             # so a per-partition diversity probe decides each round and raw
             # keys ship with counts None.
-            key, val = k.msg(emitted, pt.src, pt.dq[pt.dst], *pt.w)
+            key, val = ph.msg(emitted, pt.src, pt.dq[pt.dst], *pt.w)
             fold = len(np.unique(emitted[0])) * 4 < max(1, len(pt.ids))
             for q in range(self.P):
                 s = slice(pt.eoff[q], pt.eoff[q + 1])
                 m = (key[s], None if val is None else val[s])
-                out[(p, q)] = _fold_sparse(k.combine, *m) if fold else m
-        return self._bundle(out), scalars
+                out[(p, q)] = _fold_sparse(ph.combine, *m) if fold else m
+        return self._bundle(out, ph.pull), scalars
 
-    def gather(self, scalar: float, *bundles: dict) -> list[dict]:
-        """Fold the incoming bundles and apply the kernel; one metric per
-        owned partition. Bundles fold in (q, p) order, so float summation
-        order — and the result's bits — do not depend on W. (Varargs: Ray
-        resolves ObjectRefs only as top-level args.)"""
-        k = self.kernel
-        inc = {
-            q: [] if k.sparse else _identity(k.combine, len(pt.ids))
-            for q, pt in self.parts.items()
-        }
-        items = [kv for b in bundles for kv in b.items()]
-        for (p, q), m in sorted(items, key=lambda km: (km[0][1], km[0][0])):
-            if k.sparse:
+    def gather(self, i: int, scalar: float, *bundles: dict) -> list[dict]:
+        """Fold the incoming bundles of reduce ``i`` and apply it; one
+        metric per owned partition. Bundles fold in (q, p) order, so float
+        summation order — and the result's bits — do not depend on W.
+        (Varargs: Ray resolves ObjectRefs only as top-level args.)"""
+        ph = self.kernel.phases[i]
+        items = sorted(
+            (kv for b in bundles for kv in b.items()),
+            key=lambda km: (km[0][1], km[0][0]),
+        )
+        if ph.pull:  # the dst values of p's edges, in q order, folded by src
+            got: dict[int, list] = {p: [] for p in self.parts}
+            for (p, _), m in items:
+                got[p].append(m)
+            inc = {}
+            for p, pt in self.parts.items():
+                x = tuple(np.concatenate(c) for c in zip(*got[p]))
+                key, val = ph.msg(x, pt.src, pt.dst, *pt.w)
+                inc[p] = _fold(ph.combine, key, val, len(pt.ids))
+        elif ph.msg is None:
+            inc = dict.fromkeys(self.parts)
+        elif ph.sparse:
+            inc = {q: [] for q in self.parts}
+            for (p, q), m in items:
                 inc[q].append(m)
-            else:
-                _merge(k.combine, inc[q], self.parts[q].in_dq[p], m)
+            inc = {q: _merge_sparse(ph.combine, m) for q, m in inc.items()}
+        else:
+            inc = {
+                q: _identity(ph.combine, len(pt.ids))
+                for q, pt in self.parts.items()
+            }
+            for (p, q), m in items:
+                _merge(ph.combine, inc[q], self.parts[q].in_dq[p], m)
         metrics = []
         for q, pt in self.parts.items():
-            x = _merge_sparse(k.combine, inc[q]) if k.sparse else inc[q]
-            pt.state, metric = k.apply(pt.state, x, pt, scalar)
+            pt.state, metric = ph.apply(pt.state, inc[q], pt, scalar)
             metrics.append(metric)
         return metrics
 
     # -- shards (per PARTITION, so resume is W-independent) -------------------
-    def write_shards(self, out_dir: str, col: str | None = None) -> list[dict]:
-        """Every state column (a checkpoint), or with ``col`` the kernel's
-        result under that name (``CsrEngine.write_states``)."""
+    def write_shards(self, out_dir: str, result: bool = False) -> list[dict]:
+        """Every state column (a checkpoint), or with ``result`` the
+        kernel's output columns (``CsrEngine.write_states``)."""
         out = []
         for p, pt in self.parts.items():
-            cols = (
-                _columns(pt.state)
-                if col is None
-                else {col: self.kernel.result(pt.state)}
-            )
+            cols = self.kernel.result(pt.state) if result else _columns(pt.state)
             fname = f"state-{p:05d}.parquet"
             tbl = pa.table({"id": pt.ids, **cols})
             pq.write_table(tbl, os.path.join(out_dir, fname))
@@ -325,26 +350,18 @@ class CsrWorker:
 
 
 # Idle CsrWorker handles of the current Ray session, and the session they
-# belong to. Only idle workers are held here: a lent worker lives and dies
-# with its engine's handles. The key is the driver's node id — a new local
-# session gets a new one, while job ids restart at 01000000 after
-# ``ray.shutdown()``/``ray.init()`` in one process — with the job id, which
-# tells two connections to one running cluster apart. At most one idle
+# belong to (``ray_session``). Only idle workers are held here: a lent
+# worker lives and dies with its engine's handles. At most one idle
 # worker per session CPU is kept: an auto-sized engine never needs more,
 # and each idle worker is a process of ~190 MB RSS.
 _pool: dict = {"session": None, "idle": []}
 _pool_lock = threading.Lock()
 
 
-def _session() -> tuple[str, str]:
-    ctx = ray.get_runtime_context()
-    return ctx.get_node_id(), ctx.get_job_id()
-
-
 def _borrow(n: int) -> list:
     """``n`` workers for one engine: idle ones first, new ones for the
     rest. A past session's handles are dropped, never lent."""
-    key = _session()
+    key = ray_session()
     with _pool_lock:
         if _pool["session"] != key:
             _pool.update(session=key, idle=[])
@@ -415,7 +432,7 @@ class CsrEngine:
             )
             open(marker, "w").close()
         self._mgr = None  # the running kernel's CheckpointManager
-        self._session = _session()
+        self._session = ray_session()
         self.workers = _borrow(self.W)
         try:
             self._load_workers(edge_dir)
@@ -493,18 +510,19 @@ class CsrEngine:
         self._get([a.init.remote(kernel) for a in self._live()])
 
     def step(self, kernel) -> dict:
-        """One superstep: scatter everywhere, route the ≤ W² bundle refs,
-        gather everywhere."""
+        """One superstep: per reduce, scatter everywhere, route the ≤ W²
+        bundle refs, gather everywhere."""
         workers = self._live()
-        outs = self._get([a.scatter.remote() for a in workers])
-        scalar = _sum_by_partition([s for _, s in outs])
-        inbox: list[list] = [[] for _ in range(self.W)]
-        for ob, _ in outs:
-            for w, ref in ob.items():
-                inbox[w].append(ref)
-        per_worker = self._get(
-            [a.gather.remote(scalar, *inbox[w]) for w, a in enumerate(workers)]
-        )
+        for i in range(len(kernel.phases)):
+            outs = self._get([a.scatter.remote(i) for a in workers])
+            scalar = _sum_by_partition([s for _, s in outs])
+            inbox: list[list] = [[] for _ in range(self.W)]
+            for ob, _ in outs:
+                for w, ref in ob.items():
+                    inbox[w].append(ref)
+            per_worker = self._get(
+                [a.gather.remote(i, scalar, *inbox[w]) for w, a in enumerate(workers)]
+            )
         metrics = [m for ms in per_worker for m in ms]
         return {k: kernel.merge_metric(m[k] for m in metrics) for k in metrics[0]}
 
@@ -522,13 +540,15 @@ class CsrEngine:
             self._get([a.load_shards.remote(it_dir) for a in self._live()])
         return ck
 
-    def _assemble(self) -> np.ndarray:
-        state_maps = self._get([a.get_states.remote() for a in self._live()])
-        first = next(iter(state_maps[0].values()))
-        out = np.empty(self.V, dtype=first.dtype)
-        for sm in state_maps:
-            for p, s in sm.items():
-                out[p :: self.P] = s
+    def assemble(self) -> dict[str, np.ndarray]:
+        """The last kernel's output columns, dense over ids 0..V-1."""
+        out: dict[str, np.ndarray] = {}
+        for sm in self._get([a.get_states.remote() for a in self._live()]):
+            for p, cols in sm.items():
+                for c, s in cols.items():
+                    if c not in out:
+                        out[c] = np.empty(self.V, dtype=s.dtype)
+                    out[c][p :: self.P] = s
         return out
 
     def _execute(
@@ -545,7 +565,7 @@ class CsrEngine:
             self, kernel, max_iters, checkpoint_dir, resume,
             checkpoint_keep_last, checkpoint_every,
         )
-        return self._assemble() if assemble else None, iters, converged
+        return self.assemble()[kernel.col] if assemble else None, iters, converged
 
     # -- kernels ----------------------------------------------------------------
     def pagerank(
@@ -643,17 +663,18 @@ class CsrEngine:
             checkpoint_keep_last, assemble,
         )
 
-    def write_states(self, out_dir: str, col: str) -> int:
-        """Write the last kernel's result as per-partition parquet shards
-        (``id`` and ``col``) directly from the workers — no V-sized driver
-        array (the ``_assemble`` path is the small-V convenience; this is
-        the sink a 10^12-vertex run uses). Returns total rows written."""
+    def write_states(self, out_dir: str) -> int:
+        """Write the last kernel's output columns as per-partition parquet
+        shards (``id`` and the columns) directly from the workers — no
+        V-sized driver array (``assemble`` is the small-V convenience;
+        this is the sink a 10^12-vertex run uses). Returns total rows
+        written."""
         workers = self._live()
         os.makedirs(out_dir, exist_ok=True)
-        parts = self._get([a.write_shards.remote(out_dir, col) for a in workers])
+        parts = self._get([a.write_shards.remote(out_dir, True) for a in workers])
         flat = sorted((m for sub in parts for m in sub), key=lambda m: m["part"])
         with open(os.path.join(out_dir, "_MANIFEST.json"), "w") as f:
-            json.dump({"num_partitions": self.P, "column": col, "parts": flat}, f)
+            json.dump({"num_partitions": self.P, "parts": flat}, f)
         return sum(m["rows"] for m in flat)
 
     def shutdown(self) -> None:
@@ -661,7 +682,7 @@ class CsrEngine:
         one is dropped. Idempotent; the engine never reaches them again,
         since another engine may hold them next."""
         workers, self.workers = self.workers, None
-        if not workers or not ray.is_initialized() or _session() != self._session:
+        if not workers or not ray.is_initialized() or ray_session() != self._session:
             return
         refs = [a.reset.remote() for a in workers]
         alive = []

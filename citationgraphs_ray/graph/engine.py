@@ -3,45 +3,42 @@ SSSP, HITS, Katz, MIS.
 
 Each kernel is defined once, as a vertex program (SURVEY.md §2.12, §4.3)
 over a vertex slice ``v`` — ``v.ids`` its ascending global ids, ``v.deg``
-their out-degrees:
+their out-degrees. ``init(v)`` gives the state columns and
+``done(metric)`` is the stop test. A superstep runs the kernel's
+``phases`` in order, each one message reduce (:class:`_Phase`):
 
-- ``init(v)``: the state columns;
+- ``scalar(state, v)``: a per-slice value that ``apply`` needs summed
+  over the graph;
 - ``emit(state, v)``: the per-vertex values the messages read;
-- ``msg(emitted, src, dst, *w) -> (key, value)``: one message per edge,
-  reading src-side values only (and the weights, SSSP only);
+- ``msg(emitted, src, dst, *w) -> (key, value)``: one message per edge.
+  A push reads src-side values and keys by dst; a ``pull`` reads
+  dst-side values and keys by src; ``msg=None`` sums the scalar alone;
 - ``combine``: ``sum``, ``count`` or ``min``, how messages to a key fold;
-- ``apply(state, incoming, v, scalar)``: the new state and the metric;
-- ``done(metric)``: the stop test.
+- ``apply(state, incoming, v, scalar)``: the new state and the metric.
 
-Two engines run the same definitions. This module's broadcast engine
-holds the whole graph as one slice: the per-vertex state (size V —
-orders of magnitude smaller than the edge table) is a dense numpy array
-on the driver, and each superstep is one message reduce over the static
-edge table, by one of two executors picked by ``reduce``:
+Most kernels are one push. MIS is two pushes; HITS is a push, a pull and
+the sum of its two L2 norms.
 
-- ``"local"``: (src, dst[, w]) pulled to the driver once; every
-  superstep is one in-process numpy pass (``np.bincount`` /
-  ``np.minimum.at``). ``reduce="auto"`` (the default) picks it at or
-  below LOCAL_KERNEL_MAX_EDGES.
-- ``"driver"``: edge blocks pinned in the object store once; every
-  superstep broadcasts the state via ``ray.put`` (zero-copy plasma reads
-  in every task), runs ``msg`` per block in ``map_batches``, pre-combines
-  each block with ``np.unique``, and streams the partials into the dense
-  vector on the driver. No shuffle; valid whenever V fits the driver.
+Two executors run the same definitions, picked by ``reduce``:
 
-The CSR actor engine (csr_engine.py) runs the six kernels whose superstep
-is one message reduce — PageRank, CC, LPA, BFS, SSSP, k-core — over P
-``src % P`` slices hosted by W worker actors. HITS and MIS take two
-reduces per superstep and run here only.
+- ``"local"``: the whole graph as one slice. (src, dst[, w]) are pulled
+  to the driver once, every reduce is one in-process numpy pass
+  (``np.bincount`` / ``np.minimum.at``), and the state is a dense V-sized
+  array on the driver.
+- ``"csr"``: the CSR actor engine (csr_engine.py), P ``src % P`` slices
+  hosted by W worker actors, built in a temporary workdir for the one
+  run and shut down after it.
 
-Hub skew is handled where the messages are produced: the per-block
-pre-combine ships at most one row per distinct key per block, so a
-mega-hub dst costs the driver merge one row per block however many
-in-edges it has (Scarlett, EuroSys 2011: combine at the producer rather
-than salt-split a hot key across a shuffle). The CSR engine pre-combines
-per (p, q) partition pair the same way, with the same :func:`_fold`.
+``reduce="auto"`` (the default) picks ``local`` at or below
+LOCAL_KERNEL_MAX_EDGES and ``csr`` above it.
 
-Both engines run every kernel through one superstep loop (:func:`_run`),
+Hub skew is handled where the messages are produced: the CSR engine
+pre-combines each (p, q) partition pair with :func:`_fold`, so a mega-hub
+dst costs one value per sending partition however many in-edges it has
+(Scarlett, EuroSys 2011: combine at the producer rather than salt-split a
+hot key across a shuffle).
+
+Both executors run every kernel through one superstep loop (:func:`_run`),
 which owns checkpoint setup, the fingerprint, resume, the history rows
 and the stop test. Content blobs never enter this loop.
 
@@ -53,6 +50,7 @@ Reference analogs: PageRank ↔ in-citation analytics (CitationGraphs.go:
 from __future__ import annotations
 
 import hashlib
+import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -63,14 +61,14 @@ import ray.data
 
 from ..state.checkpoints import CheckpointManager
 from ..utils import collect_table
+from .oracle import mis_priority
 
-# Below this E the per-superstep Ray Data execution overhead (~0.1-0.5 s
-# per map_batches round, measured) dwarfs the numpy compute, so
-# ``reduce="auto"`` runs the "local" executor: (src, dst) pulled to the
-# driver ONCE (two int64 arrays, ≤64 MB at the threshold; V already fits
-# the driver by the broadcast engine's own precondition). Above it,
-# "driver" — measured ~100x faster than a sort-based groupby(dst) reduce
-# (0.3 s vs 29 s per superstep at E=2M, V=200k on 8 CPUs, BENCH/BASELINE.md).
+# ``reduce="auto"`` runs "local" at or below this E and "csr" above it.
+# PageRank per superstep on a 4-CPU host (BENCH/BASELINE.md round 8):
+# local 2-4 ms vs CSR 10-11 ms at E=115k; at E=5M, V=200k local 80-84 ms
+# vs CSR 48-54 ms, after a 1.5-3.4 s CSR build that local's one-step
+# 0.3-0.4 s edge pull undercuts for tens of supersteps. The local pull
+# holds two int64 E arrays (64 MB at the threshold).
 LOCAL_KERNEL_MAX_EDGES = 4_000_000
 
 UNREACHED = np.iinfo(np.int64).max
@@ -230,9 +228,9 @@ def _restore(init: dict, loaded: dict) -> dict[str, np.ndarray]:
 
 
 class _Edges:
-    """The broadcast engine: the static edge table, the executor that runs
-    message reduces over it (module docstring), and the state of the
-    kernel it runs, with the whole graph as one vertex slice."""
+    """The local executor: the static edge table pulled to the driver ONCE,
+    the message reduces over it, and the state of the kernel it runs, with
+    the whole graph as one vertex slice."""
 
     num_partitions = 8  # checkpoint shards
 
@@ -240,32 +238,17 @@ class _Edges:
         self,
         edges: ray.data.Dataset,
         num_vertices: int,
-        reduce: str,
         weight_col: str | None = None,
     ) -> None:
-        if reduce not in ("auto", "local", "driver"):
-            raise ValueError(
-                f"reduce must be 'auto', 'local' or 'driver', got {reduce!r}"
-            )
         self.num_vertices = num_vertices
         self.ids = np.arange(num_vertices, dtype=np.int64)
         self.weight_col = weight_col
-        self.cols = ["src", "dst"] + ([weight_col] if weight_col else [])
-        # project and pin the blocks in the object store once
-        self.ds = edges.select_columns(self.cols).materialize()
-        self.num_edges = self.ds.count()
-        self.arrays = None
-        if reduce == "local" or (
-            reduce == "auto" and self.num_edges <= LOCAL_KERNEL_MAX_EDGES
-        ):
-            tbl = collect_table(self.ds).combine_chunks()
-            self.arrays = tuple(_int64(tbl[c]) for c in self.cols)
+        self.ds = edges  # the fingerprint's checksum pass reads it
+        tbl = collect_table(edges).combine_chunks()
+        cols = ["src", "dst"] + ([weight_col] if weight_col else [])
+        self.arrays = tuple(_int64(tbl[c]) for c in cols)
         if weight_col:
-            _check_weights(
-                self.arrays[2].min(initial=0)
-                if self.arrays is not None
-                else self.ds.min(weight_col)
-            )
+            _check_weights(self.arrays[2].min(initial=0))
 
     @cached_property
     def deg(self) -> np.ndarray:
@@ -275,14 +258,24 @@ class _Edges:
     def fingerprint(self) -> str:
         """The graph's identity: (V, E) and the edge checksum."""
         checksum = edge_checksum(self.ds, self.weight_col)
-        return edge_fingerprint(self.num_vertices, self.num_edges, str(checksum))
+        return edge_fingerprint(
+            self.num_vertices, len(self.arrays[0]), str(checksum)
+        )
 
     # -- the executor interface of _run --------------------------------------
     def init(self, kernel, mgr) -> None:
+        self.kernel = kernel
         self.state = kernel.init(self)
 
     def step(self, kernel) -> dict:
-        self.state, metric = kernel.step(self, self.state)
+        for ph in kernel.phases:
+            inc = None
+            if ph.msg is not None:
+                emitted = ph.emit(self.state, self)
+                inc = self.reduce(ph.msg, ph.combine, *emitted, sparse=ph.sparse)
+            self.state, metric = ph.apply(
+                self.state, inc, self, ph.scalar(self.state, self)
+            )
         return metric
 
     def save(self, mgr, it: int, metric: dict, parent: int | None) -> None:
@@ -294,35 +287,18 @@ class _Edges:
             self.state = _restore(self.state, ck.state)
         return ck
 
+    def assemble(self) -> dict[str, np.ndarray]:
+        """The last kernel's output columns."""
+        return self.kernel.result(self.state)
+
     def reduce(self, msg, combine: str, *state: np.ndarray, sparse: bool = False):
         """Run ``msg(state, src, dst[, w]) -> (key, value)`` over every
         edge and fold by ``combine``: a dense length-V vector, or with
         ``sparse=True`` (keys beyond V) a (distinct keys, values) pair."""
-        if self.arrays is not None:
-            key, val = msg(state, *self.arrays)
-            if sparse:
-                return _fold_sparse(combine, key, val)
-            return _fold(combine, key, val, self.num_vertices)
-        ref = ray.put(state)
-        cols = self.cols
-
-        def partial(batch: pa.Table) -> pa.Table:
-            key, val = msg(ray.get(ref), *(_int64(batch[c]) for c in cols))
-            u, part = _fold_sparse(combine, key, val)
-            return pa.table({"k": pa.array(u), "v": pa.array(part)})
-
-        msgs = self.ds.map_batches(partial, batch_format="pyarrow").iter_batches(
-            batch_size=1 << 20, batch_format="pyarrow"
-        )
+        key, val = msg(state, *self.arrays)
         if sparse:
-            return _merge_sparse(
-                combine,
-                [(_int64(b["k"]), b["v"].to_numpy(zero_copy_only=False)) for b in msgs],
-            )
-        out = _identity(combine, self.num_vertices)
-        for b in msgs:
-            _merge(combine, out, _int64(b["k"]), b["v"].to_numpy(zero_copy_only=False))
-        return out
+            return _fold_sparse(combine, key, val)
+        return _fold(combine, key, val, self.num_vertices)
 
 
 def _int64(col) -> np.ndarray:
@@ -386,31 +362,43 @@ def _check_weights(w_min) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _Kernel:
-    """A vertex program (module docstring). ``name`` labels its
-    checkpoints; ``key`` holds the run parameters a resume must match
-    (seeds, sources, k), ``params`` the ones it records."""
+class _Phase:
+    """One message reduce of a superstep (module docstring); keyword
+    arguments set ``emit``, ``msg``, ``apply`` and the class defaults."""
 
     combine = "sum"
     # sparse: one message per edge keyed dst·M + x, x < M (LPA's pair count)
     sparse = False
+    pull = False
+    msg = None
+
+    def __init__(self, **parts) -> None:
+        self.__dict__.update(parts)
+
+    def scalar(self, st: dict, v) -> float:
+        """A per-slice value that ``apply`` needs summed over the graph."""
+        return 0.0
+
+
+class _Kernel(_Phase):
+    """A vertex program (module docstring); by default its superstep is
+    itself, one push. ``name`` labels its checkpoints; ``key`` holds the
+    run parameters a resume must match (seeds, sources, k), ``params`` the
+    ones it records."""
+
     # how the CSR engine merges one metric over partitions: counts sum,
     # residuals (``linf_residual``) take the max
     merge_metric = staticmethod(sum)
     key = ""
     params: dict | None = None
 
-    def scalar(self, st: dict, v) -> float:
-        """A per-slice float that ``apply`` needs summed over the graph."""
-        return 0.0
+    @property
+    def phases(self) -> tuple[_Phase, ...]:
+        return (self,)
 
-    def result(self, st: dict) -> np.ndarray:
-        return st[self.col]
-
-    def step(self, g: _Edges, st: dict) -> tuple[dict, dict]:
-        """One superstep on the broadcast engine."""
-        inc = g.reduce(self.msg, self.combine, *self.emit(st, g), sparse=self.sparse)
-        return self.apply(st, inc, g, self.scalar(st, g))
+    def result(self, st: dict) -> dict[str, np.ndarray]:
+        """The output columns, by name."""
+        return {self.col: st[self.col]}
 
 
 def _run(
@@ -476,18 +464,45 @@ def _run(
 
 
 def _execute(
-    g: _Edges,
+    edges: ray.data.Dataset,
+    num_vertices: int,
+    reduce: str,
     kernel: _Kernel,
     max_iters: int,
     checkpoint_dir: str | None,
     resume: bool,
     keep_last: int | None,
     checkpoint_every: int = 1,
-) -> KernelResult:
-    iters, converged, history = _run(
-        g, kernel, max_iters, checkpoint_dir, resume, keep_last, checkpoint_every
-    )
-    return KernelResult(kernel.result(g.state), iters, converged, history)
+    weight_col: str | None = None,
+) -> tuple[dict[str, np.ndarray], int, bool, list[dict]]:
+    """Run ``kernel`` on the executor ``reduce`` names (module docstring):
+    ``(output columns, iterations, converged, history)``."""
+    if reduce not in ("auto", "local", "csr"):
+        raise ValueError(f"reduce must be 'auto', 'local' or 'csr', got {reduce!r}")
+    cols = ["src", "dst"] + ([weight_col] if weight_col else [])
+    # project and pin the blocks once: both executors read them twice
+    eds = edges.select_columns(cols).materialize()
+    run = (kernel, max_iters, checkpoint_dir, resume, keep_last, checkpoint_every)
+    if reduce == "local" or (
+        reduce == "auto" and eds.count() <= LOCAL_KERNEL_MAX_EDGES
+    ):
+        g = _Edges(eds, num_vertices, weight_col)
+        done = _run(g, *run)
+        return g.assemble(), *done
+    from .csr_engine import CsrEngine
+
+    with tempfile.TemporaryDirectory(prefix="csr_engine_") as workdir:
+        eng = CsrEngine(eds, num_vertices, workdir=workdir, weight_col=weight_col)
+        try:
+            done = _run(eng, *run)
+            return eng.assemble(), *done
+        finally:
+            eng.shutdown()
+
+
+def _kernel_result(edges, num_vertices, reduce, kernel, *run, **kw) -> KernelResult:
+    out, *done = _execute(edges, num_vertices, reduce, kernel, *run, **kw)
+    return KernelResult(out[kernel.col], *done)
 
 
 # ---------------------------------------------------------------------------
@@ -574,12 +589,12 @@ def pagerank(
     ``sum`` reduce → new_rank = (1-d)/V + d·(sum + dangling/V).
     Convergence: L-inf residual < tol (driver-side on the dense vector).
     Matches graph/oracle.py:pagerank_oracle to allclose(1e-6).
-    ``reduce`` picks the executor (module docstring); "local" and
-    "driver" differ only in float summation order.
+    ``reduce`` picks the executor (module docstring); "local" and "csr"
+    differ only in float summation order.
     """
     kernel = _PageRank(num_vertices, damping, tol, reset_ids)
-    return _execute(
-        _Edges(edges, num_vertices, reduce), kernel, max_iters, checkpoint_dir,
+    return _kernel_result(
+        edges, num_vertices, reduce, kernel, max_iters, checkpoint_dir,
         resume, checkpoint_keep_last, checkpoint_every,
     )
 
@@ -627,8 +642,8 @@ def connected_components(
     shuffles for fewer rounds; plain exchange keeps one ``min`` reduce
     per round.
     """
-    return _execute(
-        _Edges(edges_undirected, num_vertices, reduce), _MinLabel(), max_iters,
+    return _kernel_result(
+        edges_undirected, num_vertices, reduce, _MinLabel(), max_iters,
         checkpoint_dir, resume, checkpoint_keep_last,
     )
 
@@ -694,8 +709,8 @@ def label_propagation(
     both executors are exact-identical.
     """
     kernel = _LabelPropagation(num_vertices)
-    return _execute(
-        _Edges(edges_undirected, num_vertices, reduce), kernel, max_rounds,
+    return _kernel_result(
+        edges_undirected, num_vertices, reduce, kernel, max_rounds,
         checkpoint_dir, resume, checkpoint_keep_last,
     )
 
@@ -768,8 +783,8 @@ def bfs_hops(
     hops.
     """
     kernel = _Frontier("bfs", "hops", num_vertices, sources)
-    return _execute(
-        _Edges(edges, num_vertices, reduce), kernel, max_iters, checkpoint_dir,
+    return _kernel_result(
+        edges, num_vertices, reduce, kernel, max_iters, checkpoint_dir,
         resume, checkpoint_keep_last,
     )
 
@@ -797,9 +812,9 @@ def sssp(
     re-weighted resume cannot load the old weighting's distances.
     """
     kernel = _Frontier("sssp", "dist", num_vertices, sources)
-    return _execute(
-        _Edges(edges_weighted, num_vertices, reduce, weight_col=weight_col),
-        kernel, max_iters, checkpoint_dir, resume, checkpoint_keep_last,
+    return _kernel_result(
+        edges_weighted, num_vertices, reduce, kernel, max_iters,
+        checkpoint_dir, resume, checkpoint_keep_last, weight_col=weight_col,
     )
 
 
@@ -813,7 +828,7 @@ class _KCore(_Kernel):
     killed vertex sends one decrement along its out-edges. Decrements
     that reach dead vertices are harmless: dead degrees are zeroed."""
 
-    name, combine = "kcore", "count"
+    name, col, combine = "kcore", "in_kcore", "count"
     msg = staticmethod(_from_flagged)
 
     def __init__(self, k: int) -> None:
@@ -842,7 +857,7 @@ class _KCore(_Kernel):
         return metric["killed"] == 0
 
     def result(self, st):
-        return st["alive"].astype(np.int64)
+        return {self.col: st["alive"].astype(np.int64)}
 
 
 def k_core(
@@ -866,9 +881,8 @@ def k_core(
     degree = count of outgoing rows per vertex in that table. Returns
     state[v] = 1 if v is in the k-core else 0.
     """
-    kernel = _KCore(k)
-    return _execute(
-        _Edges(edges_undirected, num_vertices, reduce), kernel, max_iters,
+    return _kernel_result(
+        edges_undirected, num_vertices, reduce, _KCore(k), max_iters,
         checkpoint_dir, resume, checkpoint_keep_last,
     )
 
@@ -887,13 +901,15 @@ class HitsResult:
     history: list[dict] = field(default_factory=list)
 
 
-def _l2(v: np.ndarray) -> np.ndarray:
-    n = float(np.sqrt(np.sum(v * v)))
-    return v / n if n > 0 else v
-
-
 class _Hits(_Kernel):
+    """A push of the hubs keyed by dst (raw authorities ``a``), a pull of
+    ``a`` keyed by src (raw hubs ``h``), then a reduce of both squared L2
+    norms that normalizes them: ``h`` exists only after the pull, so its
+    norm cannot ride on it. ``h`` is pulled from the raw ``a``, whose
+    scale cancels in the norm of ``h``."""
+
     name = "hits"
+    merge_metric = staticmethod(max)
 
     def __init__(self, max_iters: int, tol: float) -> None:
         self.tol = tol
@@ -902,17 +918,32 @@ class _Hits(_Kernel):
     def init(self, v):
         return {"hub": np.ones(len(v.ids)), "auth": np.zeros(len(v.ids))}
 
-    def step(self, g, st):
-        auth = _l2(g.reduce(_to_dst, "sum", st["hub"]))
-        hub = _l2(g.reduce(_to_src, "sum", auth))
+    @property
+    def phases(self):
+        return (
+            _Phase(emit=lambda st, v: (st["hub"],), msg=_to_dst,
+                   apply=lambda st, a, v, _: ({**st, "a": a}, {})),
+            _Phase(emit=lambda st, v: (st["a"],), msg=_to_src, pull=True,
+                   apply=lambda st, h, v, _: ({**st, "h": h}, {})),
+            _Phase(scalar=lambda st, v: np.array([st[c] @ st[c] for c in "ah"]),
+                   apply=self._normalize),
+        )
+
+    def _normalize(self, st, _, v, sq):
+        auth, hub = (
+            st[c] / np.sqrt(n) if n > 0 else st[c] for c, n in zip("ah", sq)
+        )
         resid = max(
-            float(np.max(np.abs(auth - st["auth"]))),
-            float(np.max(np.abs(hub - st["hub"]))),
+            float(np.max(np.abs(auth - st["auth"]), initial=0.0)),
+            float(np.max(np.abs(hub - st["hub"]), initial=0.0)),
         )
         return {"hub": hub, "auth": auth}, {"linf_residual": resid}
 
     def done(self, metric):
         return self.tol > 0 and metric["linf_residual"] < self.tol
+
+    def result(self, st):
+        return {"hub": st["hub"], "auth": st["auth"]}
 
 
 def hits(
@@ -928,20 +959,21 @@ def hits(
     """HITS (Kleinberg hubs/authorities) as two ``sum`` reduces per
     superstep over the static directed edge table, each L2-normalized:
 
-        auth_raw[d] = Σ_{(s,d)∈E} hub[s]    (reduce keyed by dst)
-        hub_raw[s]  = Σ_{(s,d)∈E} auth[d]   (reduce keyed by src)
+        auth_raw[d] = Σ_{(s,d)∈E} hub[s]    (a push keyed by dst)
+        hub_raw[s]  = Σ_{(s,d)∈E} auth[d]   (a pull keyed by src)
+
+    Both norms come from per-slice sums added in slice order.
 
     With ``tol=0`` runs exactly ``max_iters`` rounds (the oracle-parity
     convention); with ``tol>0`` stops early when both vectors' L-inf
     change < tol. Matches graph/oracle.py:hits_oracle to allclose(1e-9)
     per the equivalence tests. Checkpoints hold both vectors, so a resume
     continues mid-power-iteration bitwise-identically."""
-    g = _Edges(edges, num_vertices, reduce)
-    iters, converged, history = _run(
-        g, _Hits(max_iters, tol), max_iters, checkpoint_dir, resume,
-        checkpoint_keep_last,
+    out, *done = _execute(
+        edges, num_vertices, reduce, _Hits(max_iters, tol), max_iters,
+        checkpoint_dir, resume, checkpoint_keep_last,
     )
-    return HitsResult(g.state["hub"], g.state["auth"], iters, converged, history)
+    return HitsResult(out["hub"], out["auth"], *done)
 
 
 # ---------------------------------------------------------------------------
@@ -966,7 +998,7 @@ class _Katz(_Kernel):
 
     def apply(self, st, sums, v, _):
         new_x = self.beta + self.alpha * sums
-        resid = float(np.max(np.abs(new_x - st["katz"])))
+        resid = float(np.max(np.abs(new_x - st["katz"]), initial=0.0))
         return {"katz": new_x}, {"linf_residual": resid}
 
     def done(self, metric):
@@ -997,8 +1029,8 @@ def katz_centrality(
     division or dangling redistribution). With ``tol=0`` runs exactly
     ``max_iters`` supersteps — the oracle-parity convention for the
     recursive-CTE SQL twin."""
-    return _execute(
-        _Edges(edges, num_vertices, reduce), _Katz(alpha, beta, tol), max_iters,
+    return _kernel_result(
+        edges, num_vertices, reduce, _Katz(alpha, beta, tol), max_iters,
         checkpoint_dir, resume, checkpoint_keep_last,
     )
 
@@ -1009,31 +1041,49 @@ def katz_centrality(
 
 
 def _undecided_priority(st, src, dst, *_):
+    """Messages to decided vertices are ignored by ``_Mis._join``."""
     undec, p = st
-    live = undec[src] & undec[dst]
+    live = undec[src]
     return dst[live], p[src[live]]
 
 
 class _Mis(_Kernel):
+    """Two pushes: the min undecided-neighbor priority (undecided vertices
+    that beat it join), then a count of joined neighbors (undecided
+    vertices that get one are dominated). ``join`` lives only between
+    the two."""
+
     name, col = "mis", "state"
 
-    def __init__(self, n: int, seed: int) -> None:
-        from .oracle import mis_priority
-
-        self.p = mis_priority(np.arange(n, dtype=np.int64), seed)
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
         self.key = str(seed)
         self.params = {"seed": seed}
 
     def init(self, v):
         return {"state": np.zeros(len(v.ids), dtype=np.int64)}
 
-    def step(self, g, st):
-        state = st["state"]
-        undec = state == 0
-        join = undec & (self.p < g.reduce(_undecided_priority, "min", undec, self.p))
+    @property
+    def phases(self):
+        return (
+            _Phase(emit=self._priorities, msg=_undecided_priority,
+                   combine="min", apply=self._join),
+            _Phase(emit=lambda st, v: (st["join"],), msg=_from_flagged,
+                   combine="count", apply=self._dominate),
+        )
+
+    def _priorities(self, st, v):
+        return st["state"] == 0, mis_priority(v.ids, self.seed)
+
+    def _join(self, st, mins, v, _):
+        state = st["state"].copy()
+        join = (state == 0) & (mis_priority(v.ids, self.seed) < mins)
         state[join] = 1
-        dom = g.reduce(_from_flagged, "count", join) > 0
-        state[dom & (state == 0)] = 2
+        return {"state": state, "join": join}, {}
+
+    def _dominate(self, st, joined, v, _):
+        state = st["state"]
+        state[(joined > 0) & (state == 0)] = 2
         return {"state": state}, {"undecided": int(np.count_nonzero(state == 0))}
 
     def done(self, metric):
@@ -1061,7 +1111,7 @@ def maximal_independent_set(
     ``count`` of joined neighbors — undecided neighbors of joiners become
     DOMINATED. States int64: 0 undecided / 1 in MIS / 2 dominated;
     isolated vertices join in round one."""
-    return _execute(
-        _Edges(edges_undirected, num_vertices, reduce), _Mis(num_vertices, seed),
-        max_iters, checkpoint_dir, resume, checkpoint_keep_last,
+    return _kernel_result(
+        edges_undirected, num_vertices, reduce, _Mis(seed), max_iters,
+        checkpoint_dir, resume, checkpoint_keep_last,
     )

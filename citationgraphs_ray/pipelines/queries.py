@@ -1,6 +1,6 @@
 """Driver-facing query surface: Ray pipelines + matching DuckDB oracle SQL.
 
-Each entry in QUERIES (43 queries, 37 with value-hash DuckDB oracles) is an
+Each entry in QUERIES (109 queries, 101 with value-hash DuckDB oracles) is an
 operator/pipeline from SURVEY.md §2 instantiated
 over the driver's TPC-H-ish testdata tables; ORACLE_SQL holds the ANSI-SQL
 equivalent DuckDB runs on the same parquet (the driver compares row count +
@@ -19,6 +19,7 @@ schema + order-insensitive value hash at sf0.01). Conventions for parity:
 
 from __future__ import annotations
 
+import functools
 import math
 import numpy as np
 import pandas as pd
@@ -215,10 +216,10 @@ def q_triangle_total(sf_dir: str):
     return pa.table({"n_triangles": pa.array([total], type=pa.int64())})
 
 
-def q_connected_components(sf_dir: str):
+def q_connected_components(sf_dir: str, reduce: str = "auto"):
     edges = derive_edges(sf_dir).materialize()
     und = symmetrize_edges(edges)
-    res = connected_components(und, GRAPH_MOD)
+    res = connected_components(und, GRAPH_MOD, reduce=reduce)
     ids = _present_vertex_ids(edges)
     return pa.table(
         {"id": pa.array(ids), "component": pa.array(res.state[ids])}
@@ -3055,7 +3056,7 @@ FROM (SELECT dist FROM ss ORDER BY it DESC LIMIT 1) d,
 WHERE d.dist[n.i + 1] < {SSSP_BIG}"""
 
 
-def q_hits(sf_dir: str):
+def q_hits(sf_dir: str, reduce: str = "auto"):
     """HITS hubs/authorities — 20 fixed power-iteration rounds, each
     half-step L2-normalized (graph/engine.py:hits; numpy spec
     graph/oracle.py:hits_oracle). Fixed rounds on both sides so the
@@ -3063,7 +3064,7 @@ def q_hits(sf_dir: str):
     from ..graph.engine import hits as hits_kernel
 
     edges = derive_edges(sf_dir).materialize()
-    res = hits_kernel(edges, GRAPH_MOD, max_iters=20)
+    res = hits_kernel(edges, GRAPH_MOD, max_iters=20, reduce=reduce)
     ids = np.arange(GRAPH_MOD, dtype=np.int64)
     return pa.table(
         {
@@ -3272,7 +3273,7 @@ ORACLE_SQL["edge_jaccard"] = _with_graph_ctes(
 )
 
 
-def q_mis(sf_dir: str):
+def q_mis(sf_dir: str, reduce: str = "auto"):
     """Deterministic maximal independent set (Luby, fixed bijective
     hash priorities — graph/engine.py:maximal_independent_set; numpy
     spec graph/oracle.py:mis_oracle). state: 0 never survives
@@ -3280,7 +3281,7 @@ def q_mis(sf_dir: str):
     from ..graph.engine import maximal_independent_set
 
     sym = symmetrize_edges(derive_edges(sf_dir)).materialize()
-    res = maximal_independent_set(sym, GRAPH_MOD, seed=41)
+    res = maximal_independent_set(sym, GRAPH_MOD, seed=41, reduce=reduce)
     ids = np.arange(GRAPH_MOD, dtype=np.int64)
     return pa.table({"id": pa.array(ids), "state": pa.array(res.state)})
 
@@ -3808,7 +3809,7 @@ GROUP BY ch.doc_id
 """
 
 
-def q_katz(sf_dir: str):
+def q_katz(sf_dir: str, reduce: str = "auto"):
     """Katz centrality, 15 fixed supersteps at alpha=0.001/beta=1 (alpha < 1/lambda_max on this graph, so the series converges and round6 is float-order-proof) — the
     attenuated-walk generalization of in-citation counting
     (graph/engine.py:katz_centrality); fixed rounds on both sides so the
@@ -3816,7 +3817,9 @@ def q_katz(sf_dir: str):
     from ..graph.engine import katz_centrality
 
     edges = derive_edges(sf_dir).materialize()
-    res = katz_centrality(edges, GRAPH_MOD, alpha=0.001, beta=1.0, max_iters=15)
+    res = katz_centrality(
+        edges, GRAPH_MOD, alpha=0.001, beta=1.0, max_iters=15, reduce=reduce
+    )
     ids = np.arange(GRAPH_MOD, dtype=np.int64)
     return pa.table(
         {"id": pa.array(ids), "katz": pa.array(_round6(res.state))}
@@ -4226,3 +4229,11 @@ LEFT JOIN (SELECT o_custkey, count(*) AS n_urgent FROM orders
            WHERE o_orderpriority = '1-URGENT' GROUP BY o_custkey) u
   ON u.o_custkey = c.c_custkey
 """
+
+
+# The at-scale executor in the gate: each kernel query again with
+# reduce="csr" (the CSR actor engine ``auto`` picks above
+# LOCAL_KERNEL_MAX_EDGES), checked against its canonical query's oracle.
+for _name in ("connected_components", "hits", "mis", "katz"):
+    QUERIES[f"{_name}_csr"] = functools.partial(QUERIES[_name], reduce="csr")
+    ORACLE_SQL[f"{_name}_csr"] = ORACLE_SQL[_name]

@@ -585,7 +585,7 @@ def resolve_dup_clusters(
             # with different partitioning can't leave mixed shards behind)
             states_dir = os.path.join(csr_workdir, f"states_{eng.fingerprint}")
             shutil.rmtree(states_dir, ignore_errors=True)
-            eng.write_states(states_dir, "component")
+            eng.write_states(states_dir)
         finally:
             eng.shutdown()
         shards = sorted(glob.glob(os.path.join(states_dir, "state-*.parquet")))

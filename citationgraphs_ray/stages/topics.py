@@ -35,6 +35,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from ..utils import ray_session
+
 
 def _theta_table(ids: np.ndarray, theta: np.ndarray) -> pa.Table:
     """(id, membership list<double>) without a per-row Python loop."""
@@ -222,15 +224,16 @@ class _TopicPartition:
         return len(ids)
 
 
-# session-level pools keyed by size: creating + killing a P-actor pool
-# costs ~5 s per model query (measured), so sequential engine runs reuse
-# the same actors and just reset their state. Acquiring a pool RESETS it,
-# so only the most recent acquirer owns it — engines hold an ownership
-# token and every pool-touching method raises if a newer engine has taken
-# the pool since (two engines on one pool would silently merge states).
-# For genuinely concurrent engines pass reuse_pool=False.
-_POOLS: dict[int, list] = {}
-_POOL_OWNERS: dict[int, object] = {}
+# session-level pools keyed by (session, size): creating + killing a
+# P-actor pool costs ~5 s per model query (measured), so sequential engine
+# runs reuse the same actors and just reset their state; a past session's
+# handles are dropped, never reused (``ray_session``). Acquiring a pool
+# RESETS it, so only the most recent acquirer owns it — engines hold an
+# ownership token and every pool-touching method raises if a newer engine
+# has taken the pool since (two engines on one pool would silently merge
+# states). For genuinely concurrent engines pass reuse_pool=False.
+_POOLS: dict[tuple, list] = {}
+_POOL_OWNERS: dict[tuple, object] = {}
 
 
 def get_topic_pool(
@@ -238,19 +241,24 @@ def get_topic_pool(
 ) -> tuple[list, object]:
     """(actors, ownership token) for a P-sized pool, freshly ``reset``
     for this run. The token invalidates all previous owners of this P."""
-    pool = _POOLS.get(num_partitions)
+    session = ray_session()
+    for key in [k for k in _POOLS if k[0] != session]:
+        del _POOLS[key]
+        _POOL_OWNERS.pop(key, None)
+    key = (session, num_partitions)
+    pool = _POOLS.get(key)
     if pool is None:
         pool = [
             _TopicPartition.remote(p, num_topics, vocab_size, seed)
             for p in range(num_partitions)
         ]
-        _POOLS[num_partitions] = pool
+        _POOLS[key] = pool
     else:
         ray.get(
             [a.reset.remote(num_topics, vocab_size, seed) for a in pool]
         )
     token = object()
-    _POOL_OWNERS[num_partitions] = token
+    _POOL_OWNERS[key] = token
     return pool, token
 
 
@@ -258,7 +266,8 @@ def _check_pool_ownership(engine) -> None:
     """Raise if a newer engine re-acquired this engine's shared pool —
     acquisition resets the actors, so continuing would Gibbs-sample over
     another engine's documents and silently merge two models' states."""
-    if engine._pooled and _POOL_OWNERS.get(engine.P) is not engine._pool_token:
+    key = (ray_session(), engine.P)
+    if engine._pooled and _POOL_OWNERS.get(key) is not engine._pool_token:
         raise RuntimeError(
             "topic actor pool was re-acquired by a newer engine since this "
             "engine was constructed (pooled acquisition resets shared "

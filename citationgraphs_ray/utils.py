@@ -14,6 +14,16 @@ import ray
 import ray.data
 
 
+def ray_session() -> tuple[str, str]:
+    """The current Ray session, for module-level actor pools: the driver's
+    node id — a new local session gets a new one, while job ids restart
+    at 01000000 after ``ray.shutdown()``/``ray.init()`` in one process —
+    with the job id, which tells two connections to one running cluster
+    apart."""
+    ctx = ray.get_runtime_context()
+    return ctx.get_node_id(), ctx.get_job_id()
+
+
 @ray.remote
 def _block_len(tbl: pa.Table) -> int:
     return tbl.num_rows

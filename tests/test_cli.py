@@ -269,3 +269,31 @@ def test_cli_ppr_csr_engine(tmp_path, capsys):
             pq.read_table(out).to_pandas().sort_values("id")["rank"].to_numpy()
         )
     assert np.allclose(outs["broadcast"], outs["csr"], atol=1e-9)
+
+
+def test_cli_hits_mis_katz_engines_agree(tmp_path, capsys):
+    """hits, mis and katz run on the executor --engine names, with the
+    same output on both."""
+    cdir = _corpus_dir(tmp_path)
+    for kernel, cols in (("hits", ["hub", "auth"]), ("mis", ["state"]),
+                         ("katz", ["katz"])):
+        outs = {}
+        for engine in ("broadcast", "csr"):
+            out = str(tmp_path / f"out_{kernel}_{engine}")
+            rc = main(
+                ["--corpus", cdir, "--output", out, "--kernel", kernel,
+                 "--engine", engine, "--max-iters", "30", "--tol", "0",
+                 "--num-partitions", "4",
+                 "--workdir", str(tmp_path / f"wd_{kernel}_{engine}")]
+            )
+            assert rc == 0
+            info = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+            assert info["engine"] == engine
+            outs[engine] = (
+                pq.read_table(out).to_pandas().sort_values("id"),
+                (info["iterations"], info["converged"]),
+            )
+        (b, b_run), (c, c_run) = outs["broadcast"], outs["csr"]
+        assert b_run == c_run and list(b.columns) == list(c.columns), kernel
+        for col in cols:
+            assert np.allclose(b[col], c[col], rtol=0, atol=1e-9), (kernel, col)

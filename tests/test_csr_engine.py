@@ -546,7 +546,7 @@ def test_engine_refuses_use_after_shutdown(small_edges, tmp_path):
         lambda: eng.connected_components(checkpoint_dir=str(tmp_path / "ck")),
         lambda: eng.k_core(2),
         lambda: eng.step(None),
-        lambda: eng.write_states(str(tmp_path / "out"), "rank"),
+        lambda: eng.write_states(str(tmp_path / "out")),
     ]
     for call in calls:
         with pytest.raises(RuntimeError, match="shut down"):

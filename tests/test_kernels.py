@@ -162,19 +162,19 @@ def test_triangle_relabel_invariance():
 
 def test_local_reduce_agrees(small_graph):
     """The tiny-graph in-process regime (reduce="local", the auto pick
-    below LOCAL_KERNEL_MAX_EDGES) matches the distributed driver reduce:
-    bitwise for the integer kernels, allclose for pagerank (different
-    float summation order), same iteration/convergence metadata."""
+    below LOCAL_KERNEL_MAX_EDGES) matches the CSR actor engine: bitwise
+    for the integer kernels, allclose for pagerank (different float
+    summation order), same iteration/convergence metadata."""
     edges, und, earr, V = small_graph
-    a = pagerank(edges, V, tol=1e-10, reduce="driver")
+    a = pagerank(edges, V, tol=1e-10, reduce="csr")
     l = pagerank(edges, V, tol=1e-10, reduce="local")
     assert np.allclose(a.state, l.state, atol=1e-12)
     assert (a.iterations, a.converged) == (l.iterations, l.converged)
-    ca = connected_components(und, V, reduce="driver")
+    ca = connected_components(und, V, reduce="csr")
     cl = connected_components(und, V, reduce="local")
     assert np.array_equal(ca.state, cl.state)
     assert (ca.iterations, ca.converged) == (cl.iterations, cl.converged)
-    la = label_propagation(und, V, max_rounds=10, reduce="driver")
+    la = label_propagation(und, V, max_rounds=10, reduce="csr")
     ll = label_propagation(und, V, max_rounds=10, reduce="local")
     assert np.array_equal(la.state, ll.state)
     assert (la.iterations, la.converged) == (ll.iterations, ll.converged)
@@ -196,17 +196,17 @@ def _all_kernels():
     }
 
 
-@pytest.mark.parametrize("mode", ["groupby", "tree"])
+@pytest.mark.parametrize("mode", ["groupby", "tree", "driver"])
 @pytest.mark.parametrize("kernel", sorted(_all_kernels()))
 def test_unknown_reduce_rejected(kernel, mode):
-    """Only auto/local/driver exist; a removed mode or a typo must fail
+    """Only auto/local/csr exist; a removed mode or a typo must fail
     loudly instead of silently running another executor."""
     raw, V = TINY["tri3"]
     e = _clean_directed(raw)
     ds = ray.data.from_arrow(
         pa.table({"src": e[:, 0], "dst": e[:, 1], "w": np.ones(len(e), dtype=np.int64)})
     )
-    with pytest.raises(ValueError, match="'auto', 'local' or 'driver'"):
+    with pytest.raises(ValueError, match="'auto', 'local' or 'csr'"):
         _all_kernels()[kernel](ds, V, mode)
 
 
@@ -369,7 +369,7 @@ def test_bfs_reduce_strategies_agree(small_graph):
     _, und, earr, V = small_graph
     results = {
         mode: bfs_hops(und, V, sources=[0], reduce=mode).state
-        for mode in ("local", "driver")
+        for mode in ("local", "csr")
     }
     exp = bfs_oracle(earr, V, sources=[0], directed=False)
     for mode, state in results.items():
@@ -423,7 +423,7 @@ def test_kcore_reduce_strategies_agree(small_graph):
     k_core, k_core_oracle = _kcore_imports()
     _, und, earr, V = small_graph
     exp = k_core_oracle(earr, V, k=3)
-    for mode in ("local", "driver"):
+    for mode in ("local", "csr"):
         res = k_core(und, V, k=3, reduce=mode)
         assert np.array_equal(res.state, exp), mode
 
@@ -501,7 +501,7 @@ def test_sssp_random_matches_bellman_ford_all_regimes():
     edges = _clean_directed(rng.integers(0, V, size=(200, 2)))
     w = rng.integers(1, 9, size=len(edges))
     exp = sssp_oracle(edges, w, V, [0, 7])
-    for mode in ("local", "driver"):
+    for mode in ("local", "csr"):
         res = sssp(_weighted_ds(edges, w), V, sources=[0, 7], reduce=mode)
         assert np.array_equal(res.state, exp), mode
 
@@ -595,7 +595,7 @@ def test_hits_tiny(name):
 def test_hits_reduce_strategies_agree(small_graph):
     hits, hits_oracle = _import_hits()
     edges, _, earr, V = small_graph
-    a = hits(edges, V, max_iters=10, reduce="driver")
+    a = hits(edges, V, max_iters=10, reduce="csr")
     l = hits(edges, V, max_iters=10, reduce="local")
     oh, oa = hits_oracle(earr, V, max_iters=10)
     for r in (a, l):
@@ -835,7 +835,7 @@ def test_mis_tiny(name):
 def test_mis_reduce_strategies_agree(small_graph):
     maximal_independent_set, mis_oracle = _import_mis()
     _, und, earr, V = small_graph
-    a = maximal_independent_set(und, V, reduce="driver")
+    a = maximal_independent_set(und, V, reduce="csr")
     l = maximal_independent_set(und, V, reduce="local")
     exp = mis_oracle(earr, V)
     for r in (a, l):
@@ -974,7 +974,7 @@ def test_katz_reduce_strategies_agree(small_graph):
 
     edges, _, earr, V = small_graph
     exp = _katz_numpy(earr, V, 0.01, 1.0, 12)
-    for mode in ("local", "driver"):
+    for mode in ("local", "csr"):
         r = katz_centrality(
             edges, V, alpha=0.01, beta=1.0, max_iters=12, reduce=mode
         )

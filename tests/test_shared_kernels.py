@@ -52,6 +52,20 @@ def test_csr_iterations_equal_broadcast(graphs):
     }
     for k in (2, 3, 4):
         pairs[f"kcore{k}"] = (engine.k_core(und, V, k), eng["und"].k_core(k))
+    # the kernels CsrEngine has no method for run on it through reduce="csr"
+    runs = {
+        "katz": lambda r: engine.katz_centrality(edges, V, alpha=0.01, tol=1e-12,
+                                                 reduce=r),
+        "mis": lambda r: engine.maximal_independent_set(und, V, reduce=r),
+        "hits": lambda r: engine.hits(edges, V, max_iters=100, tol=1e-10, reduce=r),
+    }
+    for name, run in runs.items():
+        bc, csr = run("local"), run("csr")
+        for col in ("hub", "auth") if name == "hits" else ("state",):
+            pairs[f"{name}_{col}"] = (
+                engine.KernelResult(getattr(bc, col), bc.iterations, bc.converged),
+                (getattr(csr, col), csr.iterations, csr.converged),
+            )
     for name, (bc, (state, iters, converged)) in pairs.items():
         assert (iters, converged) == (bc.iterations, bc.converged), name
         if state.dtype.kind == "f":
@@ -156,3 +170,94 @@ def test_csr_older_checkpoint_formats_refused(graphs, tmp_path, kernel):
     CheckpointManager(ck, kernel=label, fingerprint=e.fingerprint, num_partitions=e.P)
     with pytest.raises(ValueError, match="different run"):
         run(e, checkpoint_dir=ck, resume=True)
+
+
+def _random_graph(seed: int, V: int = 200, E: int = 1200):
+    rng = np.random.default_rng(seed)
+    e = rng.integers(0, V, size=(E, 2))
+    e = np.unique(e[e[:, 0] != e[:, 1]], axis=0)
+    und = np.unique(np.concatenate([e, e[:, ::-1]]), axis=0)
+
+    def ds(a):
+        w = (a[:, 0] * 7 + a[:, 1]) % 5
+        return ray.data.from_arrow(pa.table({"src": a[:, 0], "dst": a[:, 1], "w": w}))
+
+    return ds(e), ds(und), V
+
+
+_NINE = {
+    "pagerank": lambda d, u, V, r: engine.pagerank(d, V, tol=1e-10, reduce=r),
+    "ppr": lambda d, u, V, r: engine.pagerank(d, V, tol=1e-10, reset_ids=[1, 5],
+                                              reduce=r),
+    "cc": lambda d, u, V, r: engine.connected_components(u, V, reduce=r),
+    "lpa": lambda d, u, V, r: engine.label_propagation(u, V, reduce=r),
+    "bfs": lambda d, u, V, r: engine.bfs_hops(d, V, [0, 3], reduce=r),
+    "sssp": lambda d, u, V, r: engine.sssp(d, V, [0, 3], reduce=r),
+    "kcore": lambda d, u, V, r: engine.k_core(u, V, 3, reduce=r),
+    "hits": lambda d, u, V, r: engine.hits(d, V, max_iters=100, tol=1e-10, reduce=r),
+    "katz": lambda d, u, V, r: engine.katz_centrality(d, V, alpha=0.02, tol=1e-12,
+                                                      reduce=r),
+    "mis": lambda d, u, V, r: engine.maximal_independent_set(u, V, reduce=r),
+}
+
+
+def _assert_same(a, b, name):
+    assert (a.iterations, a.converged) == (b.iterations, b.converged), name
+    cols = ("hub", "auth") if name == "hits" else ("state",)
+    for x, y in ((getattr(a, c), getattr(b, c)) for c in cols):
+        if x.dtype.kind == "f":
+            assert np.allclose(x, y, rtol=0, atol=1e-9), name
+        else:
+            assert np.array_equal(x, y), name
+
+
+@pytest.mark.parametrize("name", sorted(_NINE))
+def test_csr_equals_local_on_random_graph(name):
+    """Every kernel gives the same answer, supersteps and convergence on
+    both executors (float states allclose: summation order differs)."""
+    d, u, V = _random_graph(11)
+    run = _NINE[name]
+    _assert_same(run(d, u, V, "local"), run(d, u, V, "csr"), name)
+
+
+def test_auto_runs_csr_above_local_max_edges(graphs, monkeypatch):
+    """With LOCAL_KERNEL_MAX_EDGES below E, ``auto`` builds a CsrEngine
+    (never the local executor) and equals ``local``."""
+    edges, und, weighted, V, _ = graphs
+    local = {k: run(weighted, und, V, "local") for k, run in _NINE.items()}
+    built = []
+    init = CsrEngine.__init__
+
+    def spy(self, *a, **kw):
+        built.append(a[1])
+        init(self, *a, **kw)
+
+    monkeypatch.setattr(engine, "LOCAL_KERNEL_MAX_EDGES", 10)
+    monkeypatch.setattr(CsrEngine, "__init__", spy)
+    monkeypatch.setattr(engine, "_Edges", None)  # a local run would fail
+    for name, run in _NINE.items():
+        _assert_same(run(weighted, und, V, "auto"), local[name], name)
+    assert built == [V] * len(_NINE)
+
+
+@pytest.mark.parametrize("name", ["hits", "mis"])
+def test_csr_resume_of_multi_reduce_kernel_equals_uninterrupted(
+    graphs, tmp_path, name
+):
+    """A CSR run of HITS or MIS stopped after two supersteps and resumed
+    from its checkpoint ends bitwise-equal to an uninterrupted run."""
+    edges, und, _, V, _ = graphs
+    run = {
+        "hits": lambda **kw: engine.hits(edges, V, tol=1e-10, reduce="csr", **kw),
+        "mis": lambda **kw: engine.maximal_independent_set(und, V, reduce="csr",
+                                                           **kw),
+    }[name]
+    full = run(max_iters=30)
+    ck = str(tmp_path / "ck")
+    stopped = run(max_iters=2, checkpoint_dir=ck)
+    assert (stopped.iterations, stopped.converged) == (2, False)
+    resumed = run(max_iters=30, checkpoint_dir=ck, resume=True)
+    assert (resumed.iterations, resumed.converged) == (full.iterations, full.converged)
+    assert resumed.history == full.history[2:]
+    for col in ("hub", "auth") if name == "hits" else ("state",):
+        assert np.array_equal(getattr(resumed, col), getattr(full, col)), col

@@ -318,3 +318,47 @@ def test_matrix_to_list_array_large_offset_branch(monkeypatch):
     assert pa.types.is_large_list(large.type)
     assert np.array_equal(u.list_column_to_matrix(large), mat)
     assert large.to_pylist() == small.to_pylist()
+
+
+_TOPIC_SESSIONS_SCRIPT = """
+import numpy as np
+import pyarrow as pa
+import ray, ray.data
+from citationgraphs_ray.functions.vocab import build_vocab, encode_docs, tokenize_docs
+from citationgraphs_ray.stages.topics import LdaEngine
+
+texts = ["alpha beta gamma", "one two three"] * 10
+for _ in range(2):
+    ray.init(address="local", num_cpus=1, include_dashboard=False,
+             logging_level="ERROR")
+    docs = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array(range(len(texts)), type=pa.int64()),
+        "text": pa.array(texts),
+    }))
+    ds = tokenize_docs(docs)
+    vocab = build_vocab(ds)
+    enc = encode_docs(ds, vocab).materialize()
+    eng = LdaEngine(enc, num_topics=2, vocab_size=vocab.count(),
+                    num_partitions=2, seed=1)
+    eng.train(num_iters=2)
+    assert eng.memberships().count() == len(texts)
+    eng.shutdown()
+    ray.shutdown()
+print("OK")
+"""
+
+
+def test_topic_pool_never_lends_a_past_sessions_actor(tmp_path):
+    """init → pooled LdaEngine → shutdown → init → pooled LdaEngine with
+    the same P in one process: the second session gets its own actors
+    instead of the dead session's handles."""
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _TOPIC_SESSIONS_SCRIPT],
+        env={**os.environ, "PYTHONPATH": root}, cwd=str(tmp_path),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0 and out.stdout.strip().endswith("OK"), out.stderr[-3000:]
