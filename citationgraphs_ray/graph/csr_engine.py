@@ -33,7 +33,17 @@ north_rule):
   distinct destinations — so one fold yields every per-(p, q) message
   vector back to back. Each q's local dst ids (``dq``) are exchanged to
   q's owner ONCE; supersteps ship **values only**.
-- Superstep = one BSP scatter/gather per reduce of the kernel, in order.
+- Superstep = one worker call per reduce of the kernel, in order: Pregel's
+  "apply, then send". Each call folds the incoming bundles of reduce i,
+  applies it, and scatters reduce i + 1 (the next superstep's first after
+  the last) before it returns, so the driver makes one round trip per
+  reduce and routes the bundle refs the previous call returned; ``init``
+  and ``load_shards`` scatter the first reduce the same way. (A bare actor
+  round trip costs 1.1-1.3 ms on a quiet 4-vCPU host, where a PageRank
+  superstep of the 115k-edge benchmark graph took 10.4 ms with two of
+  them per reduce and 8.2 ms with one; BENCH/BASELINE.md round 9.) The
+  scatter after a run's last superstep is never gathered; its refs are
+  dropped.
   A push runs the kernel's message function once per owned partition,
   pre-combines it per (p, q) with ``engine._fold`` and bundles the slices
   into ONE plasma object per destination worker (≤ W² objects per
@@ -45,9 +55,10 @@ north_rule):
   scalars in partition order (so results do not depend on W) and merges
   the metrics.
 - Checkpoints are **per partition** (not per worker): each worker writes
-  shards of every state column for its owned partitions, the manifest
-  (completion marker) is written last — so a run checkpointed at one
-  cluster size resumes at another.
+  one Arrow IPC shard of every state column per owned partition, inside
+  the superstep's last call (``gather(..., shard_dir=...)``); the driver
+  writes the manifest (completion marker) after every call has returned —
+  so a run checkpointed at one cluster size resumes at another.
 
 Rationale for raw actors: Ray Data's map_batches actor pools don't pin a
 stable partition→actor assignment across iterations, so per-partition
@@ -70,6 +81,7 @@ import ray
 import ray.data
 from ray.exceptions import RayActorError, RayError
 
+from ..state.checkpoints import read_shard, shard_name, write_shard
 from ..utils import ray_session
 from .engine import (
     _columns,
@@ -109,6 +121,11 @@ def _sum_by_partition(dicts: list[dict[int, float]]) -> float:
     for d in dicts:
         merged.update(d)
     return sum(merged[p] for p in sorted(merged))
+
+
+def _by_part(per_worker) -> list[dict]:
+    """The part metadata of every worker's shards, in partition order."""
+    return sorted((m for ms in per_worker for m in ms), key=lambda m: m["part"])
 
 
 def partition_edges(
@@ -186,8 +203,9 @@ class CsrWorker:
     """Serves one engine at a time, lent by the session pool: ``reset``
     gives it partitions {p : p % W == wid}, and ``reset()`` empties it
     again before it goes back. Single-threaded numpy inside. Executes one
-    kernel of engine.py at a time: ``init``, then one ``scatter`` and one
-    ``gather`` per reduce of each superstep.
+    kernel of engine.py at a time: ``init`` (or ``load_shards``), then one
+    ``gather`` per reduce of each superstep. Each of these calls ends by
+    scattering the next reduce and returns its bundles and scalars.
 
     num_cpus=0: the TRUE parallelism limit is the worker count W (that many
     single-threaded processes exist, period); holding scheduler CPU slots
@@ -234,11 +252,11 @@ class CsrWorker:
         return {p: self.kernel.result(pt.state) for p, pt in self.parts.items()}
 
     # -- supersteps -----------------------------------------------------------
-    def init(self, kernel) -> bool:
+    def init(self, kernel) -> tuple[dict, dict[int, float]]:
         self.kernel = kernel
         for pt in self.parts.values():
             pt.state = kernel.init(pt)
-        return True
+        return self._scatter(0)
 
     def _bundle(self, slices: dict, pull: bool) -> dict:
         """Group per-(p, q) message slices by DESTINATION WORKER (q's, or
@@ -252,7 +270,7 @@ class CsrWorker:
             by_w.setdefault((p if pull else q) % self.W, {})[(p, q)] = msg
         return {w: ray.put(d) for w, d in by_w.items()}
 
-    def scatter(self, i: int) -> tuple[dict, dict[int, float]]:
+    def _scatter(self, i: int) -> tuple[dict, dict[int, float]]:
         """Reduce ``i`` of the superstep: the messages of every owned
         partition, pre-combined per (p, q) and bundled per destination
         worker, plus each partition's scalar."""
@@ -288,11 +306,16 @@ class CsrWorker:
                 out[(p, q)] = _fold_sparse(ph.combine, *m) if fold else m
         return self._bundle(out, ph.pull), scalars
 
-    def gather(self, i: int, scalar: float, *bundles: dict) -> list[dict]:
-        """Fold the incoming bundles of reduce ``i`` and apply it; one
-        metric per owned partition. Bundles fold in (q, p) order, so float
-        summation order — and the result's bits — do not depend on W.
-        (Varargs: Ray resolves ObjectRefs only as top-level args.)"""
+    def gather(
+        self, i: int, scalar: float, *bundles: dict, shard_dir: str | None = None
+    ) -> tuple[list[dict], list[dict] | None, dict, dict[int, float]]:
+        """Fold the incoming bundles of reduce ``i``, apply it, write the
+        checkpoint shards to ``shard_dir`` if given, and scatter the next
+        reduce: (one metric per owned partition, the shards' part
+        metadata or None, the next reduce's bundles and scalars). Bundles
+        fold in (q, p) order, so float summation order — and the result's
+        bits — do not depend on W. (Varargs: Ray resolves ObjectRefs only
+        as top-level args.)"""
         ph = self.kernel.phases[i]
         items = sorted(
             (kv for b in bundles for kv in b.items()),
@@ -325,28 +348,37 @@ class CsrWorker:
         for q, pt in self.parts.items():
             pt.state, metric = ph.apply(pt.state, inc[q], pt, scalar)
             metrics.append(metric)
-        return metrics
+        parts = self.write_shards(shard_dir) if shard_dir else None
+        return metrics, parts, *self._scatter((i + 1) % len(self.kernel.phases))
 
     # -- shards (per PARTITION, so resume is W-independent) -------------------
-    def write_shards(self, out_dir: str, result: bool = False) -> list[dict]:
-        """Every state column (a checkpoint), or with ``result`` the
-        kernel's output columns (``CsrEngine.write_states``)."""
+    def write_shards(self, it_dir: str) -> list[dict]:
+        """Checkpoint shards: every state column, one file per partition."""
         out = []
         for p, pt in self.parts.items():
-            cols = self.kernel.result(pt.state) if result else _columns(pt.state)
+            fname = shard_name(p)
+            tbl = pa.table({"id": pt.ids, **_columns(pt.state)})
+            write_shard(os.path.join(it_dir, fname), tbl)
+            out.append({"part": p, "file": fname, "rows": tbl.num_rows})
+        return out
+
+    def write_states(self, out_dir: str) -> list[dict]:
+        """The kernel's output columns as Parquet (``CsrEngine.write_states``)."""
+        out = []
+        for p, pt in self.parts.items():
             fname = f"state-{p:05d}.parquet"
-            tbl = pa.table({"id": pt.ids, **cols})
+            tbl = pa.table({"id": pt.ids, **self.kernel.result(pt.state)})
             pq.write_table(tbl, os.path.join(out_dir, fname))
             out.append({"part": p, "file": fname, "rows": tbl.num_rows})
         return out
 
-    def load_shards(self, it_dir: str) -> bool:
+    def load_shards(self, it_dir: str) -> tuple[dict, dict[int, float]]:
         for p, pt in self.parts.items():
-            tbl = pq.read_table(os.path.join(it_dir, f"state-{p:05d}.parquet"))
+            tbl = read_shard(os.path.join(it_dir, shard_name(p)))
             order = np.argsort(tbl["id"].to_numpy(), kind="stable")
             cols = {c: tbl[c].to_numpy(zero_copy_only=False)[order] for c in pt.state}
             pt.state = _restore(pt.state, cols)
-        return True
+        return self._scatter(0)
 
 
 # Idle CsrWorker handles of the current Ray session, and the session they
@@ -432,6 +464,11 @@ class CsrEngine:
             )
             open(marker, "w").close()
         self._mgr = None  # the running kernel's CheckpointManager
+        # per worker, the (bundles, scalars) its last call scattered for
+        # the next reduce; and (dir, part metadata) of the shards the last
+        # superstep wrote
+        self._pending: list | None = None
+        self._shards: tuple[str, list[dict]] | None = None
         self._session = ray_session()
         self.workers = _borrow(self.W)
         try:
@@ -507,37 +544,51 @@ class CsrEngine:
     # -- the executor interface of engine._run ---------------------------------
     def init(self, kernel, mgr) -> None:
         self._mgr = mgr
-        self._get([a.init.remote(kernel) for a in self._live()])
+        self._pending = self._get([a.init.remote(kernel) for a in self._live()])
 
-    def step(self, kernel) -> dict:
-        """One superstep: per reduce, scatter everywhere, route the ≤ W²
-        bundle refs, gather everywhere."""
+    def step(self, kernel, shard_dir: str | None = None) -> dict:
+        """One superstep: per reduce, route the ≤ W² bundle refs the
+        previous call scattered and make one ``gather`` call per worker;
+        the last one writes the checkpoint shards to ``shard_dir``."""
         workers = self._live()
-        for i in range(len(kernel.phases)):
-            outs = self._get([a.scatter.remote(i) for a in workers])
-            scalar = _sum_by_partition([s for _, s in outs])
+        last = len(kernel.phases) - 1
+        for i in range(last + 1):
+            scalar = _sum_by_partition([s for _, s in self._pending])
             inbox: list[list] = [[] for _ in range(self.W)]
-            for ob, _ in outs:
+            for ob, _ in self._pending:
                 for w, ref in ob.items():
                     inbox[w].append(ref)
-            per_worker = self._get(
-                [a.gather.remote(i, scalar, *inbox[w]) for w, a in enumerate(workers)]
+            sd = shard_dir if i == last else None
+            outs = self._get(
+                [
+                    a.gather.remote(i, scalar, *inbox[w], shard_dir=sd)
+                    for w, a in enumerate(workers)
+                ]
             )
-        metrics = [m for ms in per_worker for m in ms]
+            self._pending = [(ob, s) for _, _, ob, s in outs]
+        self._shards = (
+            (shard_dir, _by_part(p for _, p, _, _ in outs)) if shard_dir else None
+        )
+        metrics = [m for ms, _, _, _ in outs for m in ms]
         return {k: kernel.merge_metric(m[k] for m in metrics) for k in metrics[0]}
 
     def save(self, mgr, it: int, metric: dict, parent: int | None) -> None:
-        parts = self._get(
-            [a.write_shards.remote(mgr.iter_dir(it)) for a in self._live()]
-        )
-        flat = sorted((m for sub in parts for m in sub), key=lambda m: m["part"])
-        mgr.save_manifest(it, metric, parent, flat)
+        it_dir = mgr.iter_dir(it)
+        if self._shards is not None and self._shards[0] == it_dir:
+            parts = self._shards[1]
+        else:  # converged on a superstep that was not due for a checkpoint
+            parts = _by_part(
+                self._get([a.write_shards.remote(it_dir) for a in self._live()])
+            )
+        mgr.save_manifest(it, metric, parent, parts)
 
     def load(self, mgr):
         ck = mgr.latest_manifest()  # each worker reads its own shards
         if ck is not None:
             it_dir = mgr.iter_dir(ck.iteration)
-            self._get([a.load_shards.remote(it_dir) for a in self._live()])
+            self._pending = self._get(
+                [a.load_shards.remote(it_dir) for a in self._live()]
+            )
         return ck
 
     def assemble(self) -> dict[str, np.ndarray]:
@@ -561,10 +612,13 @@ class CsrEngine:
         assemble: bool,
         checkpoint_every: int = 1,
     ) -> tuple[np.ndarray | None, int, bool]:
-        iters, converged, _ = _run(
-            self, kernel, max_iters, checkpoint_dir, resume,
-            checkpoint_keep_last, checkpoint_every,
-        )
+        try:
+            iters, converged, _ = _run(
+                self, kernel, max_iters, checkpoint_dir, resume,
+                checkpoint_keep_last, checkpoint_every,
+            )
+        finally:  # the scatter no superstep will gather
+            self._pending = self._shards = None
         return self.assemble()[kernel.col] if assemble else None, iters, converged
 
     # -- kernels ----------------------------------------------------------------
@@ -664,15 +718,14 @@ class CsrEngine:
         )
 
     def write_states(self, out_dir: str) -> int:
-        """Write the last kernel's output columns as per-partition parquet
-        shards (``id`` and the columns) directly from the workers — no
+        """Write the last kernel's output columns as per-partition Parquet
+        files (``id`` and the columns) directly from the workers — no
         V-sized driver array (``assemble`` is the small-V convenience;
         this is the sink a 10^12-vertex run uses). Returns total rows
         written."""
         workers = self._live()
         os.makedirs(out_dir, exist_ok=True)
-        parts = self._get([a.write_shards.remote(out_dir, True) for a in workers])
-        flat = sorted((m for sub in parts for m in sub), key=lambda m: m["part"])
+        flat = _by_part(self._get([a.write_states.remote(out_dir) for a in workers]))
         with open(os.path.join(out_dir, "_MANIFEST.json"), "w") as f:
             json.dump({"num_partitions": self.P, "parts": flat}, f)
         return sum(m["rows"] for m in flat)
@@ -682,6 +735,7 @@ class CsrEngine:
         one is dropped. Idempotent; the engine never reaches them again,
         since another engine may hold them next."""
         workers, self.workers = self.workers, None
+        self._pending = self._shards = None
         if not workers or not ray.is_initialized() or ray_session() != self._session:
             return
         refs = [a.reset.remote() for a in workers]

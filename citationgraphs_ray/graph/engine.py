@@ -127,9 +127,15 @@ def edge_checksum_and_count(
                     np.uint64
                 )
                 mix = mix + w * np.uint64(0xD6E8FEB86659FD93)
+        # each term is < 2^61, so a uint64 sum of 8 or more would wrap mod
+        # 2^64 and make the checksum depend on the block layout; the 32-bit
+        # halves sum exactly for any batch under 2^32 rows
+        term = mix % np.uint64(mod)
+        hi = int(np.sum(term >> np.uint64(32)))
+        lo = int(np.sum(term & np.uint64(0xFFFFFFFF)))
         return pa.table(
             {
-                "c": pa.array([int(np.sum(mix % np.uint64(mod))) % mod]),
+                "c": pa.array([((hi << 32) + lo) % mod]),
                 "n": pa.array([len(src)]),
             }
         )
@@ -139,7 +145,7 @@ def edge_checksum_and_count(
     for b in eds.map_batches(part, batch_format="pyarrow").iter_batches(
         batch_format="pyarrow"
     ):
-        total = (total + int(np.sum(b["c"].to_numpy()))) % mod
+        total = (total + sum(b["c"].to_pylist())) % mod
         count += int(np.sum(b["n"].to_numpy()))
     return total, count
 
@@ -267,7 +273,7 @@ class _Edges:
         self.kernel = kernel
         self.state = kernel.init(self)
 
-    def step(self, kernel) -> dict:
+    def step(self, kernel, shard_dir: str | None = None) -> dict:
         for ph in kernel.phases:
             inc = None
             if ph.msg is not None:
@@ -414,15 +420,22 @@ def _run(
     ``max_iters``; returns ``(iterations, converged, history)``.
 
     The executor holds the state: ``init(kernel, mgr)`` (``mgr`` the
-    run's CheckpointManager, or None without checkpoints), ``step(kernel)
-    -> metric``, ``save(mgr, it, metric, parent)`` and ``load(mgr) ->
-    checkpoint | None``, plus ``fingerprint`` (the graph's identity) and
-    ``num_partitions`` (checkpoint shards). Checkpoints hold every state
-    column, so a resume continues bitwise-identically. A resume whose
-    checkpoint metric already passes ``kernel.done`` under THIS run's
-    parameters (e.g. its ``tol``, not the checkpointed run's) returns that
-    state without another superstep (an extra one would break the
-    resume ≡ uninterrupted invariant); otherwise it continues.
+    run's CheckpointManager, or None without checkpoints), ``step(kernel,
+    shard_dir) -> metric``, ``save(mgr, it, metric, parent)`` and
+    ``load(mgr) -> checkpoint | None``, plus ``fingerprint`` (the graph's
+    identity) and ``num_partitions`` (checkpoint shards). A superstep due
+    for a checkpoint gets its iteration directory as ``shard_dir``: the
+    CSR executor writes its Arrow IPC shards there inside the superstep's
+    last worker call, and its ``save`` then writes only the manifest; the
+    local executor ignores it and ``save`` writes every shard. ``save``
+    writes the shards ``step`` did not (a run that converges on a
+    superstep that was not due), and always the manifest after every
+    shard. Checkpoints hold every state column, so a resume continues
+    bitwise-identically. A resume whose checkpoint metric already passes
+    ``kernel.done`` under THIS run's parameters (e.g. its ``tol``, not the
+    checkpointed run's) returns that state without another superstep (an
+    extra one would break the resume ≡ uninterrupted invariant);
+    otherwise it continues.
     ``iterations`` counts the supersteps completed, before and after a
     resume.
     """
@@ -448,10 +461,11 @@ def _run(
     history: list[dict] = []
     converged = False
     for it in range(start, max_iters):
-        metric = ex.step(kernel)
+        due = mgr is not None and it % checkpoint_every == 0
+        metric = ex.step(kernel, mgr.iter_dir(it) if due else None)
         converged = kernel.done(metric)
         history.append({"iteration": it, **metric})
-        if mgr and (it % checkpoint_every == 0 or converged):
+        if due or (mgr and converged):
             ex.save(
                 mgr,
                 it,

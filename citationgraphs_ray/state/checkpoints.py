@@ -8,9 +8,11 @@ S9); here it is a first-class engine feature:
 Layout (one directory per run):
 
     <root>/
-      run.json                      # kernel, input fingerprint, params, P
+      run.json                      # kernel, input fingerprint, params, P,
+                                    # shard format
       iter_000007/
-        state-00000.parquet ...     # per-partition vertex state shards
+        state-00000.arrow ...       # per-partition vertex state shards:
+                                    # uncompressed Arrow IPC files
         MANIFEST.json               # written LAST → marks the superstep
                                     # complete; holds iteration, parent,
                                     # convergence metric, per-part lineage
@@ -19,6 +21,14 @@ Resume = scan for the newest iteration directory whose MANIFEST.json exists
 and parses; partial superstep writes (no manifest) are ignored, so resume
 re-runs the in-flight superstep idempotently (SURVEY.md §7.4: state is
 written only at superstep barriers).
+
+Shards are Arrow IPC files, not Parquet: a checkpoint is written every
+superstep and read back only by a resume, so the disk bytes Parquet's
+encoding and compression save are not worth their time. A 6k-row
+(id, rank) shard took 2.0-2.2 ms to write as default Parquet and
+0.5-0.6 ms as IPC inside a CSR worker, and 1.3 ms against 0.15 ms to
+read (BENCH/BASELINE.md round 9). A directory written before this format
+(no ``shard_format`` in run.json) is refused, not misread.
 """
 
 from __future__ import annotations
@@ -31,9 +41,24 @@ from typing import Any
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 _ITER_RE = re.compile(r"^iter_(\d{6})$")
+SHARD_FORMAT = "arrow"
+
+
+def shard_name(part: int) -> str:
+    return f"state-{part:05d}.arrow"
+
+
+def write_shard(path: str, table: pa.Table) -> None:
+    """One checkpoint shard: ``table`` as an uncompressed Arrow IPC file."""
+    with pa.OSFile(path, "wb") as sink, pa.ipc.new_file(sink, table.schema) as w:
+        w.write_table(table)
+
+
+def read_shard(path: str) -> pa.Table:
+    with pa.OSFile(path) as source:
+        return pa.ipc.open_file(source).read_all()
 
 
 @dataclass
@@ -64,6 +89,7 @@ class CheckpointManager:
             "fingerprint": fingerprint,
             "params": params or {},
             "num_partitions": num_partitions,
+            "shard_format": SHARD_FORMAT,
         }
         run_path = os.path.join(root, "run.json")
         if os.path.exists(run_path):
@@ -78,6 +104,12 @@ class CheckpointManager:
                     f"{existing.get('kernel')}@{existing.get('fingerprint')} "
                     f"vs {kernel}@{fingerprint}"
                 )
+            if existing.get("shard_format") != SHARD_FORMAT:
+                raise ValueError(
+                    f"checkpoint dir {root} holds shards of an older format "
+                    f"(no shard_format {SHARD_FORMAT!r} in its run.json); "
+                    "delete it or checkpoint to another directory"
+                )
         else:
             _atomic_write_json(run_path, run_meta)
 
@@ -89,31 +121,19 @@ class CheckpointManager:
         metric: dict[str, float],
         parent: int | None,
     ) -> None:
-        """Shard the vertex-state arrays by hash(id) % P and write parquet
-        shards, then the manifest (the completion marker)."""
-        it_dir = os.path.join(self.root, f"iter_{iteration:06d}")
-        os.makedirs(it_dir, exist_ok=True)
+        """Shard the vertex-state arrays by hash(id) % P and write one
+        shard each, then the manifest (the completion marker)."""
+        it_dir = self.iter_dir(iteration)
         ids = state["id"]
         part = (ids % self.num_partitions).astype(np.int64)
         parts_meta = []
         for p in range(self.num_partitions):
             mask = part == p
             tbl = pa.table({k: pa.array(v[mask]) for k, v in state.items()})
-            fname = f"state-{p:05d}.parquet"
-            pq.write_table(tbl, os.path.join(it_dir, fname))
+            fname = shard_name(p)
+            write_shard(os.path.join(it_dir, fname), tbl)
             parts_meta.append({"part": p, "file": fname, "rows": int(mask.sum())})
-        manifest = {
-            "kernel": self.kernel,
-            "iteration": iteration,
-            "parent": parent,
-            "fingerprint": self.fingerprint,
-            "num_partitions": self.num_partitions,
-            "metric": metric,
-            "parts": parts_meta,
-        }
-        _atomic_write_json(os.path.join(it_dir, "MANIFEST.json"), manifest)
-        if self.keep_last:
-            self.prune(self.keep_last)
+        self.save_manifest(iteration, metric, parent, parts_meta)
 
     def save_manifest(
         self,
@@ -122,11 +142,10 @@ class CheckpointManager:
         parent: int | None,
         parts: list[dict],
     ) -> None:
-        """Manifest-only save for engines whose partitions write their own
-        shards (CSR actor engine): the manifest stays the completion marker,
-        written strictly after every shard."""
-        it_dir = os.path.join(self.root, f"iter_{iteration:06d}")
-        os.makedirs(it_dir, exist_ok=True)
+        """The manifest alone, for ``save`` and for engines whose
+        partitions write their own shards (CSR actor engine): the manifest
+        stays the completion marker, written strictly after every shard."""
+        it_dir = self.iter_dir(iteration)
         manifest = {
             "kernel": self.kernel,
             "iteration": iteration,
@@ -203,7 +222,7 @@ class CheckpointManager:
             return None
         it_dir = os.path.join(self.root, f"iter_{ck.iteration:06d}")
         tables = [
-            pq.read_table(os.path.join(it_dir, p["file"]))
+            read_shard(os.path.join(it_dir, p["file"]))
             for p in ck.manifest["parts"]
         ]
         tbl = pa.concat_tables(tables)

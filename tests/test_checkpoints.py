@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -95,6 +96,43 @@ def test_lpa_resume(small_edges, ckdir):
         full.iterations,
         full.converged,
     )
+
+
+@pytest.mark.parametrize("reduce", ["local", "csr"])
+def test_checkpoint_dir_of_older_shard_format_refused(small_edges, ckdir, reduce):
+    """A checkpoint dir whose run.json records no Arrow shard format (its
+    shards are Parquet) is refused by name before any shard is read."""
+    edges, vids = small_edges
+    V = vids.count()
+    pagerank(edges, V, tol=1e-10, max_iters=2, checkpoint_dir=ckdir, reduce=reduce)
+    run_path = os.path.join(ckdir, "run.json")
+    with open(run_path) as f:
+        meta = json.load(f)
+    assert meta.pop("shard_format") == "arrow"
+    with open(run_path, "w") as f:
+        json.dump(meta, f)
+    with pytest.raises(ValueError, match=f"checkpoint dir {re.escape(ckdir)} .*older"):
+        pagerank(edges, V, tol=1e-10, checkpoint_dir=ckdir, resume=True, reduce=reduce)
+
+
+def test_edge_checksum_independent_of_block_layout():
+    """One edge set split into one block or four gets one checksum."""
+    import pyarrow as pa
+    import ray.data
+
+    from citationgraphs_ray.graph.engine import edge_checksum_and_count
+
+    e = np.random.default_rng(5).integers(0, 1 << 40, size=(100, 2))
+    tbl = pa.table({"src": e[:, 0], "dst": e[:, 1]})
+    one = ray.data.from_arrow(tbl)
+    four = ray.data.from_arrow([tbl.slice(i, 25) for i in range(0, 100, 25)])
+    assert four.num_blocks() == 4
+    mod, mask = (1 << 61) - 1, (1 << 64) - 1
+    want = sum(
+        ((s * 0x9E3779B97F4A7C15) & mask ^ (d * 0xC2B2AE3D27D4EB4F) & mask) % mod
+        for s, d in e.tolist()
+    ) % mod
+    assert edge_checksum_and_count(one) == edge_checksum_and_count(four) == (want, 100)
 
 
 def _fp(ckdir):

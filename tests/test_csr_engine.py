@@ -88,7 +88,7 @@ def test_csr_checkpoint_resume(engines, tmp_path):
     import glob
     import os
 
-    shards = glob.glob(os.path.join(ck2, "iter_000000", "state-*.parquet"))
+    shards = glob.glob(os.path.join(ck2, "iter_000000", "state-*.arrow"))
     assert len(shards) == dir_eng.P
 
 
@@ -112,21 +112,76 @@ def test_csr_resume_reads_no_shard_on_driver(engines, tmp_path, monkeypatch):
     only the manifest."""
     import pyarrow.parquet as pq
 
+    from citationgraphs_ray.state import checkpoints
+
     _, _, dir_eng, _ = engines
     ck = str(tmp_path / "ck")
     full, _, _ = dir_eng.pagerank(tol=1e-10)
     dir_eng.pagerank(tol=1e-10, max_iters=3, checkpoint_dir=ck)
     reads = []
-    real = pq.read_table
 
-    def spy(source, *a, **k):
-        reads.append(str(source))
-        return real(source, *a, **k)
+    def spy(real):
+        def read(source, *a, **k):
+            reads.append(str(source))
+            return real(source, *a, **k)
 
-    monkeypatch.setattr(pq, "read_table", spy)
+        return read
+
+    monkeypatch.setattr(pq, "read_table", spy(pq.read_table))
+    monkeypatch.setattr(checkpoints, "read_shard", spy(checkpoints.read_shard))
     resumed, _, conv = dir_eng.pagerank(tol=1e-10, checkpoint_dir=ck, resume=True)
     assert conv and np.array_equal(resumed, full)
     assert not [r for r in reads if "state-" in r]
+
+
+def test_csr_undue_converged_superstep_is_checkpointed(engines, tmp_path):
+    """With checkpoint_every=3, a run that converges on a superstep that
+    was not due still leaves a complete checkpoint of it, and its resume
+    is bitwise equal to the uninterrupted run."""
+    import os
+
+    from citationgraphs_ray.state.checkpoints import CheckpointManager
+
+    _, _, dir_eng, _ = engines
+    for tol in (1e-10, 1e-9, 1e-8):
+        full, iters, conv = dir_eng.pagerank(tol=tol)
+        if (iters - 1) % 3:
+            break
+    assert conv and (iters - 1) % 3, "every tol converged on a due superstep"
+    ck = str(tmp_path / "ck")
+    got, it_ck, _ = dir_eng.pagerank(tol=tol, checkpoint_dir=ck, checkpoint_every=3)
+    assert it_ck == iters and np.array_equal(got, full)
+    done = sorted(
+        d for d in os.listdir(ck)
+        if os.path.exists(os.path.join(ck, d, "MANIFEST.json"))
+    )
+    assert done[-1] == f"iter_{iters - 1:06d}"
+    assert [int(d[5:]) for d in done[:-1]] == list(range(0, iters - 1, 3))
+    latest = CheckpointManager(ck, "pagerank", dir_eng.fingerprint).latest()
+    assert np.array_equal(latest.state["rank"], full)
+    resumed, it_res, conv_res = dir_eng.pagerank(
+        tol=tol, checkpoint_dir=ck, checkpoint_every=3, resume=True
+    )
+    assert (it_res, conv_res) == (iters, True)
+    assert np.array_equal(resumed, full)
+
+
+def test_checkpointed_superstep_is_one_worker_round_trip(engines, tmp_path, monkeypatch):
+    """A checkpointed single-reduce superstep makes one worker round trip,
+    shards included: ``init`` and then exactly one ``_get`` per superstep."""
+    _, _, dir_eng, _ = engines
+    calls = []
+    real = CsrEngine._get
+
+    def counted(self, refs):
+        calls.append(len(refs))
+        return real(self, refs)
+
+    monkeypatch.setattr(CsrEngine, "_get", counted)
+    _, iters, conv = dir_eng.pagerank(
+        tol=1e-10, checkpoint_dir=str(tmp_path / "ck"), assemble=False
+    )
+    assert conv and len(calls) == 1 + iters
 
 
 def test_csr_checkpoint_worker_count_independent(small_edges, tmp_path):
@@ -555,9 +610,12 @@ def test_engine_refuses_use_after_shutdown(small_edges, tmp_path):
 
 @pytest.mark.parametrize("phase", ["step", "save"])
 def test_lost_worker_is_named_and_not_pooled(small_edges, tmp_path, monkeypatch, phase):
-    """A worker killed after superstep 2 is checkpointed: the error names
-    it, its partitions and iteration 2; it never goes back to the pool,
-    and the next engine resumes to the uninterrupted ranks."""
+    """A worker killed before superstep 3 (``step``) or before its manifest
+    (``save``) is named in the error with its partitions and the newest
+    complete checkpoint: iteration 2, or 3, since superstep 3's shards are
+    written by its own gather, so its manifest completes before the next
+    superstep finds the dead worker. It never goes back to the pool, and
+    the next engine resumes to the uninterrupted ranks."""
     edges, vids = small_edges
     V = vids.count()
     wd = str(tmp_path / "w")
@@ -576,7 +634,7 @@ def test_lost_worker_is_named_and_not_pooled(small_edges, tmp_path, monkeypatch,
     monkeypatch.setattr(eng, phase, hooked)
     with pytest.raises(
         RuntimeError, match=r"worker 1 \(partitions \[1, 3\]\) was lost; "
-        r"resume from checkpoint iteration 2 "
+        rf"resume from checkpoint iteration {2 if phase == 'step' else 3} "
     ):
         eng.pagerank(tol=1e-10, checkpoint_dir=ck)
     eng.shutdown()
