@@ -19,9 +19,14 @@ north_rule):
   (observed: identical throughput at both "cluster sizes"). W sized to the
   session's CPU count restores a real parallelism limit — W
   single-threaded worker processes.
-- **Workers are borrowed, not spawned.** Starting a worker process is most
-  of building an engine (1.5-1.8 s of a 1.7-2.0 s ``CsrEngine()`` on a
-  1-CPU host), and every resume builds a new engine. So the Ray session
+- **Workers are borrowed, not spawned.** Starting a worker is most of
+  building an engine, and every resume builds a new engine. The start is
+  a process start (0.6-1.1 s for a bare actor in a 1-CPU session) plus
+  the import of this module, from which the worker unpickles its class
+  and kernels: 0.14-0.23 s, since engine.py and utils import Ray Data
+  only inside the functions that build a Dataset (at module level,
+  0.56-0.68 s; BENCH/BASELINE.md round 10). pandas still loads at the
+  worker's first ``build``, through pyarrow. So the Ray session
   keeps one pool of idle workers: an engine borrows W of them (starting
   only the ones the pool lacks), loads each with its partitions
   (``reset``), and ``shutdown`` empties them and gives them back. A worker
@@ -38,20 +43,23 @@ north_rule):
   applies it, and scatters reduce i + 1 (the next superstep's first after
   the last) before it returns, so the driver makes one round trip per
   reduce and routes the bundle refs the previous call returned; ``init``
-  and ``load_shards`` scatter the first reduce the same way. (A bare actor
-  round trip costs 1.1-1.3 ms on a quiet 4-vCPU host, where a PageRank
-  superstep of the 115k-edge benchmark graph took 10.4 ms with two of
-  them per reduce and 8.2 ms with one; BENCH/BASELINE.md round 9.) The
-  scatter after a run's last superstep is never gathered; its refs are
-  dropped.
+  scatters the first reduce the same way, once, from the initial state
+  or from the checkpoint a resume reads. (A bare actor round trip costs
+  1.1-1.3 ms on a quiet 4-vCPU host, where a PageRank superstep of the
+  115k-edge benchmark graph took 10.4 ms with two of them per reduce and
+  8.2 ms with one; BENCH/BASELINE.md round 9.) The scatter after a run's
+  last superstep is never gathered; its refs and the workers' held
+  bundles are dropped.
   A push runs the kernel's message function once per owned partition,
   pre-combines it per (p, q) with ``engine._fold`` and bundles the slices
-  into ONE plasma object per destination worker (≤ W² objects per
-  reduce, not P² — 16× fewer ``ray.put``s when a P=32 run executes on
-  W=8); receivers fetch exactly their bundles actor-to-actor, fold them
-  in (q, p) order and apply. A pull sends the values back along the same
-  routing: each q-owner ships ``state[in_dq[p]]`` to p, which folds them
-  by its local src. The driver only routes refs, sums per-partition
+  per destination worker. A worker's bundle to itself stays in the worker;
+  each other one is ONE plasma object (≤ W·(W−1) objects per reduce, not
+  P² — 18× fewer ``ray.put``s when a P=32 run executes on W=8, and none
+  at W=1, where every message is self-addressed); receivers fetch exactly
+  their bundles actor-to-actor, fold them with the held one in (q, p)
+  order and apply. A pull sends the values back along the same routing:
+  each q-owner ships ``state[in_dq[p]]`` to p, which folds them by its
+  local src. The driver only routes refs, sums per-partition
   scalars in partition order (so results do not depend on W) and merges
   the metrics.
 - Checkpoints are **per partition** (not per worker): each worker writes
@@ -78,7 +86,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
-import ray.data
 from ray.exceptions import RayActorError, RayError
 
 from ..state.checkpoints import read_shard, shard_name, write_shard
@@ -102,14 +109,15 @@ from .engine import (
 )
 
 # Auto worker sizing: every superstep pays a W-proportional coordination
-# term (2W driver→actor RPCs + up to W² bundled message objects; on one
-# box all through a shared plasma store) while per-worker compute is E/W,
-# so small graphs want few workers. Measured on the 1.6M-edge headline
-# graph at 32 session CPUs: PageRank 44.8 ms/step at W=4 vs 410 ms/step
-# at W=32 — 9× end-to-end for the identical result. One worker per ~1M
-# edges keeps the compute term dominant; explicit ``num_workers``
-# overrides (the multi-node setting, where each node adds memory
-# bandwidth and its own object store, may justify more).
+# term (W driver→actor RPCs per reduce + up to W·(W−1) bundled message
+# objects; on one box all through a shared plasma store) while
+# per-worker compute is E/W, so small graphs want few workers. Measured
+# on the 1.6M-edge headline graph at 32 session CPUs: PageRank 44.8
+# ms/step at W=4 vs 410 ms/step at W=32 — 9× end-to-end for the
+# identical result. One worker per ~1M edges keeps the compute term
+# dominant; explicit ``num_workers`` overrides (the multi-node setting,
+# where each node adds memory bandwidth and its own object store, may
+# justify more).
 CSR_EDGES_PER_WORKER = 1_000_000
 
 
@@ -203,9 +211,10 @@ class CsrWorker:
     """Serves one engine at a time, lent by the session pool: ``reset``
     gives it partitions {p : p % W == wid}, and ``reset()`` empties it
     again before it goes back. Single-threaded numpy inside. Executes one
-    kernel of engine.py at a time: ``init`` (or ``load_shards``), then one
-    ``gather`` per reduce of each superstep. Each of these calls ends by
-    scattering the next reduce and returns its bundles and scalars.
+    kernel of engine.py at a time: ``init`` (from the initial state or a
+    checkpoint), then one ``gather`` per reduce of each superstep. Each of
+    these calls ends by scattering the next reduce and returns its bundles
+    and scalars.
 
     num_cpus=0: the TRUE parallelism limit is the worker count W (that many
     single-threaded processes exist, period); holding scheduler CPU slots
@@ -222,12 +231,14 @@ class CsrWorker:
         """Own the partitions {p : p % W == wid} of a P-partition,
         V-vertex graph, with no edges, routing, kernel or state yet; the
         defaults own nothing (an idle worker)."""
+        self.wid = wid
         self.W = num_workers
         self.P = P
         self.parts = {
             p: _Partition(p, P, V) for p in range(P) if p % num_workers == wid
         }
         self.kernel = None
+        self._held: dict = {}  # this worker's bundle to itself (``_bundle``)
         return True
 
     def build(self, edge_dir: str, weight_col: str | None = None) -> int:
@@ -252,22 +263,38 @@ class CsrWorker:
         return {p: self.kernel.result(pt.state) for p, pt in self.parts.items()}
 
     # -- supersteps -----------------------------------------------------------
-    def init(self, kernel) -> tuple[dict, dict[int, float]]:
+    def init(
+        self, kernel, it_dir: str | None = None
+    ) -> tuple[dict, dict[int, float]]:
+        """Start ``kernel`` from its initial state, or from the checkpoint
+        shards in ``it_dir`` (read into the initial state's dtypes), and
+        scatter its first reduce."""
         self.kernel = kernel
-        for pt in self.parts.values():
+        for p, pt in self.parts.items():
             pt.state = kernel.init(pt)
+            if it_dir is None:
+                continue
+            tbl = read_shard(os.path.join(it_dir, shard_name(p)))
+            order = np.argsort(tbl["id"].to_numpy(), kind="stable")
+            cols = {c: tbl[c].to_numpy(zero_copy_only=False)[order] for c in pt.state}
+            pt.state = _restore(pt.state, cols)
         return self._scatter(0)
+
+    def drop_held(self) -> None:
+        """Drop the bundle of the scatter no superstep will gather."""
+        self._held = {}
 
     def _bundle(self, slices: dict, pull: bool) -> dict:
         """Group per-(p, q) message slices by DESTINATION WORKER (q's, or
-        p's for a pull) and put one object per (this worker → dest
-        worker) pair: W² objects per reduce instead of P². Identical at
-        W == P; 16× fewer ``ray.put``s when a P=32 run executes on W=8
-        (each put costs ~0.3-1 ms regardless of size — the small-graph
-        superstep floor)."""
+        p's for a pull). The bundle addressed to this worker is held here
+        for its next ``gather``; each other one is put as one object:
+        W·(W−1) objects per reduce instead of P², none at W=1. 18× fewer
+        ``ray.put``s when a P=32 run executes on W=8 (each put costs
+        ~0.3-1 ms regardless of size — the small-graph superstep floor)."""
         by_w: dict[int, dict] = {}
         for (p, q), msg in slices.items():
             by_w.setdefault((p if pull else q) % self.W, {})[(p, q)] = msg
+        self._held = by_w.pop(self.wid, {})
         return {w: ray.put(d) for w, d in by_w.items()}
 
     def _scatter(self, i: int) -> tuple[dict, dict[int, float]]:
@@ -309,16 +336,16 @@ class CsrWorker:
     def gather(
         self, i: int, scalar: float, *bundles: dict, shard_dir: str | None = None
     ) -> tuple[list[dict], list[dict] | None, dict, dict[int, float]]:
-        """Fold the incoming bundles of reduce ``i``, apply it, write the
-        checkpoint shards to ``shard_dir`` if given, and scatter the next
-        reduce: (one metric per owned partition, the shards' part
+        """Fold the held and incoming bundles of reduce ``i``, apply it,
+        write the checkpoint shards to ``shard_dir`` if given, and scatter
+        the next reduce: (one metric per owned partition, the shards' part
         metadata or None, the next reduce's bundles and scalars). Bundles
         fold in (q, p) order, so float summation order — and the result's
         bits — do not depend on W. (Varargs: Ray resolves ObjectRefs only
         as top-level args.)"""
         ph = self.kernel.phases[i]
         items = sorted(
-            (kv for b in bundles for kv in b.items()),
+            (kv for b in (self._held, *bundles) for kv in b.items()),
             key=lambda km: (km[0][1], km[0][0]),
         )
         if ph.pull:  # the dst values of p's edges, in q order, folded by src
@@ -371,14 +398,6 @@ class CsrWorker:
             pq.write_table(tbl, os.path.join(out_dir, fname))
             out.append({"part": p, "file": fname, "rows": tbl.num_rows})
         return out
-
-    def load_shards(self, it_dir: str) -> tuple[dict, dict[int, float]]:
-        for p, pt in self.parts.items():
-            tbl = read_shard(os.path.join(it_dir, shard_name(p)))
-            order = np.argsort(tbl["id"].to_numpy(), kind="stable")
-            cols = {c: tbl[c].to_numpy(zero_copy_only=False)[order] for c in pt.state}
-            pt.state = _restore(pt.state, cols)
-        return self._scatter(0)
 
 
 # Idle CsrWorker handles of the current Ray session, and the session they
@@ -464,9 +483,9 @@ class CsrEngine:
             )
             open(marker, "w").close()
         self._mgr = None  # the running kernel's CheckpointManager
-        # per worker, the (bundles, scalars) its last call scattered for
-        # the next reduce; and (dir, part metadata) of the shards the last
-        # superstep wrote
+        # per worker, the (bundles to the other workers, scalars) its last
+        # call scattered for the next reduce; and (dir, part metadata) of
+        # the shards the last superstep wrote
         self._pending: list | None = None
         self._shards: tuple[str, list[dict]] | None = None
         self._session = ray_session()
@@ -542,12 +561,18 @@ class CsrEngine:
         return RuntimeError(f"CSR worker {w} (partitions {parts}) was lost; {where}")
 
     # -- the executor interface of engine._run ---------------------------------
-    def init(self, kernel, mgr) -> None:
+    def init(self, kernel, mgr, resume: bool):
         self._mgr = mgr
-        self._pending = self._get([a.init.remote(kernel) for a in self._live()])
+        ck = mgr.latest_manifest() if mgr and resume else None
+        # each worker reads its own shards, then scatters once
+        it_dir = mgr.iter_dir(ck.iteration) if ck else None
+        self._pending = self._get(
+            [a.init.remote(kernel, it_dir) for a in self._live()]
+        )
+        return ck
 
     def step(self, kernel, shard_dir: str | None = None) -> dict:
-        """One superstep: per reduce, route the ≤ W² bundle refs the
+        """One superstep: per reduce, route the ≤ W·(W−1) bundle refs the
         previous call scattered and make one ``gather`` call per worker;
         the last one writes the checkpoint shards to ``shard_dir``."""
         workers = self._live()
@@ -582,15 +607,6 @@ class CsrEngine:
             )
         mgr.save_manifest(it, metric, parent, parts)
 
-    def load(self, mgr):
-        ck = mgr.latest_manifest()  # each worker reads its own shards
-        if ck is not None:
-            it_dir = mgr.iter_dir(ck.iteration)
-            self._pending = self._get(
-                [a.load_shards.remote(it_dir) for a in self._live()]
-            )
-        return ck
-
     def assemble(self) -> dict[str, np.ndarray]:
         """The last kernel's output columns, dense over ids 0..V-1."""
         out: dict[str, np.ndarray] = {}
@@ -619,6 +635,8 @@ class CsrEngine:
             )
         finally:  # the scatter no superstep will gather
             self._pending = self._shards = None
+            for a in self.workers or ():
+                a.drop_held.remote()
         return self.assemble()[kernel.col] if assemble else None, iters, converged
 
     # -- kernels ----------------------------------------------------------------

@@ -56,8 +56,7 @@ from functools import cached_property
 
 import numpy as np
 import pyarrow as pa
-import ray
-import ray.data
+import ray  # not ray.data: CSR workers import this module (see utils)
 
 from ..state.checkpoints import CheckpointManager
 from ..utils import collect_table
@@ -83,8 +82,10 @@ class KernelResult:
     history: list[dict] = field(default_factory=list)
 
     def to_dataset(self, value_col: str) -> ray.data.Dataset:
+        from ray.data import from_arrow
+
         ids = np.arange(len(self.state), dtype=np.int64)
-        return ray.data.from_arrow(
+        return from_arrow(
             pa.table({"id": pa.array(ids), value_col: pa.array(self.state)})
         )
 
@@ -269,9 +270,13 @@ class _Edges:
         )
 
     # -- the executor interface of _run --------------------------------------
-    def init(self, kernel, mgr) -> None:
+    def init(self, kernel, mgr, resume: bool):
         self.kernel = kernel
         self.state = kernel.init(self)
+        ck = mgr.latest() if mgr and resume else None
+        if ck is not None:
+            self.state = _restore(self.state, ck.state)
+        return ck
 
     def step(self, kernel, shard_dir: str | None = None) -> dict:
         for ph in kernel.phases:
@@ -286,12 +291,6 @@ class _Edges:
 
     def save(self, mgr, it: int, metric: dict, parent: int | None) -> None:
         mgr.save(it, {"id": self.ids, **_columns(self.state)}, metric, parent)
-
-    def load(self, mgr):
-        ck = mgr.latest()
-        if ck is not None:
-            self.state = _restore(self.state, ck.state)
-        return ck
 
     def assemble(self) -> dict[str, np.ndarray]:
         """The last kernel's output columns."""
@@ -419,15 +418,17 @@ def _run(
     """Run ``kernel`` on executor ``ex`` until ``kernel.done`` or
     ``max_iters``; returns ``(iterations, converged, history)``.
 
-    The executor holds the state: ``init(kernel, mgr)`` (``mgr`` the
-    run's CheckpointManager, or None without checkpoints), ``step(kernel,
-    shard_dir) -> metric``, ``save(mgr, it, metric, parent)`` and
-    ``load(mgr) -> checkpoint | None``, plus ``fingerprint`` (the graph's
-    identity) and ``num_partitions`` (checkpoint shards). A superstep due
-    for a checkpoint gets its iteration directory as ``shard_dir``: the
-    CSR executor writes its Arrow IPC shards there inside the superstep's
-    last worker call, and its ``save`` then writes only the manifest; the
-    local executor ignores it and ``save`` writes every shard. ``save``
+    The executor holds the state: ``init(kernel, mgr, resume) ->
+    checkpoint | None`` (``mgr`` the run's CheckpointManager, or None
+    without checkpoints; with ``resume`` the state starts from the latest
+    complete checkpoint, if any, which it returns), ``step(kernel,
+    shard_dir) -> metric`` and ``save(mgr, it, metric, parent)``, plus
+    ``fingerprint`` (the graph's identity) and ``num_partitions``
+    (checkpoint shards). A superstep due for a checkpoint gets its
+    iteration directory as ``shard_dir``: the CSR executor writes its
+    Arrow IPC shards there inside the superstep's last worker call, and
+    its ``save`` then writes only the manifest; the local executor
+    ignores it and ``save`` writes every shard. ``save``
     writes the shards ``step`` did not (a run that converges on a
     superstep that was not due), and always the manifest after every
     shard. Checkpoints hold every state column, so a resume continues
@@ -451,8 +452,7 @@ def _run(
             num_partitions=ex.num_partitions,
             keep_last=keep_last,
         )
-    ex.init(kernel, mgr)
-    ck = ex.load(mgr) if mgr and resume else None
+    ck = ex.init(kernel, mgr, resume)
     if ck is not None:
         start = ck.iteration + 1
         if kernel.done(ck.manifest["metric"]):

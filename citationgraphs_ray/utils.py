@@ -11,7 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import ray
-import ray.data
+
+# ray.data (and the pandas it loads) is imported only where a Dataset is
+# built: every CSR worker process imports this module, and never builds one.
 
 
 def ray_session() -> tuple[str, str]:
@@ -55,7 +57,9 @@ def zip_with_index(ds: ray.data.Dataset, col: str = "id") -> ray.data.Dataset:
     out_refs = [
         _add_index.remote(r, int(off), col) for r, off in zip(refs, offsets)
     ]
-    return ray.data.from_arrow_refs(out_refs)
+    from ray.data import from_arrow_refs
+
+    return from_arrow_refs(out_refs)
 
 
 @ray.remote
@@ -117,7 +121,9 @@ def ordered_prefix_sum(
         _add_exclusive_cumsum.remote(r, float(off), value_col, out_col, as_int)
         for r, off in zip(refs, offsets)
     ]
-    return ray.data.from_arrow_refs(out_refs)
+    from ray.data import from_arrow_refs
+
+    return from_arrow_refs(out_refs)
 
 
 def dataset_to_dense_array(
@@ -631,10 +637,12 @@ def fast_grouped_agg(
         return _merge_partitioned(
             parts, keys, final_merge, num_merge_partitions
         )
+    from ray.data import from_arrow
+
     tbl = collect_table(parts)
     if tbl.num_rows == 0 and tbl.num_columns == 0:
-        return ray.data.from_arrow(_empty_like(ds, keys, aggs, count_as))
-    return ray.data.from_arrow(final_merge(tbl))
+        return from_arrow(_empty_like(ds, keys, aggs, count_as))
+    return from_arrow(final_merge(tbl))
 
 
 def fast_distinct(
@@ -659,7 +667,9 @@ def fast_distinct(
         return _merge_partitioned(
             parts, keys, final_merge, num_merge_partitions
         )
+    from ray.data import from_arrow
+
     tbl = collect_table(parts)
     if tbl.num_columns == 0:
-        return ray.data.from_arrow(_empty_like(ds, keys, {}, None))
-    return ray.data.from_arrow(final_merge(tbl))
+        return from_arrow(_empty_like(ds, keys, {}, None))
+    return from_arrow(final_merge(tbl))

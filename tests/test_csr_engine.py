@@ -705,3 +705,139 @@ def test_pool_never_lends_a_past_sessions_worker(tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 0 and out.stdout.strip().endswith("OK"), out.stderr[-3000:]
+
+
+def test_csr_resume_scatters_once(engines, tmp_path):
+    """A resume scatters each worker's first reduce once, from the
+    checkpoint, not first from the initial state as well, and ends
+    bitwise-equal to the uninterrupted run."""
+    import ray
+
+    _, _, dir_eng, _ = engines
+    full, iters, _ = dir_eng.pagerank(tol=1e-10)
+    ck = str(tmp_path / "ck")
+    dir_eng.pagerank(tol=1e-10, max_iters=3, checkpoint_dir=ck)
+
+    def count(worker):
+        real = worker._scatter
+        worker.scatters = 0
+
+        def counted(i):
+            worker.scatters += 1
+            return real(i)
+
+        worker._scatter = counted
+
+    def uncount(worker):
+        del worker._scatter
+        return worker.scatters
+
+    ray.get([a.__ray_call__.remote(count) for a in dir_eng.workers])
+    try:
+        resumed, it_res, conv = dir_eng.pagerank(
+            tol=1e-10, checkpoint_dir=ck, resume=True
+        )
+    finally:
+        scatters = ray.get([a.__ray_call__.remote(uncount) for a in dir_eng.workers])
+    assert conv and it_res == iters and np.array_equal(resumed, full)
+    # the first reduce from the checkpoint, then one per superstep's gather
+    assert scatters == [1 + iters - 3] * len(dir_eng.workers)
+
+
+def test_held_bundles_independent_of_worker_count(small_edges, tmp_path):
+    """P=4 engines at W=1, 2 and 3 (at W=3 worker 0 owns partitions 0 and
+    3, so it folds its own bundle with the other workers'): PageRank
+    (dense push), LPA (sparse push), HITS (push, pull and norm) and MIS
+    (two pushes) give bitwise-equal state, iterations and history. After
+    ``init`` no worker's pending bundles are addressed to itself, and at
+    W=1 there are none."""
+    from citationgraphs_ray.graph import engine
+
+    edges, vids = small_edges
+    V = vids.count()
+    und = symmetrize_edges(edges).materialize()
+    kernels = {
+        "dir": {
+            "pagerank": lambda: engine._PageRank(V, 0.85, 1e-10, None),
+            "hits": lambda: engine._Hits(100, 1e-10),
+        },
+        "und": {
+            "lpa": lambda: engine._LabelPropagation(V),
+            "mis": lambda: engine._Mis(41),
+        },
+    }
+    runs = {}
+    for W in (1, 2, 3):
+        for tag, eds in (("dir", edges), ("und", und)):
+            eng = CsrEngine(eds, V, num_partitions=4, workdir=str(tmp_path),
+                            tag=tag, num_workers=W)
+            try:
+                for name, make in kernels[tag].items():
+                    eng.init(make(), None, False)
+                    pending = [set(bundles) for bundles, _ in eng._pending]
+                    assert all(w not in b for w, b in enumerate(pending)), name
+                    assert W > 1 or pending == [set()], name
+                    done = engine._run(eng, make(), 100, None, False, None)
+                    runs[name, W] = eng.assemble(), done
+            finally:
+                eng.shutdown()
+    for (name, W), (cols, done) in runs.items():
+        want_cols, want_done = runs[name, 1]
+        assert done == want_done, (name, W)
+        assert cols.keys() == want_cols.keys()
+        for c in cols:
+            assert np.array_equal(cols[c], want_cols[c]), (name, W, c)
+
+
+def _loaded(worker) -> list:
+    """Which of Ray Data and pandas a worker process has imported."""
+    import sys
+
+    import ray
+
+    return ray.get(worker.__ray_call__.remote(
+        lambda self: [m for m in ("ray.data", "pandas") if m in sys.modules]
+    ))
+
+
+def test_csr_engine_module_imports_no_ray_data():
+    """Importing the CSR engine (and with it engine.py and utils) loads
+    neither Ray Data nor pandas: every worker process imports it."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, ray, citationgraphs_ray.graph.csr_engine\n"
+        "print([m for m in ('ray.data', 'pandas') if m in sys.modules])"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert out.returncode == 0 and out.stdout.strip() == "[]", out.stderr[-3000:]
+
+
+def test_pooled_worker_imports_no_ray_data(small_edges, tmp_path):
+    """A worker the pool starts has loaded neither Ray Data nor pandas;
+    after serving an engine it has still not loaded Ray Data (pyarrow's
+    numpy conversions in ``build`` load pandas)."""
+    from citationgraphs_ray.graph import csr_engine
+
+    edges, vids = small_edges
+    idle = _idle()
+    held = idle[:]
+    idle.clear()
+    try:
+        (worker,) = csr_engine._borrow(1)
+        assert _loaded(worker) == []
+        idle.append(worker)
+        eng = CsrEngine(edges, vids.count(), num_partitions=4,
+                        workdir=str(tmp_path), num_workers=1)
+        assert _actor_ids(eng) == {worker._actor_id.hex()}
+        _, _, conv = eng.pagerank(tol=1e-10)
+        eng.shutdown()
+        assert conv and "ray.data" not in _loaded(worker)
+    finally:
+        idle.extend(held)
