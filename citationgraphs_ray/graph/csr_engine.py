@@ -25,8 +25,10 @@ north_rule):
   the import of this module, from which the worker unpickles its class
   and kernels: 0.14-0.23 s, since engine.py and utils import Ray Data
   only inside the functions that build a Dataset (at module level,
-  0.56-0.68 s; BENCH/BASELINE.md round 10). pandas still loads at the
-  worker's first ``build``, through pyarrow. So the Ray session
+  0.56-0.68 s). The worker reads and writes Arrow through
+  ``utils.numpy_column``/``arrow_table``, so pandas, which pyarrow's own
+  conversions import, never loads either (0.4-0.5 s of a first ``build``;
+  BENCH/BASELINE.md round 10). So the Ray session
   keeps one pool of idle workers: an engine borrows W of them (starting
   only the ones the pool lacks), loads each with its partitions
   (``reset``), and ``shutdown`` empties them and gives them back. A worker
@@ -89,7 +91,7 @@ import ray
 from ray.exceptions import RayActorError, RayError
 
 from ..state.checkpoints import read_shard, shard_name, write_shard
-from ..utils import ray_session
+from ..utils import arrow_table, numpy_column, ray_session
 from .engine import (
     _columns,
     _fold,
@@ -177,11 +179,21 @@ class _Partition:
     def build(self, edge_dir: str, weight_col: str | None = None) -> int:
         part_dir = os.path.join(edge_dir, f"part={self.pid}")
         cols = ["src", "dst"] + ([weight_col] if weight_col else [])
-        if os.path.isdir(part_dir):
-            tbl = pq.read_table(part_dir, columns=cols)
-        else:  # partition with no edges
-            tbl = pa.table({c: pa.array([], type=pa.int64()) for c in cols})
-        src, dst, *w = (tbl[c].to_numpy().astype(np.int64) for c in cols)
+        # file by file, in the path order pq.read_table reads them (it would
+        # import pyarrow.dataset, and with it pandas; see numpy_column); a
+        # partition with no edges has no directory
+        files = sorted(os.listdir(part_dir)) if os.path.isdir(part_dir) else []
+        tables = [
+            pq.ParquetFile(os.path.join(part_dir, f)).read(columns=cols)
+            for f in files
+            if f[0] not in "._"
+        ]
+        src, dst, *w = (
+            np.concatenate(
+                [np.empty(0, np.int64)] + [numpy_column(t[c]) for t in tables]
+            ).astype(np.int64)
+            for c in cols
+        )
         for x in w:
             _check_weights(x.min(initial=0))
         local = src // self.P
@@ -275,8 +287,8 @@ class CsrWorker:
             if it_dir is None:
                 continue
             tbl = read_shard(os.path.join(it_dir, shard_name(p)))
-            order = np.argsort(tbl["id"].to_numpy(), kind="stable")
-            cols = {c: tbl[c].to_numpy(zero_copy_only=False)[order] for c in pt.state}
+            order = np.argsort(numpy_column(tbl["id"]), kind="stable")
+            cols = {c: numpy_column(tbl[c])[order] for c in pt.state}
             pt.state = _restore(pt.state, cols)
         return self._scatter(0)
 
@@ -384,7 +396,7 @@ class CsrWorker:
         out = []
         for p, pt in self.parts.items():
             fname = shard_name(p)
-            tbl = pa.table({"id": pt.ids, **_columns(pt.state)})
+            tbl = arrow_table({"id": pt.ids, **_columns(pt.state)})
             write_shard(os.path.join(it_dir, fname), tbl)
             out.append({"part": p, "file": fname, "rows": tbl.num_rows})
         return out

@@ -26,6 +26,46 @@ def ray_session() -> tuple[str, str]:
     return ctx.get_node_id(), ctx.get_job_id()
 
 
+def _numpy_dtype(t: pa.DataType) -> np.dtype:
+    if pa.types.is_floating(t):
+        return np.dtype(f"f{t.bit_width // 8}")
+    if pa.types.is_integer(t):
+        sign = "i" if pa.types.is_signed_integer(t) else "u"
+        return np.dtype(f"{sign}{t.bit_width // 8}")
+    raise ValueError(f"expected an integer or float column, got {t}")
+
+
+def numpy_column(col: pa.ChunkedArray) -> np.ndarray:
+    """A null-free integer or float column as one numpy array, copied off
+    its Arrow buffers. pyarrow 16's own conversions (``to_numpy``,
+    ``pa.array``, ``DataType.to_pandas_dtype``) import pandas: 0.3-0.45 s
+    of every new CSR worker process, which never uses it
+    (BENCH/BASELINE.md round 10)."""
+    dt = _numpy_dtype(col.type)
+    if col.null_count:
+        raise ValueError(f"expected no nulls, got {col.null_count}")
+    return np.concatenate(
+        [np.empty(0, dt)]
+        + [
+            np.frombuffer(c.buffers()[1], dt, len(c), c.offset * dt.itemsize)
+            for c in col.chunks
+            if len(c)
+        ]
+    )
+
+
+def arrow_table(cols: dict[str, np.ndarray]) -> pa.Table:
+    """``pa.table`` of integer or float numpy columns, built without
+    pyarrow's pandas import (:func:`numpy_column`)."""
+    arrays = {}
+    for name, a in cols.items():
+        a = np.ascontiguousarray(a)
+        t = pa.from_numpy_dtype(a.dtype)
+        _numpy_dtype(t)  # bool is bit-packed in Arrow, one byte in numpy
+        arrays[name] = pa.Array.from_buffers(t, len(a), [None, pa.py_buffer(a)])
+    return pa.table(arrays)
+
+
 @ray.remote
 def _block_len(tbl: pa.Table) -> int:
     return tbl.num_rows

@@ -820,12 +820,13 @@ def test_csr_engine_module_imports_no_ray_data():
 
 
 def test_pooled_worker_imports_no_ray_data(small_edges, tmp_path):
-    """A worker the pool starts has loaded neither Ray Data nor pandas;
-    after serving an engine it has still not loaded Ray Data (pyarrow's
-    numpy conversions in ``build`` load pandas)."""
+    """A worker the pool starts has loaded neither Ray Data nor pandas,
+    and has not after it built an engine, wrote checkpoint shards and
+    resumed from them."""
     from citationgraphs_ray.graph import csr_engine
 
     edges, vids = small_edges
+    ck = str(tmp_path / "ck")
     idle = _idle()
     held = idle[:]
     idle.clear()
@@ -836,8 +837,9 @@ def test_pooled_worker_imports_no_ray_data(small_edges, tmp_path):
         eng = CsrEngine(edges, vids.count(), num_partitions=4,
                         workdir=str(tmp_path), num_workers=1)
         assert _actor_ids(eng) == {worker._actor_id.hex()}
-        _, _, conv = eng.pagerank(tol=1e-10)
+        eng.pagerank(tol=1e-10, max_iters=3, checkpoint_dir=ck)
+        _, _, conv = eng.pagerank(tol=1e-10, checkpoint_dir=ck, resume=True)
         eng.shutdown()
-        assert conv and "ray.data" not in _loaded(worker)
+        assert conv and _loaded(worker) == []
     finally:
         idle.extend(held)

@@ -181,3 +181,32 @@ def test_semi_join_rejects_int64_beyond_2_53():
         bucketed_semi_join(
             ray.data.from_arrow(left), ray.data.from_arrow(right), ["k"]
         ).materialize()
+
+
+@pytest.mark.parametrize("dtype", ["int8", "int32", "int64", "uint16", "float32", "float64"])
+def test_numpy_column_and_arrow_table_round_trip(dtype):
+    """The pandas-free conversions of the CSR workers equal pyarrow's own,
+    across chunks, sliced chunks and empty ones."""
+    from citationgraphs_ray.utils import arrow_table, numpy_column
+
+    a = (np.arange(40) * 3 - 7).astype(dtype)
+    col = pa.chunked_array(
+        [pa.array(a[:10]), pa.array(a[10:25]).slice(4), pa.array(a[:0]), pa.array(a[25:])]
+    )
+    got = numpy_column(col)
+    assert got.dtype == np.dtype(dtype)
+    assert np.array_equal(got, col.to_numpy())
+    assert numpy_column(pa.chunked_array([], type=col.type)).dtype == np.dtype(dtype)
+    for x in (a[::3], a[:0]):  # a strided view, an empty one
+        assert arrow_table({"x": x}).equals(pa.table({"x": pa.array(x)}))
+
+
+def test_numpy_column_and_arrow_table_reject_what_they_cannot_copy():
+    from citationgraphs_ray.utils import arrow_table, numpy_column
+
+    with pytest.raises(ValueError, match="nulls"):
+        numpy_column(pa.chunked_array([[1, None, 3]]))
+    with pytest.raises(ValueError, match="integer or float"):
+        numpy_column(pa.chunked_array([[True, False]]))
+    with pytest.raises(ValueError, match="integer or float"):
+        arrow_table({"b": np.array([True, False])})
