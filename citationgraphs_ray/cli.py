@@ -39,6 +39,7 @@ from .graph.engine import (
 )
 from .graph.triangles import triangle_counts
 from .stages.edges import extract_edge_table, symmetrize_edges
+from .utils import collect_table
 
 
 def _seeds(args) -> list[int]:
@@ -163,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
             eds, V, num_partitions=args.num_partitions, workdir=args.workdir
         )
     else:
-        ex = _Edges(eds, V)
+        ex = _Edges(collect_table(eds), V)
     try:
         iters, converged, _ = _run(
             ex, kernel, args.max_iters, args.checkpoint_dir, args.resume, None

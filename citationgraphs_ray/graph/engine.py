@@ -22,9 +22,13 @@ the sum of its two L2 norms.
 Two executors run the same definitions, picked by ``reduce``:
 
 - ``"local"``: the whole graph as one slice. (src, dst[, w]) are pulled
-  to the driver once, every reduce is one in-process numpy pass
-  (``np.bincount`` / ``np.minimum.at``), and the state is a dense V-sized
-  array on the driver.
+  to the driver once, straight from the blocks of an already-materialized
+  input (no Ray Data job; ``utils.pinned``), every reduce is one
+  in-process numpy pass (``np.bincount`` / ``np.minimum.at``), and the
+  state is a dense V-sized array on the driver. LPA
+  (``_Kernel.recount_dirty``) recounts after its first superstep only the
+  vertices with an in-neighbour whose label changed, reading their
+  in-edge segments from a copy of the edges sorted by dst.
 - ``"csr"``: the CSR actor engine (csr_engine.py), P ``src % P`` slices
   hosted by W worker actors, built in a temporary workdir for the one
   run and shut down after it.
@@ -59,7 +63,7 @@ import pyarrow as pa
 import ray  # not ray.data: CSR workers import this module (see utils)
 
 from ..state.checkpoints import CheckpointManager
-from ..utils import collect_table
+from ..utils import collect_table, pinned
 from .oracle import mis_priority
 
 # ``reduce="auto"`` runs "local" at or below this E and "csr" above it.
@@ -108,45 +112,47 @@ def edge_checksum(eds: ray.data.Dataset, weight_col: str | None = None) -> int:
     return edge_checksum_and_count(eds, weight_col)[0]
 
 
+_CHECKSUM_MOD = (1 << 61) - 1
+
+
+def _checksum(src: np.ndarray, dst: np.ndarray, w: np.ndarray | None = None) -> int:
+    """The edge checksum of one batch of edges (:func:`edge_checksum`):
+    the sum of its per-edge mixes mod 2^61. Batch sums add up mod 2^61 to
+    the same value however the edges are split into batches."""
+    src, dst = src.astype(np.uint64), dst.astype(np.uint64)
+    with np.errstate(over="ignore"):
+        mix = (src * np.uint64(0x9E3779B97F4A7C15)) ^ (
+            dst * np.uint64(0xC2B2AE3D27D4EB4F)
+        )
+        if w is not None:
+            mix = mix + w.astype(np.uint64) * np.uint64(0xD6E8FEB86659FD93)
+    # each term is < 2^61, so a uint64 sum of 8 or more would wrap mod
+    # 2^64 and make the checksum depend on the block layout; the 32-bit
+    # halves sum exactly for any batch under 2^32 rows
+    term = mix % np.uint64(_CHECKSUM_MOD)
+    hi = int(np.sum(term >> np.uint64(32)))
+    lo = int(np.sum(term & np.uint64(0xFFFFFFFF)))
+    return ((hi << 32) + lo) % _CHECKSUM_MOD
+
+
 def edge_checksum_and_count(
     eds: ray.data.Dataset, weight_col: str | None = None
 ) -> tuple[int, int]:
     """``(checksum, num_edges)`` in the same single column-pruned pass —
     callers that need E for sizing decisions (CsrEngine worker count) get
     it for free."""
-    mod = (1 << 61) - 1
+    cols = ["src", "dst"] + ([weight_col] if weight_col else [])
 
     def part(batch: pa.Table) -> pa.Table:
-        src = batch["src"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        dst = batch["dst"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            mix = (src * np.uint64(0x9E3779B97F4A7C15)) ^ (
-                dst * np.uint64(0xC2B2AE3D27D4EB4F)
-            )
-            if weight_col is not None:
-                w = batch[weight_col].to_numpy(zero_copy_only=False).astype(
-                    np.uint64
-                )
-                mix = mix + w * np.uint64(0xD6E8FEB86659FD93)
-        # each term is < 2^61, so a uint64 sum of 8 or more would wrap mod
-        # 2^64 and make the checksum depend on the block layout; the 32-bit
-        # halves sum exactly for any batch under 2^32 rows
-        term = mix % np.uint64(mod)
-        hi = int(np.sum(term >> np.uint64(32)))
-        lo = int(np.sum(term & np.uint64(0xFFFFFFFF)))
-        return pa.table(
-            {
-                "c": pa.array([((hi << 32) + lo) % mod]),
-                "n": pa.array([len(src)]),
-            }
-        )
+        c = _checksum(*(batch[k].to_numpy(zero_copy_only=False) for k in cols))
+        return pa.table({"c": pa.array([c]), "n": pa.array([batch.num_rows])})
 
     total = 0
     count = 0
     for b in eds.map_batches(part, batch_format="pyarrow").iter_batches(
         batch_format="pyarrow"
     ):
-        total = (total + sum(b["c"].to_pylist())) % mod
+        total = (total + sum(b["c"].to_pylist())) % _CHECKSUM_MOD
         count += int(np.sum(b["n"].to_numpy()))
     return total, count
 
@@ -243,19 +249,20 @@ class _Edges:
 
     def __init__(
         self,
-        edges: ray.data.Dataset,
+        edges: pa.Table,
         num_vertices: int,
         weight_col: str | None = None,
     ) -> None:
         self.num_vertices = num_vertices
         self.ids = np.arange(num_vertices, dtype=np.int64)
-        self.weight_col = weight_col
-        self.ds = edges  # the fingerprint's checksum pass reads it
-        tbl = collect_table(edges).combine_chunks()
         cols = ["src", "dst"] + ([weight_col] if weight_col else [])
-        self.arrays = tuple(_int64(tbl[c]) for c in cols)
+        self.arrays = tuple(_int64(edges[c]) for c in cols)
         if weight_col:
             _check_weights(self.arrays[2].min(initial=0))
+        # the vertices to recount next superstep (``_Kernel.recount_dirty``);
+        # None recounts all of them
+        self.dirty = None
+        self._grouped: dict[int, tuple] = {}
 
     @cached_property
     def deg(self) -> np.ndarray:
@@ -263,30 +270,60 @@ class _Edges:
 
     @cached_property
     def fingerprint(self) -> str:
-        """The graph's identity: (V, E) and the edge checksum."""
-        checksum = edge_checksum(self.ds, self.weight_col)
+        """The graph's identity: (V, E) and the edge checksum, the value
+        :func:`edge_checksum` gives for the same edges."""
         return edge_fingerprint(
-            self.num_vertices, len(self.arrays[0]), str(checksum)
+            self.num_vertices, len(self.arrays[0]), str(_checksum(*self.arrays))
         )
+
+    def edges_of(self, end: int, vertices: np.ndarray | None):
+        """The edges whose ``end`` (0 src, 1 dst) is one of ``vertices``
+        (ascending ids), grouped by it: the out- or in-edges of those
+        vertices. ``vertices`` None gives every edge in table order. The
+        first call for an ``end`` sorts a copy of the edges by it, with an
+        ``indptr`` per vertex."""
+        if vertices is None:
+            return self.arrays
+        if end not in self._grouped:
+            key = self.arrays[end]
+            indptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
+            np.cumsum(np.bincount(key, minlength=self.num_vertices), out=indptr[1:])
+            order = np.argsort(key)
+            self._grouped[end] = indptr, tuple(a[order] for a in self.arrays)
+        indptr, arrays = self._grouped[end]
+        lo = indptr[vertices]
+        n = indptr[vertices + 1] - lo
+        at = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        return tuple(a[at] for a in arrays)
 
     # -- the executor interface of _run --------------------------------------
     def init(self, kernel, mgr, resume: bool):
         self.kernel = kernel
         self.state = kernel.init(self)
+        self.dirty = None
         ck = mgr.latest() if mgr and resume else None
         if ck is not None:
             self.state = _restore(self.state, ck.state)
         return ck
 
     def step(self, kernel, shard_dir: str | None = None) -> dict:
+        before = self.state
         for ph in kernel.phases:
             inc = None
             if ph.msg is not None:
                 emitted = ph.emit(self.state, self)
-                inc = self.reduce(ph.msg, ph.combine, *emitted, sparse=ph.sparse)
+                inc = self.reduce(
+                    ph.msg, ph.combine, *emitted, sparse=ph.sparse,
+                    edges=self.edges_of(1, self.dirty),
+                )
             self.state, metric = ph.apply(
                 self.state, inc, self, ph.scalar(self.state, self)
             )
+        if kernel.recount_dirty:  # mark the out-neighbours of the changed
+            changed = np.flatnonzero(self.state[kernel.col] != before[kernel.col])
+            dirty = np.zeros(self.num_vertices, dtype=bool)
+            dirty[self.edges_of(0, changed)[1]] = True
+            self.dirty = np.flatnonzero(dirty)
         return metric
 
     def save(self, mgr, it: int, metric: dict, parent: int | None) -> None:
@@ -296,11 +333,15 @@ class _Edges:
         """The last kernel's output columns."""
         return self.kernel.result(self.state)
 
-    def reduce(self, msg, combine: str, *state: np.ndarray, sparse: bool = False):
+    def reduce(
+        self, msg, combine: str, *state: np.ndarray, sparse: bool = False,
+        edges: tuple[np.ndarray, ...] | None = None,
+    ):
         """Run ``msg(state, src, dst[, w]) -> (key, value)`` over every
-        edge and fold by ``combine``: a dense length-V vector, or with
-        ``sparse=True`` (keys beyond V) a (distinct keys, values) pair."""
-        key, val = msg(state, *self.arrays)
+        edge (or the ``edges`` given) and fold by ``combine``: a dense
+        length-V vector, or with ``sparse=True`` (keys beyond V) a
+        (distinct keys, values) pair."""
+        key, val = msg(state, *(self.arrays if edges is None else edges))
         if sparse:
             return _fold_sparse(combine, key, val)
         return _fold(combine, key, val, self.num_vertices)
@@ -394,6 +435,13 @@ class _Kernel(_Phase):
     # how the CSR engine merges one metric over partitions: counts sum,
     # residuals (``linf_residual``) take the max
     merge_metric = staticmethod(sum)
+    # the local executor's dirty recount: after its first superstep, each
+    # superstep reduces only the in-edges of the vertices with an
+    # in-neighbour whose ``col`` changed in the last one. Exact for a
+    # one-push kernel whose new value at a vertex reads only its
+    # in-neighbours' values, and whose ``apply`` keeps the value of a
+    # vertex that gets no message (LPA)
+    recount_dirty = False
     key = ""
     params: dict | None = None
 
@@ -494,13 +542,15 @@ def _execute(
     if reduce not in ("auto", "local", "csr"):
         raise ValueError(f"reduce must be 'auto', 'local' or 'csr', got {reduce!r}")
     cols = ["src", "dst"] + ([weight_col] if weight_col else [])
-    # project and pin the blocks once: both executors read them twice
-    eds = edges.select_columns(cols).materialize()
+    # pin the blocks once (a Ray Data job only for a lazy input): the local
+    # executor collects them, the CSR engine reads them twice and projects
+    # each read itself
+    eds, num_edges = pinned(edges, cols)
     run = (kernel, max_iters, checkpoint_dir, resume, keep_last, checkpoint_every)
     if reduce == "local" or (
-        reduce == "auto" and eds.count() <= LOCAL_KERNEL_MAX_EDGES
+        reduce == "auto" and num_edges <= LOCAL_KERNEL_MAX_EDGES
     ):
-        g = _Edges(eds, num_vertices, weight_col)
+        g = _Edges(collect_table(eds), num_vertices, weight_col)
         done = _run(g, *run)
         return g.assemble(), *done
     from .csr_engine import CsrEngine
@@ -669,11 +719,15 @@ def connected_components(
 
 class _LabelPropagation(_Kernel):
     name, col, combine, sparse = "lpa", "label", "count", True
+    recount_dirty = True
 
     def __init__(self, n: int) -> None:
         self.M = n + 1
         if self.M * (self.M + 1) >= np.iinfo(np.int64).max:
-            raise ValueError("V too large for int64 encode-max-decode; use map_groups")
+            raise ValueError(
+                f"label_propagation supports V ≲ 3e9, got V={n}: its pair "
+                "keys need cnt·M + M (M = V+1) to fit int64"
+            )
 
     def init(self, v):
         return {"label": v.ids}

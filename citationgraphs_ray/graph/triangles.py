@@ -18,9 +18,11 @@ expansion, CitationGraphs.go:835-928):
 Three regimes (``strategy="auto"`` picks by E, as the graph engine's
 ``reduce="auto"`` does):
 
-- ``local`` (tiny E, ≤ ``LOCAL_KERNEL_MAX_EDGES``): everything after the
-  distinct-edge shuffle runs as one in-process numpy computation — at
-  this scale the fixed cost of each Ray Data execution dominates.
+- ``local`` (tiny E, ≤ ``LOCAL_KERNEL_MAX_EDGES``): everything runs as
+  one in-process numpy computation — at this scale the fixed cost of
+  each Ray Data execution dominates. When the raw edge count already
+  fits, the edges are canonicalized on the driver (no Ray Data job on
+  a materialized input); otherwise after the distinct-edge shuffle.
   Triangle work scales with wedge pairs Σ C(outdeg, 2), not E, so the
   local regime self-checks its own cost: tiny-V dense graphs switch to
   exact diag(A³)/2 counting (one BLAS matmul, ``DENSE_MATMUL_MAX_V``),
@@ -57,8 +59,10 @@ from ..utils import (
     bucketed_inner_join,
     collect_table,
     dataset_to_dense_array,
+    distinct_rows,
     fast_distinct,
     fast_grouped_agg,
+    pinned,
 )
 from .engine import LOCAL_KERNEL_MAX_EDGES, KernelResult
 
@@ -167,24 +171,34 @@ def _wedge_probe_vectorized(
     )
 
 
+def _canon(batch: pa.Table) -> pa.Table:
+    """Edges as undirected (u, v), u < v; self-loops dropped."""
+    s = batch["src"].to_numpy(zero_copy_only=False)
+    d = batch["dst"].to_numpy(zero_copy_only=False)
+    keep = s != d
+    s, d = s[keep], d[keep]
+    return pa.table(
+        {"u": pa.array(np.minimum(s, d)), "v": pa.array(np.maximum(s, d))}
+    )
+
+
 def _canon_undirected(edges: ray.data.Dataset) -> ray.data.Dataset:
     """Distinct undirected edges as (u < v); self-loops dropped."""
-
-    def canon(batch: pa.Table) -> pa.Table:
-        s = batch["src"].to_numpy(zero_copy_only=False)
-        d = batch["dst"].to_numpy(zero_copy_only=False)
-        keep = s != d
-        s, d = s[keep], d[keep]
-        return pa.table(
-            {"u": pa.array(np.minimum(s, d)), "v": pa.array(np.maximum(s, d))}
-        )
-
     return fast_distinct(
         edges.select_columns(["src", "dst"]).map_batches(
-            canon, batch_format="pyarrow"
+            _canon, batch_format="pyarrow"
         ),
         ["u", "v"],
     )
+
+
+def _canon_on_driver(eds: ray.data.Dataset, num_edges: int) -> pa.Table:
+    """:func:`_canon_undirected` of the pinned ``eds`` as one table, made on
+    the driver: no Ray Data job."""
+    if num_edges == 0:  # an empty Dataset collects to a table of no columns
+        empty = pa.array([], type=pa.int64())
+        return pa.table({"u": empty, "v": empty})
+    return distinct_rows(_canon(collect_table(eds)), ["u", "v"])
 
 
 def _degree_table(uv: ray.data.Dataset) -> ray.data.Dataset:
@@ -351,6 +365,14 @@ def _range_probe(
     )
 
 
+def _fits_local(num_edges: int, num_vertices: int) -> bool:
+    """Whether ``auto`` runs a graph of this size in the local regime."""
+    return (
+        num_edges <= LOCAL_KERNEL_MAX_EDGES
+        and num_vertices <= LOCAL_TRIANGLE_MAX_VERTICES
+    )
+
+
 def triangle_counts(
     edges_undirected: ray.data.Dataset,
     num_vertices: int,
@@ -358,12 +380,18 @@ def triangle_counts(
     as_dataset: bool = False,
 ) -> KernelResult | ray.data.Dataset:
     """strategy:
-    - "local" (auto at/below ``LOCAL_KERNEL_MAX_EDGES``): the tiny-graph
-      regime — the distinct undirected edges are pulled to the driver once
-      and the whole orient/wedge/probe runs as in-process numpy (the same
-      regime switch as ``engine.pagerank(reduce="local")``: below a few
-      million edges every Ray Data execution's fixed cost dominates the
-      arithmetic). Because probe cost is wedge pairs, not edges, the
+    - "local" (auto at/below ``LOCAL_KERNEL_MAX_EDGES`` distinct
+      undirected edges): the tiny-graph regime — the distinct undirected
+      edges are on the driver once and the whole orient/wedge/probe runs
+      as in-process numpy (the same regime switch as
+      ``engine.pagerank(reduce="local")``: below a few million edges every
+      Ray Data execution's fixed cost dominates the arithmetic). When
+      ``strategy="local"``, or the RAW edge count is at/below the bound
+      (it bounds the distinct count, so auto's choice is the same), the
+      edges are read from their blocks (``utils.pinned``: no Ray Data job
+      on a materialized input) and canonicalized on the driver with the
+      per-batch ``_canon`` and ``fast_distinct``'s ``distinct_rows``;
+      otherwise ``_canon_undirected`` runs as a Ray Data job. Because probe cost is wedge pairs, not edges, the
       regime sub-switches: V ≤ ``DENSE_MATMUL_MAX_V`` dense graphs use
       exact diag(A³)/2 (one float64 GEMM; entries < 2^53 so exact), and
       sparse-but-wedge-heavy graphs above ``LOCAL_TRIANGLE_MAX_PAIRS``
@@ -384,8 +412,19 @@ def triangle_counts(
     of densifying into a V-sized driver array — the 10^12-vertex sink
     (vertices with zero triangles are absent).
     """
-    uv = _canon_undirected(edges_undirected).materialize()
-    n_edges = uv.count()
+    uv_local = None  # the distinct (u, v) table, when the driver made it
+    if strategy in ("auto", "local"):
+        edges_undirected, n_raw = pinned(edges_undirected, ["src", "dst"])
+        # the canonical count is at most the raw one: auto goes local by
+        # the raw count only where the canonical count would take it too
+        if strategy == "local" or _fits_local(n_raw, num_vertices):
+            strategy = "local"
+            uv_local = _canon_on_driver(edges_undirected, n_raw)
+    if uv_local is None:
+        uv = _canon_undirected(edges_undirected).materialize()
+        n_edges = uv.count()
+    else:
+        n_edges = uv_local.num_rows
     if n_edges == 0:  # no edges → no triangles (empty sets have no schema)
         if as_dataset:
             return ray.data.from_arrow(
@@ -398,10 +437,7 @@ def triangle_counts(
             )
         return KernelResult(np.zeros(num_vertices, dtype=np.int64), 1, True, [])
     if strategy == "auto":
-        if (
-            n_edges <= LOCAL_KERNEL_MAX_EDGES
-            and num_vertices <= LOCAL_TRIANGLE_MAX_VERTICES
-        ):
+        if _fits_local(n_edges, num_vertices):
             strategy = "local"
         elif (
             n_edges <= BROADCAST_EDGE_KEY_MAX
@@ -416,7 +452,7 @@ def triangle_counts(
             strategy = "shuffle"
 
     if strategy == "local":
-        tbl = collect_table(uv).combine_chunks()
+        tbl = collect_table(uv) if uv_local is None else uv_local
         u = tbl["u"].to_numpy(zero_copy_only=False).astype(np.int64)
         v = tbl["v"].to_numpy(zero_copy_only=False).astype(np.int64)
         M = num_vertices + 1

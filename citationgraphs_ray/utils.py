@@ -255,6 +255,20 @@ def collect_table(ds: "ray.data.Dataset") -> pa.Table:
     return pa.concat_tables(tables, promote_options="default")
 
 
+def pinned(ds: "ray.data.Dataset", cols: list[str]) -> tuple["ray.data.Dataset", int]:
+    """``ds`` with its blocks in the object store, and its row count. A
+    ``MaterializedDataset`` comes back as it is and its count is block
+    metadata, so no Ray Data job runs: a projection and materialize of
+    one costs 53-75 ms of fixed cost (BENCH/BASELINE.md round 11), and a
+    caller that collects the blocks picks ``cols`` on the driver. A lazy
+    ``ds`` is projected to ``cols`` and materialized, in one job."""
+    from ray.data.dataset import MaterializedDataset
+
+    if not isinstance(ds, MaterializedDataset):
+        ds = ds.select_columns(cols).materialize()
+    return ds, ds.count()
+
+
 # broadcast_merge right-side budget: above either bound the "small side"
 # isn't small and a broadcast would collect it onto the driver and re-ship
 # it to every map task — the caller should shuffle instead. Enforced with
@@ -696,20 +710,20 @@ def fast_distinct(
     fast_grouped_agg: driver merge when partials are small, hash shuffle
     + per-partition distinct when they are not)."""
 
-    def partial(batch: pa.Table) -> pa.Table:
-        return batch.select(keys).group_by(keys).aggregate([])
+    def distinct(batch: pa.Table) -> pa.Table:
+        return distinct_rows(batch, keys)
 
-    def final_merge(tbl: pa.Table) -> pa.Table:
-        return tbl.group_by(keys).aggregate([])
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").materialize()
+    parts = ds.map_batches(distinct, batch_format="pyarrow").materialize()
     if parts.count() > distribute_threshold:
-        return _merge_partitioned(
-            parts, keys, final_merge, num_merge_partitions
-        )
+        return _merge_partitioned(parts, keys, distinct, num_merge_partitions)
     from ray.data import from_arrow
 
     tbl = collect_table(parts)
     if tbl.num_columns == 0:
         return from_arrow(_empty_like(ds, keys, {}, None))
-    return from_arrow(final_merge(tbl))
+    return from_arrow(distinct(tbl))
+
+
+def distinct_rows(tbl: pa.Table, keys: list[str]) -> pa.Table:
+    """The distinct ``keys`` rows of one table (pyarrow's C++ group_by)."""
+    return tbl.select(keys).group_by(keys).aggregate([])

@@ -253,3 +253,75 @@ def test_sssp_resume(small_edges, ckdir):
     resumed = sssp(we, V, sources=[0], checkpoint_dir=ckdir, resume=True)
     assert resumed.converged
     assert np.array_equal(resumed.state, full.state)
+
+
+def test_lpa_dirty_recount_resume(small_edges, ckdir, tmp_path, monkeypatch):
+    """A resume from a mid-run checkpoint recounts every vertex in its
+    first superstep, then only the dirty ones: state, iterations and
+    history equal a resume that recounts every vertex every superstep."""
+    from citationgraphs_ray.graph import engine
+
+    edges, vids = small_edges
+    V = vids.count()
+    und = symmetrize_edges(edges).materialize()
+    label_propagation(und, V, max_rounds=2, checkpoint_dir=ckdir, reduce="local")
+    full_dir = str(tmp_path / "ck_full")
+    shutil.copytree(ckdir, full_dir)
+    dirty = label_propagation(und, V, checkpoint_dir=ckdir, resume=True, reduce="local")
+    with monkeypatch.context() as m:
+        m.setattr(engine._LabelPropagation, "recount_dirty", False)
+        full = label_propagation(
+            und, V, checkpoint_dir=full_dir, resume=True, reduce="local"
+        )
+    assert np.array_equal(dirty.state, full.state)
+    assert (dirty.iterations, dirty.converged, dirty.history) == (
+        full.iterations, full.converged, full.history,
+    )
+    assert np.array_equal(dirty.state, label_propagation(und, V, reduce="local").state)
+
+
+def test_lpa_rejects_vertex_count_beyond_int64_pair_keys():
+    from citationgraphs_ray.graph.engine import _LabelPropagation
+
+    with pytest.raises(ValueError, match=r"V ≲ 3e9, got V=4000000000"):
+        _LabelPropagation(4_000_000_000)
+
+
+@pytest.mark.parametrize("weight_col", [None, "w"])
+def test_local_fingerprint_equals_checksum_pass(weight_col):
+    """The local executor's fingerprint, from the arrays on the driver,
+    equals the one from ``edge_checksum``'s Ray Data pass over a
+    multi-block input."""
+    import pyarrow as pa
+    import ray.data
+
+    from citationgraphs_ray.graph.engine import _Edges, edge_checksum, edge_fingerprint
+    from citationgraphs_ray.utils import collect_table
+
+    rng = np.random.default_rng(6)
+    e = rng.integers(0, 1000, size=(100, 3))
+    tbl = pa.table({"src": e[:, 0], "dst": e[:, 1], "w": e[:, 2]})
+    ds = ray.data.from_arrow([tbl.slice(i, 25) for i in range(0, 100, 25)])
+    assert ds.num_blocks() == 4
+    g = _Edges(collect_table(ds), 1000, weight_col)
+    want = edge_fingerprint(1000, 100, str(edge_checksum(ds, weight_col)))
+    assert g.fingerprint == want
+
+
+def test_local_checkpointed_run_reads_no_checksum_pass(small_edges, ckdir, monkeypatch):
+    """A checkpointed local run and its resume fingerprint the graph
+    without a Ray Data pass over the edges."""
+    from citationgraphs_ray.graph import engine
+
+    def no_pass(*a, **k):
+        raise AssertionError("edge_checksum_and_count ran")
+
+    edges, vids = small_edges
+    V = vids.count()
+    full = pagerank(edges, V, tol=1e-10, reduce="local")
+    monkeypatch.setattr(engine, "edge_checksum_and_count", no_pass)
+    pagerank(edges, V, tol=1e-10, max_iters=3, checkpoint_dir=ckdir, reduce="local")
+    resumed = pagerank(
+        edges, V, tol=1e-10, checkpoint_dir=ckdir, resume=True, reduce="local"
+    )
+    assert np.array_equal(resumed.state, full.state)

@@ -1007,3 +1007,182 @@ def test_katz_resume_equals_uninterrupted(small_graph, tmp_path):
         edges, V, alpha=0.01, max_iters=12, checkpoint_dir=d, resume=True
     )
     assert np.array_equal(full.state, resumed.state)
+
+
+# ---- the local executor's dirty recount (LPA) -----------------------------
+
+
+def _lpa_dirty_and_full(monkeypatch, ds, V, **kw):
+    """LPA on the local executor with its dirty recount and with a full
+    recount every superstep."""
+    from citationgraphs_ray.graph import engine
+
+    dirty = label_propagation(ds, V, reduce="local", **kw)
+    with monkeypatch.context() as m:
+        m.setattr(engine._LabelPropagation, "recount_dirty", False)
+        full = label_propagation(ds, V, reduce="local", **kw)
+    return dirty, full
+
+
+def _assert_same_run(a, b):
+    assert a.state.dtype == b.state.dtype
+    assert np.array_equal(a.state, b.state)
+    assert (a.iterations, a.converged, a.history) == (
+        b.iterations, b.converged, b.history,
+    )
+
+
+def _hub_graph(seed: int, V: int = 400) -> np.ndarray:
+    """Random edges plus four hubs of 40 out-edges each: sparse, so some
+    small components swap labels forever and LPA never converges."""
+    rng = np.random.default_rng(seed)
+    e = rng.integers(0, V, size=(V, 2))
+    hubs = np.repeat(rng.integers(0, V, size=4), 40)
+    e = np.vstack([e, np.stack([hubs, rng.integers(0, V, size=len(hubs))], 1)])
+    return _clean_directed(e)
+
+
+def test_lpa_dirty_recount_complete_bipartite(monkeypatch):
+    """K_{5,7}: each side takes the other's minimum label, so the labels
+    swap every round, every vertex stays dirty and LPA never converges."""
+    a, b = 5, 7
+    e = np.array([[i, a + j] for i in range(a) for j in range(b)])
+    und = symmetrize_edges(_edge_ds(e)).materialize()
+    dirty, full = _lpa_dirty_and_full(monkeypatch, und, a + b, max_rounds=9)
+    _assert_same_run(dirty, full)
+    assert not dirty.converged and dirty.iterations == 9
+    assert {h["changed"] for h in dirty.history} == {a + b}
+
+
+def test_lpa_dirty_recount_hub_graph_to_max_rounds(monkeypatch):
+    V = 400
+    und = symmetrize_edges(_edge_ds(_hub_graph(13, V))).materialize()
+    dirty, full = _lpa_dirty_and_full(monkeypatch, und, V, max_rounds=25)
+    _assert_same_run(dirty, full)
+    assert not dirty.converged and dirty.iterations == 25
+
+
+def test_lpa_dirty_recount_directed_input(monkeypatch):
+    """A non-symmetric input: a vertex recounts when an IN-neighbour
+    changed, so marking in-neighbours instead of out-neighbours differs."""
+    V = 400
+    e = _hub_graph(12, V)
+    assert len(np.intersect1d(e[:, 0] * V + e[:, 1], e[:, 1] * V + e[:, 0])) < len(e)
+    dirty, full = _lpa_dirty_and_full(monkeypatch, _edge_ds(e), V, max_rounds=30)
+    _assert_same_run(dirty, full)
+    assert dirty.iterations > 3
+
+
+def test_lpa_dirty_recount_sends_only_dirty_in_edges(monkeypatch):
+    """Superstep t > 0 sends exactly the in-edges of the out-neighbours of
+    the vertices that changed in superstep t-1 (labels from the oracle),
+    and later supersteps send fewer edges than the first."""
+    from citationgraphs_ray.graph import engine
+    from citationgraphs_ray.utils import collect_table
+
+    V = 400
+    und = symmetrize_edges(_edge_ds(_hub_graph(13, V))).materialize()
+    t = collect_table(und)
+    src, dst = (t[c].to_numpy().astype(np.int64) for c in ("src", "dst"))
+    sent = []
+    real_msg = engine._LabelPropagation.msg
+
+    def spy_msg(self, st, s, d, *w):
+        sent.append(len(s))
+        return real_msg(self, st, s, d, *w)
+
+    monkeypatch.setattr(engine._LabelPropagation, "msg", spy_msg)
+    res = label_propagation(und, V, max_rounds=12, reduce="local")
+    assert len(sent) == res.iterations > 3
+    und_edges = np.stack([src, dst], 1)
+    labels = [np.arange(V)] + [
+        lpa_oracle(und_edges, V, max_rounds=r) for r in range(1, res.iterations)
+    ]
+    want = [len(src)]
+    for before, after in zip(labels, labels[1:]):
+        dirty = np.zeros(V, dtype=bool)
+        dirty[dst[(after != before)[src]]] = True
+        want.append(int(np.count_nonzero(dirty[dst])))
+    assert sent == want
+    assert sent[-1] < sent[0]
+
+
+# ---- no Ray Data job on an already-materialized edge table ----------------
+
+
+def _spy(monkeypatch, owner, name: str) -> list:
+    calls = []
+    real = getattr(owner, name)
+
+    def spy(*a, **k):
+        calls.append(name)
+        return real(*a, **k)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_materialized_input_starts_no_ray_data_job(small_graph, monkeypatch):
+    """On a MaterializedDataset the local kernels and the local triangle
+    regime neither project (``select_columns``) nor canonicalize through
+    Ray Data (``_canon_undirected``); a lazy input still projects."""
+    import citationgraphs_ray.graph.triangles as tri_mod
+    from ray.data import Dataset
+
+    edges, und, earr, V = small_graph
+    calls = _spy(monkeypatch, Dataset, "select_columns")
+    calls += _spy(monkeypatch, tri_mod, "_canon_undirected")
+    pagerank(edges, V, tol=1e-10, reduce="auto")
+    lpa = label_propagation(und, V, max_rounds=5, reduce="local")
+    tri = [tri_mod.triangle_counts(und, V, strategy=s) for s in ("auto", "local")]
+    assert calls == []
+    assert np.array_equal(lpa.state, lpa_oracle(earr, V, max_rounds=5))
+    for r in tri:
+        assert np.array_equal(r.state, triangles_oracle(earr, V))
+    lazy = und.map_batches(lambda b: b, batch_format="pyarrow")
+    label_propagation(lazy, V, max_rounds=1, reduce="local")
+    assert calls == ["select_columns"]
+
+
+@pytest.mark.parametrize("strategy", ["auto", "local"])
+@pytest.mark.parametrize("lazy", [False, True])
+def test_triangles_raw_dupes_and_loops(strategy, lazy):
+    """Raw, non-symmetrized input with duplicate edges and self-loops."""
+    from ray.data.dataset import MaterializedDataset
+
+    raw, V = TINY["dupes_loops"]
+    ds = _edge_ds(raw)
+    if lazy:
+        ds = ds.map_batches(lambda b: b, batch_format="pyarrow")
+    assert isinstance(ds, MaterializedDataset) is not lazy
+    res = triangle_counts(ds, V, strategy=strategy)
+    assert np.array_equal(res.state, triangles_oracle(raw, V))
+
+
+def test_triangles_auto_regime_unchanged_by_raw_count(small_graph, monkeypatch):
+    """Under auto, local is picked exactly when the CANONICAL edge count
+    fits LOCAL_KERNEL_MAX_EDGES, as before the raw count was read: a bound
+    below the canonical count runs broadcast, one between the canonical
+    and raw counts runs local after a distributed canonicalization, and
+    one at the raw count canonicalizes on the driver."""
+    import citationgraphs_ray.graph.triangles as tri_mod
+
+    _, und, earr, V = small_graph
+    raw = und.count()
+    canon = len(np.unique(np.sort(earr[earr[:, 0] != earr[:, 1]], axis=1), axis=0))
+    assert canon < raw
+    want = triangles_oracle(earr, V)
+    for bound, regime, distributed_canon in [
+        (canon - 1, "broadcast", True),
+        (canon, "local", True),
+        (raw - 1, "local", True),
+        (raw, "local", False),
+    ]:
+        with monkeypatch.context() as m:
+            m.setattr(tri_mod, "LOCAL_KERNEL_MAX_EDGES", bound)
+            degree_tables = _spy(m, tri_mod, "_degree_table")
+            canons = _spy(m, tri_mod, "_canon_undirected")
+            res = tri_mod.triangle_counts(und, V, strategy="auto")
+        ran = "broadcast" if degree_tables else "local"
+        assert (ran, bool(canons)) == (regime, distributed_canon), bound
+        assert np.array_equal(res.state, want)
