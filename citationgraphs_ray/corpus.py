@@ -32,10 +32,6 @@ class SyntheticCorpus:
     expected_edges: set[tuple[str, str, str, str]] = field(default_factory=set)
 
 
-def _content_sha(content: str) -> str:
-    return hashlib.sha256(content.encode()).hexdigest()
-
-
 def generate_corpus(
     n_repos: int = 20,
     seed: int = 42,

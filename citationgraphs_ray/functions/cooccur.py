@@ -23,7 +23,14 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from ..utils import collect_table, fast_distinct, fast_grouped_agg
+from ..utils import (
+    _default_partitions,
+    collect_table,
+    exchange,
+    fast_distinct,
+    fast_grouped_agg,
+    hash_buckets,
+)
 from ray.data.aggregate import Count, Sum
 
 
@@ -361,13 +368,12 @@ def top_k_tfidf_per_doc(
     NOT ``groupby(doc_id).map_groups``, whose per-group Python dispatch
     costs ~45 µs/group and dominates at millions of docs (the same
     pathology measured and fixed in dedup's bucket expansion)."""
-    from ..utils import _hash_partition_column
 
-    P = max(2, int(ray.cluster_resources().get("CPU", 8)))
-
-    def pick_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return (
-            df.drop(columns="__part")
+    def pick_bucket(t: pa.Table | None) -> pa.Table:
+        if t is None:  # only every bucket empty keeps this output
+            return pa.table({})
+        df = (
+            t.to_pandas()
             .sort_values(
                 [id_col, value_col, "word"],
                 ascending=[True, False, True],
@@ -376,14 +382,10 @@ def top_k_tfidf_per_doc(
             .groupby(id_col, sort=False)
             .head(k)
         )
+        return pa.Table.from_pandas(df, preserve_index=False)
 
-    return (
-        scored.map_batches(
-            lambda t: _hash_partition_column(t, [id_col], P),
-            batch_format="pyarrow",
-        )
-        .groupby("__part")
-        .map_groups(pick_bucket, batch_format="pandas")
+    return exchange(
+        [scored], hash_buckets([id_col]), pick_bucket, _default_partitions()
     )
 
 
@@ -408,11 +410,10 @@ def corpusx_concurrences(
     The closed form requires every group row of a doc in ONE task, and Ray
     Data's dynamic block splitting may split a doc's rows across blocks
     even straight out of build_corpus_x (ADVICE r2). ``regroup=True``
-    (default) therefore hash-partitions docs into P coarse buckets first —
-    co-location guaranteed, P≈CPUs groups so ``map_groups`` dispatch stays
-    negligible. ``regroup=False`` skips the shuffle for callers that
-    co-locate doc rows themselves (single-block fixtures, pre-partitioned
-    inputs).
+    (default) therefore hash-exchanges docs into P≈CPUs coarse buckets
+    first — co-location guaranteed. ``regroup=False`` skips the shuffle
+    for callers that co-locate doc rows themselves (single-block
+    fixtures, pre-partitioned inputs).
     """
     import collections
 
@@ -447,28 +448,17 @@ def corpusx_concurrences(
             }
         )
 
-    if regroup:
-        from ..utils import _hash_partition_column
+    def pairs_table(t: pa.Table | None) -> pa.Table:
+        if t is None:  # only every bucket empty keeps this output
+            return pa.table({})
+        return pa.Table.from_pandas(doc_pairs(t.to_pandas()), preserve_index=False)
 
-        P = max(2, int(ray.cluster_resources().get("CPU", 8)))
-        partial = (
-            grouped.map_batches(
-                lambda t: _hash_partition_column(t, [doc_col], P),
-                batch_format="pyarrow",
-            )
-            .groupby("__part")
-            .map_groups(
-                lambda df: doc_pairs(df.drop(columns="__part")),
-                batch_format="pandas",
-            )
+    if regroup:
+        partial = exchange(
+            [grouped], hash_buckets([doc_col]), pairs_table, _default_partitions()
         )
     else:
-        partial = grouped.map_batches(
-            lambda t: pa.Table.from_pandas(
-                doc_pairs(t.to_pandas()), preserve_index=False
-            ),
-            batch_format="pyarrow",
-        )
+        partial = grouped.map_batches(pairs_table, batch_format="pyarrow")
     return fast_grouped_agg(partial, ["w1", "w2"], {"weight": ("weight", "sum")})
 
 

@@ -12,9 +12,8 @@ per-PAIR candidate table never does):
       → filter u < v, attach w[mid] = 1/ln(deg[mid]) from the broadcast
         degree vector (zero-copy plasma read per task)
       → fast_grouped_agg (u, v): score = Σ w, n_common = count
-      → reduce-side ANTI join against the adjacency (same one-shuffle
-        bucket skeleton; the edge set is NOT broadcast — at 10^12-file
-        scale it dwarfs any worker heap)
+      → utils.bucketed_anti_join against the adjacency (the edge set is
+        NOT broadcast — at 10^12-file scale it dwarfs any worker heap)
       → per-block partial top-k, driver merge of ≤ k·blocks rows
 
 The candidate-pair stage is Σ_m deg(m)² rows — the classical AA cost.
@@ -41,9 +40,11 @@ import ray
 import ray.data
 
 from ..utils import (
-    _hash_partition_column,
+    _default_partitions,
+    bucketed_anti_join,
     bucketed_inner_join,
     fast_grouped_agg,
+    pinned,
 )
 
 
@@ -55,72 +56,6 @@ def _degree_vector(edges_sym: ray.data.Dataset, num_vertices: int) -> np.ndarray
             b["src"].to_numpy(zero_copy_only=False), minlength=num_vertices
         )
     return deg
-
-
-def _anti_join_pairs(
-    pairs: ray.data.Dataset,
-    edges_sym: ray.data.Dataset,
-    num_partitions: int,
-) -> ray.data.Dataset:
-    """Drop (u, v) rows that are existing edges — one hash shuffle into
-    coarse buckets, per-bucket vectorized membership test. ``pairs`` has
-    u < v; edges_sym carries both directions so (u, v) membership alone
-    decides adjacency."""
-
-    def tag_pairs(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__side", pa.array(np.zeros(t.num_rows, dtype=np.int64))
-        )
-
-    def tag_edges(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "u": t["src"],
-                "v": t["dst"],
-                "score": pa.nulls(t.num_rows, type=pa.float64()),
-                "n_common": pa.nulls(t.num_rows, type=pa.int64()),
-                "__side": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-            }
-        )
-
-    tagged = pairs.map_batches(tag_pairs, batch_format="pyarrow").union(
-        edges_sym.map_batches(tag_edges, batch_format="pyarrow")
-    )
-
-    def filter_bucket(df) -> pa.Table:
-        cand = df[df["__side"] == 0]
-        adj = df[df["__side"] == 1]
-        # composite key: V ≤ 2^31 per the int64 pair packing below
-        ck = cand["u"].to_numpy().astype(np.int64) * (1 << 31) + cand[
-            "v"
-        ].to_numpy().astype(np.int64)
-        ak = adj["u"].to_numpy().astype(np.int64) * (1 << 31) + adj[
-            "v"
-        ].to_numpy().astype(np.int64)
-        keep = ~np.isin(ck, ak)
-        out = cand[keep]
-        return pa.table(
-            {
-                "u": pa.array(out["u"].to_numpy().astype(np.int64)),
-                "v": pa.array(out["v"].to_numpy().astype(np.int64)),
-                "score": pa.array(out["score"].to_numpy()),
-                "n_common": pa.array(
-                    out["n_common"].to_numpy().astype(np.int64)
-                ),
-            }
-        )
-
-    return (
-        tagged.map_batches(
-            lambda t: _hash_partition_column(t, ["u", "v"], num_partitions),
-            batch_format="pyarrow",
-        )
-        .groupby("__part")
-        .map_groups(
-            lambda df: filter_bucket(df.drop(columns="__part")),
-            batch_format="pandas",
-        )
-    )
 
 
 # Dense regime bound (same convention as queries.DENSE_TWO_HOP_MAX_V):
@@ -150,7 +85,7 @@ def adamic_adar_topk(
     """
     if num_vertices >= (1 << 31):
         raise ValueError("pair packing assumes vertex ids < 2^31")
-    eds = edges_sym.select_columns(["src", "dst"]).materialize()
+    eds, _ = pinned(edges_sym, ["src", "dst"])
     if mode == "dense" or (mode == "auto" and num_vertices <= DENSE_AA_MAX_V):
         return _adamic_adar_dense(eds, num_vertices, k, max_mid_degree)
     deg = _degree_vector(eds, num_vertices)
@@ -158,8 +93,7 @@ def adamic_adar_topk(
     multi = deg >= 2  # a degree-1 mid cannot connect two distinct ends
     w[multi] = 1.0 / np.log(deg[multi])
     w_ref = ray.put(w)
-    if num_partitions is None:
-        num_partitions = max(2, int(ray.cluster_resources().get("CPU", 8)))
+    num_partitions = num_partitions or _default_partitions()
 
     hub_filter = None
     if max_mid_degree is not None:
@@ -202,19 +136,13 @@ def adamic_adar_topk(
         aggs={"score": ("s", "sum")},
         count_as="n_common",
     )
-    # column order parity with the anti-join's output schema
-    scored = scored.map_batches(
-        lambda t: pa.table(
-            {
-                "u": t["u"],
-                "v": t["v"],
-                "score": t["score"],
-                "n_common": t["n_common"],
-            }
-        ),
+    # edges_sym carries both directions, so (u, v) membership alone
+    # decides adjacency
+    adjacent = eds.map_batches(
+        lambda t: pa.table({"u": t["src"], "v": t["dst"]}),
         batch_format="pyarrow",
     )
-    nonadj = _anti_join_pairs(scored, eds, num_partitions)
+    nonadj = bucketed_anti_join(scored, adjacent, ["u", "v"], num_partitions)
 
     def block_topk(t: pa.Table) -> pa.Table:
         sc = np.floor(t["score"].to_numpy(zero_copy_only=False) * 1e6 + 0.5) / 1e6
@@ -356,7 +284,7 @@ def edge_jaccard(
     """
     if num_vertices >= (1 << 31):
         raise ValueError("pair packing assumes vertex ids < 2^31")
-    eds = edges_sym.select_columns(["src", "dst"]).materialize()
+    eds, _ = pinned(edges_sym, ["src", "dst"])
     if mode == "dense" or (mode == "auto" and num_vertices <= DENSE_AA_MAX_V):
         V = num_vertices
         A = np.zeros((V, V), dtype=np.float64)
@@ -384,8 +312,7 @@ def edge_jaccard(
         )
     deg = _degree_vector(eds, num_vertices)
     deg_ref = ray.put(deg)
-    if num_partitions is None:
-        num_partitions = max(2, int(ray.cluster_resources().get("CPU", 8)))
+    num_partitions = num_partitions or _default_partitions()
 
     left = eds.map_batches(
         lambda t: pa.table({"mid": t["src"], "u": t["dst"]}),

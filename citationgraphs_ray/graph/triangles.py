@@ -36,11 +36,11 @@ Three regimes (``strategy="auto"`` picks by E, as the graph engine's
   expand inside coarse hash buckets of centers (vectorized per distinct
   adjacency size — no per-center Python dispatch); the probe is a
   distributed join on the two-column (b, c) key (two columns, not b·M+c,
-  so the key cannot overflow int64 at 10^12 vertices). Joins use Ray's
-  native hash-shuffle join above ``ACERO_JOIN_MIN_ROWS`` (faster) and
-  ``utils.bucketed_inner_join`` below it (immune to acero's
-  empty-partition schema loss on tiny inputs). Measured: 60M edges /
-  V=30M in 222 s at 32 CPUs with no driver-side edge array.
+  so the key cannot overflow int64 at 10^12 vertices). Joins are
+  ``utils.bucketed_inner_join`` (5-8× faster than Ray's hash-shuffle
+  join on a 1.2M-edge graph, BENCH/BASELINE.md round 12). Measured
+  before that: 60M edges / V=30M in 222 s at 32 CPUs with no
+  driver-side edge array.
 
 Exact-match vs graph/oracle.py:triangles_oracle; strategies
 equivalence-tested (including the mega-hub corpus fixture).
@@ -49,19 +49,19 @@ equivalence-tested (including the mega-hub corpus fixture).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data
 
 from ..utils import (
-    _hash_partition_column,
     bucketed_inner_join,
     collect_table,
     dataset_to_dense_array,
     distinct_rows,
+    exchange,
     fast_distinct,
     fast_grouped_agg,
+    hash_buckets,
     pinned,
 )
 from .engine import LOCAL_KERNEL_MAX_EDGES, KernelResult
@@ -225,31 +225,10 @@ def _degree_table(uv: ray.data.Dataset) -> ray.data.Dataset:
     )
 
 
-# Edge count above which the shuffle path's distributed joins use Ray's
-# native hash-shuffle join (acero) instead of the sort-based
-# bucketed_inner_join: acero is ~35% faster end-to-end (measured 47.9 s vs
-# 64.8 s on a 10M-edge graph) but loses empty-partition schemas on tiny
-# inputs — above this row count no hash partition can come up empty.
-ACERO_JOIN_MIN_ROWS = 1_000_000
-
-
-def _dist_join(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
-    keys: list[str],
-    num_partitions: int,
-    use_acero: bool,
-) -> ray.data.Dataset:
-    if use_acero:
-        return left.join(right, "inner", num_partitions, on=tuple(keys))
-    return bucketed_inner_join(left, right, keys, num_partitions)
-
-
 def _orient_distributed(
     uv: ray.data.Dataset,
     deg_ds: ray.data.Dataset,
     num_join_partitions: int,
-    use_acero: bool,
 ) -> ray.data.Dataset:
     """(a, b, deg_b): every edge oriented low→high by (deg, id), degree
     attached via two distributed hash joins — no broadcast of the degree
@@ -262,12 +241,11 @@ def _orient_distributed(
         lambda t: pa.table({"v": t["id"], "deg_v": t["deg"]}),
         batch_format="pyarrow",
     )
-    j = _dist_join(
-        _dist_join(uv, du, ["u"], num_join_partitions, use_acero),
+    j = bucketed_inner_join(
+        bucketed_inner_join(uv, du, ["u"], num_join_partitions),
         dv,
         ["v"],
         num_join_partitions,
-        use_acero,
     )
 
     def orient(batch: pa.Table) -> pa.Table:
@@ -290,7 +268,7 @@ def _orient_distributed(
     return j.map_batches(orient, batch_format="pyarrow")
 
 
-def _expand_wedges_bucket(df: pd.DataFrame) -> pa.Table:
+def _expand_wedges_bucket(t: pa.Table | None) -> pa.Table:
     """All rank-ordered out-neighbor pairs per center within one bucket.
 
     Vectorized per DISTINCT adjacency size: one lexsort co-locates each
@@ -298,9 +276,6 @@ def _expand_wedges_bucket(df: pd.DataFrame) -> pa.Table:
     out-neighbors is processed in a single (n_c, c) matrix operation —
     no per-center Python loop (#distinct sizes ≤ O(sqrt(E)) thanks to the
     orientation bound, in practice a few hundred)."""
-    a = df["a"].to_numpy(dtype=np.int64)
-    b = df["b"].to_numpy(dtype=np.int64)
-    deg_b = df["deg_b"].to_numpy(dtype=np.int64)
     empty = pa.table(
         {
             "a": pa.array([], type=pa.int64()),
@@ -308,8 +283,12 @@ def _expand_wedges_bucket(df: pd.DataFrame) -> pa.Table:
             "wc": pa.array([], type=pa.int64()),
         }
     )
-    if len(a) == 0:
+    if t is None:
         return empty
+    a, b, deg_b = (
+        t[c].to_numpy(zero_copy_only=False).astype(np.int64)
+        for c in ("a", "b", "deg_b")
+    )
     order = np.lexsort((b, deg_b, a))  # by center, then neighbor rank
     a, b = a[order], b[order]
     centers, starts, counts = np.unique(a, return_index=True, return_counts=True)
@@ -532,24 +511,10 @@ def triangle_counts(
         deg_ds = _degree_table(uv)
         cpus = max(2, int(ray.cluster_resources().get("CPU", 8)))
         nj = min(64, cpus)
-        use_acero = n_edges >= ACERO_JOIN_MIN_ROWS
-        # deg_ds is consumed twice inside _orient_distributed (du and dv);
-        # above the distributed-merge threshold fast_grouped_agg's stage-2
-        # shuffle is lazy, so without this materialize the whole degree
-        # merge would execute twice.
-        deg_ds = deg_ds.materialize()
-        oriented = _orient_distributed(uv, deg_ds, nj, use_acero).materialize()
+        oriented = _orient_distributed(uv, deg_ds, nj).materialize()
 
-        wedges = (
-            oriented.map_batches(
-                lambda t: _hash_partition_column(t, ["a"], cpus * 4),
-                batch_format="pyarrow",
-            )
-            .groupby("__part")
-            .map_groups(
-                lambda df: _expand_wedges_bucket(df.drop(columns="__part")),
-                batch_format="pandas",
-            )
+        wedges = exchange(
+            [oriented], hash_buckets(["a"]), _expand_wedges_bucket, cpus * 4
         )
         # probe: distributed join of wedge pairs against the oriented edge
         # set on the composite TWO-COLUMN key (wb, wc) — each match is one
@@ -558,7 +523,7 @@ def triangle_counts(
             lambda t: pa.table({"wb": t["a"], "wc": t["b"]}),
             batch_format="pyarrow",
         )
-        hits = _dist_join(wedges, probe_side, ["wb", "wc"], nj, use_acero)
+        hits = bucketed_inner_join(wedges, probe_side, ["wb", "wc"], nj)
         tri_vertices = hits.map_batches(
             lambda t: pa.table(
                 {

@@ -31,10 +31,15 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 import ray.data
 
-from ..utils import bucketed_inner_join, collect_table, fast_grouped_agg
+from ..utils import (
+    _default_partitions,
+    bucketed_inner_join,
+    collect_table,
+    fast_grouped_agg,
+    pinned,
+)
 
 DENSE_TRUSS_MAX_V = 8192
 
@@ -167,7 +172,7 @@ def k_truss(
     docstring."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    eds = edges_sym.select_columns(["src", "dst"]).materialize()
+    eds, _ = pinned(edges_sym, ["src", "dst"])
     if k == 2:
         # support ≥ 0 holds for every edge — the 2-truss IS the graph,
         # in every regime and with 0 peel rounds. (The join regime's
@@ -185,8 +190,7 @@ def k_truss(
     ):
         tbl, rounds = _dense_truss(eds, num_vertices, k)
         return _sorted_canon(tbl), rounds
-    if num_partitions is None:
-        num_partitions = max(2, int(ray.cluster_resources().get("CPU", 8)))
+    num_partitions = num_partitions or _default_partitions()
     canon = eds.map_batches(
         lambda t: pa.table({"u": t["src"], "v": t["dst"]}).filter(
             pc.less(t["src"], t["dst"])

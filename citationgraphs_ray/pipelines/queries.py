@@ -931,26 +931,6 @@ ORACLE_SQL = {
 # -- round-2 additions: bigrams, A17/A18 graph trends, word2phrase, topics --
 
 
-def _node_years(sf_dir: str) -> ray.data.Dataset:
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
-
-    def node_year(t: pa.Table) -> pa.Table:
-        ids = t["o_orderkey"].to_numpy(zero_copy_only=False) % GRAPH_MOD
-        years = pd.to_datetime(t["o_orderdate"].to_pandas()).dt.year.to_numpy()
-        return pa.table(
-            {
-                "id": pa.array(ids.astype(np.int64)),
-                "year": pa.array(years.astype(np.int64)),
-            }
-        )
-
-    return fast_grouped_agg(
-        orders.map_batches(node_year, batch_format="pyarrow"),
-        ["id"],
-        {"year": ("year", "min")},
-    )
-
-
 def q_bigram_counts(sf_dir: str):
     """A6 bigram counting over documents: (w1, w2, n)."""
     docs = _read(sf_dir, "documents", ["doc_id", "text"])

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import os
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 import ray.data
 
 from ..stages.sketches import hash_bucket
+from ..utils import collect_table, exchange
 
 _PART_PREFIX = "part-"
 
@@ -87,11 +87,11 @@ def write_partitioned(
             t = t.filter(keep)
         return t
 
-    def write_bucket(tbl: pa.Table) -> pa.Table:
+    def write_bucket(tbl: pa.Table | None) -> pa.Table:
         # stays in Arrow end-to-end: a pandas hop would turn nullable
         # int64 columns into float64 (schema change in the output file,
         # silent rounding beyond 2^53)
-        if not tbl.num_rows:
+        if tbl is None:
             return pa.table(
                 {"part": pa.array([], pa.int64()),
                  "rows": pa.array([], pa.int64())}
@@ -106,16 +106,14 @@ def write_partitioned(
         open(os.path.join(d, "_SUCCESS"), "w").close()
         return pa.table({"part": pa.array([p]), "rows": pa.array([tbl.num_rows])})
 
-    stats = (
-        ds.map_batches(assign, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(write_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
-    # a fully-finished resume yields an EMPTY post-filter dataset whose
-    # pandas form has no columns — normalize before the summary
-    if "part" not in stats.columns:
-        stats = pd.DataFrame({"part": [], "rows": []})
+    stats = collect_table(
+        exchange(
+            [ds.map_batches(assign, batch_format="pyarrow")],
+            lambda t, P: t["__part"].to_numpy(zero_copy_only=False),
+            write_bucket,
+            num_partitions,
+        )
+    ).to_pandas()
     return {
         "written": sorted(int(p) for p in stats["part"]),
         "skipped": sorted(done),

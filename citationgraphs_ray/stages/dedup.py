@@ -1,17 +1,18 @@
 """Deduplication suite for large-scale training-data pipelines.
 
 Exact + four near-dup families, each expressed as map_batches sketching →
-ONE groupby on the bucket key → candidate-pair verification → cluster
-resolution. Cluster resolution reuses the distributed connected-components
-kernel (graph/engine.py) over the verified duplicate-pair edge table — dup
-clusters ARE components, so the engine's scaling/skew story carries over.
+ONE hash ``utils.exchange`` on the bucket key → candidate-pair
+verification → cluster resolution. Cluster resolution reuses the
+distributed connected-components kernel (graph/engine.py) over the
+verified duplicate-pair edge table — dup clusters ARE components, so the
+engine's scaling/skew story carries over.
 
 All hashing is seeded and deterministic. Representative of a cluster = min
 doc id (same min-id convention as the CC kernel).
 
 Scale notes: every family keeps per-doc work inside one batch (a doc is a
 row), emits O(#buckets) rows to the shuffle, and verifies only within-bucket
-candidate pairs. Exact dedup is hash-partition + first-per-group (the
+candidate pairs. Exact dedup is one hash exchange + first-per-group (the
 reference's only dedup is the nested-set edge dedup, CitationGraphs.go:
 2003-2026 — same shape).
 """
@@ -31,8 +32,10 @@ import ray.data
 
 from ..utils import (
     collect_table,
+    exchange,
     fast_distinct,
     fast_grouped_agg,
+    hash_buckets,
     list_column_to_matrix,
     matrix_to_list_array,
 )
@@ -167,61 +170,38 @@ def _attach_feature(
     feat_type: pa.DataType,
     num_partitions: int = 32,
 ) -> ray.data.Dataset:
-    """Reduce-side join: attach ``feats`` (id, feat) to ``pairs`` on
-    ``key_col`` without broadcasting the feature set.
-
-    Ray's ``Dataset.join`` (acero) rejects list-typed non-key columns, so
-    this is the hash-join the scale path needs: both sides are widened to
-    one schema, tagged with ``part = id % P``, unioned, and each partition
-    is joined in its own task — a task holds only 1/P of the features, so
-    P bounds per-task memory regardless of corpus size.
-    """
-    P = num_partitions
-    pair_fields = [(f.name, f.type) for f in pair_schema]
-
-    def widen_pairs(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        cols = {name: t[name] for name, _ in pair_fields}
-        cols[feat_out] = pa.nulls(n, feat_type)
-        part = t[key_col].to_numpy(zero_copy_only=False).astype(np.int64) % P
-        cols["__part"] = pa.array(part)
-        cols["__fid"] = pa.nulls(n, pa.int64())
-        return pa.table(cols)
-
-    def widen_feats(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        cols = {name: pa.nulls(n, typ) for name, typ in pair_fields}
-        cols[feat_out] = t["feat"].cast(feat_type)
-        fid = t["id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        cols["__part"] = pa.array(fid % P)
-        cols["__fid"] = pa.array(fid)
-        return pa.table(cols)
-
-    unioned = pairs.map_batches(widen_pairs, batch_format="pyarrow").union(
-        feats.map_batches(widen_feats, batch_format="pyarrow")
+    """Reduce-side left join: attach ``feats`` (id, feat) to ``pairs`` on
+    ``key_col`` without broadcasting the feature set — one two-sided
+    ``utils.exchange`` bucketed by ``id % P``, so a task holds only 1/P
+    of the features whatever the corpus size. A pair whose id has no
+    feature row gets a null feature (every verify predicate reads null
+    as the empty feature)."""
+    out = pa.schema(list(pair_schema) + [(feat_out, feat_type)])
+    keyed = feats.map_batches(
+        lambda t: pa.table({key_col: t["id"], feat_out: t["feat"].cast(feat_type)}),
+        batch_format="pyarrow",
     )
 
-    def join_group(g: pa.Table) -> pa.Table:
-        fid = g["__fid"].to_numpy(zero_copy_only=False)
-        is_feat = ~pc.is_null(g["__fid"]).to_numpy(zero_copy_only=False)
-        feat_vals = g[feat_out].to_pylist()
-        lookup = {
-            int(i): feat_vals[j]
-            for j, i in enumerate(fid)
-            if is_feat[j]
-        }
-        prows = g.filter(pa.array(~is_feat))
-        keys = prows[key_col].to_numpy(zero_copy_only=False)
-        # miss default None, not []: valid for every feat_type (the
-        # string features of the edit-distance verify would reject []);
-        # all verify predicates treat null as the empty feature
-        attached = [lookup.get(int(k)) for k in keys]
-        cols = {name: prows[name] for name, _ in pair_fields}
-        cols[feat_out] = pa.array(attached, type=feat_type)
-        return pa.table(cols)
+    def attach(p: pa.Table | None, f: pa.Table | None) -> pa.Table:
+        if p is None:
+            return out.empty_table()
+        keys = p[key_col].to_numpy(zero_copy_only=False)
+        if f is None:
+            feat = pa.nulls(len(keys), feat_type)
+        else:
+            fid = f[key_col].to_numpy(zero_copy_only=False)
+            order = np.argsort(fid, kind="stable")
+            pos = np.minimum(np.searchsorted(fid[order], keys), len(fid) - 1)
+            hit = fid[order][pos] == keys
+            feat = f[feat_out].take(pa.array(order[pos], mask=~hit))
+        cols = [p[c] for c in pair_schema.names] + [feat]
+        return pa.Table.from_arrays(cols, schema=out)
 
-    return unioned.groupby("__part").map_groups(
-        join_group, batch_format="pyarrow"
+    return exchange(
+        [pairs, keyed],
+        lambda t, P: t[key_col].to_numpy(zero_copy_only=False).astype(np.int64) % P,
+        attach,
+        num_partitions,
     )
 
 
@@ -365,33 +345,30 @@ def _expand_buckets_distributed(
     ``groupby(bucket).map_groups`` pays Ray's per-group Python dispatch
     for EVERY bucket — at 5k docs × 16 bands that is ~80k mostly-
     singleton groups (measured 3.5 s where the whole stage should cost
-    ~1 s). Instead: hash-partition bucket rows into ``num_partitions``
-    coarse key-disjoint groups (bounded dispatch count), then expand
-    pairs in-process with a pandas groupby where a vectorized
-    duplicated() mask drops singleton buckets before any Python loop.
-    ``pair_fn(sub_df) -> DataFrame`` runs once per multi-row bucket.
+    ~1 s). Instead: one hash ``utils.exchange`` of the bucket rows into
+    ``num_partitions`` coarse key-disjoint groups (bounded dispatch
+    count), then pairs are expanded in-process with a pandas groupby
+    where a vectorized duplicated() mask drops singleton buckets before
+    any Python loop. ``pair_fn(sub_df) -> DataFrame`` runs once per
+    multi-row bucket.
     """
+    empty = pa.table(
+        {"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64())}
+    )
 
-    def assign(batch: pa.Table) -> pa.Table:
-        from ..utils import _hash_partition_column
-
-        return _hash_partition_column(batch, keys, num_partitions)
-
-    def expand(df: pd.DataFrame) -> pd.DataFrame:
+    def expand(t: pa.Table | None) -> pa.Table:
+        if t is None:
+            return empty
+        df = t.to_pandas()
         sub = df[df.duplicated(subset=keys, keep=False)]
         frames = [pair_fn(g) for _, g in sub.groupby(keys, sort=False)]
         frames = [f for f in frames if len(f)]
         if not frames:
-            return pd.DataFrame(
-                {"src": pd.Series(dtype=np.int64), "dst": pd.Series(dtype=np.int64)}
-            )
-        return pd.concat(frames, ignore_index=True)
+            return empty
+        out = pd.concat(frames, ignore_index=True)
+        return pa.Table.from_pandas(out, schema=empty.schema, preserve_index=False)
 
-    return (
-        sigs.map_batches(assign, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(expand, batch_format="pandas")
-    )
+    return exchange([sigs], hash_buckets(keys), expand, num_partitions)
 
 
 def _bucket_pairs_capped(
@@ -464,8 +441,6 @@ def exact_dedup(
     dispatch for EVERY distinct hash ≈ every unique doc (VERDICT r3 #2 —
     the same pathology measured and fixed in LSH bucket expansion,
     ``_expand_buckets_distributed``)."""
-    from ..utils import _hash_partition_column
-
     if keep not in ("first", "best"):
         raise ValueError("keep must be 'first' or 'best'")
     if keep == "best" and not quality_col:
@@ -483,8 +458,10 @@ def exact_dedup(
 
     hashed = ds.map_batches(add_hash, batch_format="pyarrow")
 
-    def mark(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns="__part")
+    def mark(t: pa.Table | None) -> pa.Table:
+        if t is None:  # only every bucket empty keeps this output
+            return pa.table({})
+        df = t.to_pandas()
         if keep == "first":
             rep = df.groupby("content_hash", sort=False)[id_col].transform(
                 "min"
@@ -502,15 +479,10 @@ def exact_dedup(
             )
             df["is_representative"] = tied & (df[id_col] == rep)
             df = df.drop(columns=quality_col)
-        return df
+        return pa.Table.from_pandas(df, preserve_index=False)
 
-    return (
-        hashed.map_batches(
-            lambda t: _hash_partition_column(t, ["content_hash"], num_partitions),
-            batch_format="pyarrow",
-        )
-        .groupby("__part")
-        .map_groups(mark, batch_format="pandas")
+    return exchange(
+        [hashed], hash_buckets(["content_hash"]), mark, num_partitions
     )
 
 
@@ -602,17 +574,6 @@ def resolve_dup_clusters(
     ids = np.arange(num_ids, dtype=np.int64)
     return ray.data.from_arrow(
         pa.table({"id": pa.array(ids), "cluster_id": pa.array(state)})
-    )
-
-
-def _verified_pairs_to_table(pairs: set[tuple[int, int]]) -> pa.Table:
-    if not pairs:
-        return pa.table(
-            {"src": pa.array([], type=pa.int64()), "dst": pa.array([], type=pa.int64())}
-        )
-    src, dst = zip(*sorted(pairs))
-    return pa.table(
-        {"src": pa.array(src, type=pa.int64()), "dst": pa.array(dst, type=pa.int64())}
     )
 
 

@@ -18,9 +18,9 @@ Pipeline (``extract_edge_table``; one plan for every corpus):
       → mint reduce: sort + adjacent-unique, ids = offset + rank
       → resolve pass 1 (src) → pass 2 (dst, self-loop drop, dedup)
 
-Both exchanges are raw-task bucketed exchanges (see the block below), so
-``content`` never crosses a shuffle (SURVEY.md §7.4) and no driver object
-holds the vertex map.
+Both exchanges are raw-task bucketed exchanges (the ``utils`` module
+docstring describes them), so ``content`` never crosses a shuffle
+(SURVEY.md §7.4) and no driver object holds the vertex map.
 """
 
 from __future__ import annotations
@@ -34,7 +34,16 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..utils import fast_distinct, fast_grouped_agg
+from ..utils import (
+    _bucket_slices,
+    _reduce_and_resplit,
+    _reduce_buckets,
+    _reduce_exchange,
+    _split_refs,
+    bucketed_inner_join,
+    fast_distinct,
+    fast_grouped_agg,
+)
 
 # Regexes matching the synthetic corpus grammar (corpus.py): same-repo
 # ``import m<k>`` lines and cross-repo ``from org<A>/repo<B>.m<k> import``
@@ -318,28 +327,6 @@ class _VertexHashCollision(Exception):
     over the lexsorted (h1, h2) IS the global uniqueness guard)."""
 
 
-def _join_partitions() -> int:
-    """Ray-JoinOperator partition count (used only by the exact-string
-    collision-fallback join): half the cluster's CPU slots, floored at 2.
-
-    Ray's hash-shuffle join schedules one aggregator ACTOR per partition,
-    and those actors compete with the map-side tasks for CPU slots:
-    P = CPUs starves the producers (observed: P=32 hangs outright at
-    num_cpus=4, and at num_cpus=32 the measured curve over the 6.1M-edge
-    bench corpus is P=4: 18.2 s, P=8: 15.4 s, P=16: **14.4 s**, P=32:
-    18.9 s — and at num_cpus=8 it is P=4: **40.3 s**, P=8: 42.0 s,
-    P=16: 48.6 s; interleaved fresh-process legs, best of 2-3).
-    CPUs/2 is the optimum at both levels, leaving half the slots for the
-    map side. Sizing by exchange bytes instead (materialize + ceil(nbytes
-    / 32 MiB)) was measured and REJECTED: the materialize barrier between
-    extraction and join cost ~2.5 s more than pipelining at every P. On a
-    multi-node cluster CPUs scales with the cluster, so partition count
-    (and with it per-partition memory) tracks cluster size; aggregators
-    spill to plasma when a partition outgrows its slot.
-    """
-    return max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
-
-
 # Rows per coarse partition in the bucketed reduce-side resolve exchange:
 # a bucket (rows/P × ~40 B of int64 columns) must fit a worker's heap, so
 # P tracks DATA volume (cluster-size-independent at scale) with a 2×CPU
@@ -358,128 +345,6 @@ def _exchange_partitions(approx_rows: int) -> int:
     cpus = int(ray.cluster_resources().get("CPU", 8))
     by_data = -(-int(approx_rows) // EXCHANGE_ROWS_PER_PARTITION)
     return max(2 * cpus, by_data, 2)
-
-
-# ---------------------------------------------------------------------------
-# Raw-task bucketed exchange
-#
-# The resolve passes and the id mint all need the same shape:
-# co-locate rows by a coarse bucket key, then run a vectorized kernel per
-# bucket. Ray Data expresses that as groupby(bucket).map_groups — a
-# sort-based shuffle whose boundary-sampling pass, string/sort-key
-# comparisons and operator barriers cost ~2.5-5 s PER EXCHANGE at bench
-# scale and barely scale 8→32 cpus (measured on the 24M-edge corpus:
-# sort-shuffle pass 3.6 s @ 8 / 2.7 s @ 32; this raw-task exchange
-# 1.4 s / 1.05 s for the identical pass). So the exchange is the one
-# place this engine drops below the Dataset API, per the build brief's
-# escape hatch: P split tasks (each concatenating ~1/P of the input
-# blocks, bucketing rows with one vectorized argsort, and returning P
-# zero-copy slices via num_returns=P) feed P reduce tasks (concat + the
-# per-bucket kernel) — the canonical Ray MapReduce shuffle, with P² small
-# objects and NO sort-boundary sampling, no padded union schema, and no
-# aggregator actors. Exchanges FUSE with their neighbours: the extraction
-# task is the map side of both the mint and the resolve exchange, and a
-# reduce task re-buckets its own output for the next pass
-# (``_reduce_and_resplit``), so a two-pass resolve touches the object
-# store exactly once per pass. Datasets remain the interface at both ends
-# (parquet paths or materialized blocks in, ``from_arrow_refs`` out); lineage-based
-# reconstruction still covers worker loss because every piece is a task
-# output. On a multi-node cluster P tracks data volume
-# (``_exchange_partitions``), exactly like the old form.
-# ---------------------------------------------------------------------------
-
-
-def _grouped(refs: list, max_groups: int) -> list[list]:
-    """Contiguous ref groups: ≤max_groups split tasks regardless of input
-    block count (replaces a repartition() coalesce pass)."""
-    if not refs:
-        return []
-    g = min(max_groups, len(refs))
-    bounds = np.linspace(0, len(refs), g + 1).astype(np.int64)
-    return [
-        refs[bounds[i]: bounds[i + 1]]
-        for i in range(g)
-        if bounds[i + 1] > bounds[i]
-    ]
-
-
-def _bucket_slices(
-    t: pa.Table, bucket_fn, P: int, schema: pa.Schema
-) -> list[pa.Table]:
-    """Bucket every row with ONE vectorized bucket_fn + argsort; return
-    P zero-copy slices (empty tables for empty buckets)."""
-    if t.num_rows == 0:
-        e = schema.empty_table()
-        return [e] * P
-    b = bucket_fn(t, P)
-    order = np.argsort(b, kind="stable")
-    t = t.take(pa.array(order))
-    bs = b[order]
-    bounds = np.searchsorted(bs, np.arange(P + 1))
-    return [t.slice(bounds[p], bounds[p + 1] - bounds[p]) for p in range(P)]
-
-
-@ray.remote
-def _split_blocks(bucket_fn, P: int, schema: pa.Schema, *blocks):
-    """Map side: concat this task's blocks, bucket every row with ONE
-    vectorized bucket_fn + argsort, return P zero-copy slices."""
-    tabs = [t for t in blocks if t.num_rows]
-    t = pa.concat_tables(tabs) if tabs else schema.empty_table()
-    return _bucket_slices(t, bucket_fn, P, schema)
-
-
-def _gather_sides(counts, pieces) -> list:
-    sides: list = []
-    i = 0
-    for c in counts:
-        ts = [p for p in pieces[i: i + c] if p.num_rows]
-        sides.append(pa.concat_tables(ts) if ts else None)
-        i += c
-    return sides
-
-
-@ray.remote(num_returns=2)
-def _reduce_buckets(reduce_fn, counts, *pieces):
-    """Reduce side: concat each side's pieces (None for an empty side)
-    and run the bucket kernel. Returns (table, meta) — meta carries tiny
-    per-bucket facts (row counts, collision counts) back to the driver
-    without another pass."""
-    return reduce_fn(*_gather_sides(counts, pieces))
-
-
-@ray.remote
-def _reduce_and_resplit(
-    reduce_fn, counts, bucket_fn, P_next: int, schema: pa.Schema, *pieces
-):
-    """Reduce + map fused in one task: run the bucket kernel, then
-    immediately re-bucket its OUTPUT for the next exchange and return
-    ``P_next`` zero-copy slices plus the meta — the classic two-phase
-    shuffle fusion. vs a separate split stage this saves one full plasma
-    write+read of the intermediate table and a P-task scheduling wave
-    (measured on the 96M-edge corpus: the standalone stage-1 re-split
-    cost 2.6-3.8 s on top of the reduce)."""
-    tbl, meta = reduce_fn(*_gather_sides(counts, pieces))
-    return _bucket_slices(tbl, bucket_fn, P_next, schema) + [meta]
-
-
-def _split_refs(refs: list, schema: pa.Schema, bucket_fn, P: int) -> list:
-    return [
-        _split_blocks.options(num_returns=P).remote(bucket_fn, P, schema, *g)
-        for g in _grouped(refs, P)
-    ]
-
-
-def _reduce_exchange(splits_per_side: list, P: int, reduce_fn):
-    """Wire P reduce tasks over the per-side split outputs. Returns
-    (P output-table refs in bucket order, P meta refs)."""
-    counts = [len(s) for s in splits_per_side]
-    outs, metas = [], []
-    for p in range(P):
-        pieces = [m[p] for side in splits_per_side for m in side]
-        o, meta = _reduce_buckets.remote(reduce_fn, counts, *pieces)
-        outs.append(o)
-        metas.append(meta)
-    return outs, metas
 
 
 def _bucket_on(col: str):
@@ -587,7 +452,7 @@ _STAGE1_SCHEMA = pa.schema(
 
 def _resolve_hashed(l1: list, vh_refs: list, P: int) -> ray.data.Dataset:
     """Resolve (s1,s2)→src then (d1,d2)→dst with two raw-task bucket
-    exchanges (see the exchange block above). Only int64 columns cross
+    exchanges (``utils``). Only int64 columns cross
     the exchange; unmatched endpoints drop, and the pass-2 bucket task
     drops self-loops and dedups (``_finish_edges``) — no extra shuffle.
 
@@ -638,10 +503,10 @@ def _join_strings(
     raw_edges: ray.data.Dataset, vertex_ids: ray.data.Dataset
 ) -> ray.data.Dataset:
     """The exact collision fallback: resolve string-keyed raw edges
-    against the minted ``(repo, path, id)`` map with two Ray string
-    joins, then drop self-loops and dedup. Unresolvable dsts (dangling
-    imports) drop, mirroring "unresolved-edge dropping" in FIXTURES.md."""
-    P = _join_partitions()
+    against the minted ``(repo, path, id)`` map with two
+    ``bucketed_inner_join``s on the string keys, then drop self-loops and
+    dedup. Unresolvable dsts (dangling imports) drop, mirroring
+    "unresolved-edge dropping" in FIXTURES.md."""
     vs = vertex_ids.map_batches(
         lambda t: pa.table(
             {"src_repo": t["repo"], "src_path": t["path"], "src": t["id"]}
@@ -654,8 +519,10 @@ def _join_strings(
         ),
         batch_format="pyarrow",
     )
-    j = raw_edges.join(vs, "inner", P, on=("src_repo", "src_path")).join(
-        vd, "inner", P, on=("dst_repo", "dst_path")
+    j = bucketed_inner_join(
+        bucketed_inner_join(raw_edges, vs, ["src_repo", "src_path"]),
+        vd,
+        ["dst_repo", "dst_path"],
     )
     return dedup_edges(j.map_batches(_finish_edges, batch_format="pyarrow"))
 

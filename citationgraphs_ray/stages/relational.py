@@ -25,7 +25,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from ..utils import _hash_partition_column, collect_table, fast_grouped_agg
+from ..utils import (
+    _default_partitions,
+    collect_table,
+    exchange,
+    fast_grouped_agg,
+    hash_buckets,
+)
 
 _CASCADE_FN = {"sum": "sum", "min": "min", "max": "max"}
 
@@ -299,10 +305,16 @@ def pivot_wide(
             "matches NULL — filter or fill-null the column upstream)"
         )
     wide_cols = [f"{col_col}_{c}" for c in categories]
+    # one cell type for every bucket: pandas returns float64 where a
+    # bucket had cells to fill and the value type where it had none
+    s = grouped.schema()
+    cell_type = dict(zip(s.names, s.types))["__val"]
+    if not (pa.types.is_floating(cell_type) or float(fill).is_integer()):
+        cell_type = pa.float64()
 
-    P = max(2, int(ray.cluster_resources().get("CPU", 8)))
-
-    def pivot_bucket(t: pa.Table) -> pa.Table:
+    def pivot_bucket(t: pa.Table | None) -> pa.Table:
+        if t is None:  # only every bucket empty keeps this output
+            return pa.table({})
         # pivot on dictionary codes of the index: a NULL index gets its own
         # code, so it stays one output row as in the GROUP BY twin, and
         # int64 ids never take pandas' NaN-forced float64 hop
@@ -328,14 +340,9 @@ def pivot_wide(
         ).reindex(columns=categories, fill_value=fill)
         cols = {index_col: enc.dictionary.take(pa.array(w.index.to_numpy()))}
         for name, c in zip(wide_cols, categories):
-            cols[name] = pa.array(w[c].to_numpy())
+            cols[name] = pa.array(w[c].to_numpy()).cast(cell_type)
         return pa.table(cols)
 
-    return (
-        grouped.map_batches(
-            lambda t: _hash_partition_column(t, [index_col], P),
-            batch_format="pyarrow",
-        )
-        .groupby("__part")
-        .map_groups(pivot_bucket, batch_format="pyarrow")
+    return exchange(
+        [grouped], hash_buckets([index_col]), pivot_bucket, _default_partitions()
     )

@@ -119,19 +119,20 @@ def stratified_sample(
     ``groupby(stratum).map_groups`` (per-group Python dispatch is the
     measured ~45 µs/group pathology; see cooccur.top_k_tfidf_per_doc).
     """
-    from ..utils import _hash_partition_column
+    from ..utils import _default_partitions, exchange, hash_buckets
 
-    P = max(2, int(ray.cluster_resources().get("CPU", 8)))
     out_cols = [c for c in ds.schema().names]
 
     def add_h(t: pa.Table) -> pa.Table:
         keys = t[key_col].to_numpy(zero_copy_only=False)
-        t = t.append_column("__h", pa.array(hash_order_key(keys, seed)))
-        return _hash_partition_column(t, [stratum_col], P)
+        return t.append_column("__h", pa.array(hash_order_key(keys, seed)))
 
-    def pick_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return (
-            df.sort_values(
+    def pick_bucket(t: pa.Table | None) -> pa.Table:
+        if t is None:  # only every bucket empty keeps this output
+            return pa.table({})
+        df = (
+            t.to_pandas()
+            .sort_values(
                 [stratum_col, "__h", key_col],
                 ascending=True,
                 kind="mergesort",
@@ -139,11 +140,13 @@ def stratified_sample(
             .groupby(stratum_col, sort=False)
             .head(n)[out_cols]
         )
+        return pa.Table.from_pandas(df, preserve_index=False)
 
-    return (
-        ds.map_batches(add_h, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(pick_bucket, batch_format="pandas")
+    return exchange(
+        [ds.map_batches(add_h, batch_format="pyarrow")],
+        hash_buckets([stratum_col]),
+        pick_bucket,
+        _default_partitions(),
     )
 
 
@@ -664,11 +667,9 @@ def approx_distinct_by(
     Returns (group, approx_distinct int64). Standard error
     ~1.04/sqrt(2^p). Deterministic (pandas hash_array) — partition- and
     rerun-invariant."""
-    from ..utils import _hash_partition_column, fast_grouped_agg
+    from ..utils import _default_partitions, exchange, fast_grouped_agg, hash_buckets
 
     m = 1 << p
-    if num_partitions is None:
-        num_partitions = max(2, int(ray.cluster_resources().get("CPU", 8)))
 
     def block_rows(t: pa.Table) -> pa.Table:
         v = t[col].to_numpy(zero_copy_only=False)
@@ -701,7 +702,9 @@ def approx_distinct_by(
 
     alpha = 0.7213 / (1 + 1.079 / m)
 
-    def estimate_bucket(t: pa.Table) -> pa.Table:
+    def estimate_bucket(t: pa.Table | None) -> pa.Table:
+        if t is None:  # only every bucket empty keeps this output
+            return pa.table({})
         # Arrow-native grouping (see _group_codes): no pandas hop, so
         # int64 group keys beyond 2^53 survive exactly
         codes, dictionary = _group_codes(t[group_col])
@@ -721,13 +724,11 @@ def approx_distinct_by(
             }
         )
 
-    return (
-        merged.map_batches(
-            lambda t: _hash_partition_column(t, [group_col], num_partitions),
-            batch_format="pyarrow",
-        )
-        .groupby("__part")
-        .map_groups(estimate_bucket, batch_format="pyarrow")
+    return exchange(
+        [merged],
+        hash_buckets([group_col]),
+        estimate_bucket,
+        num_partitions or _default_partitions(),
     )
 
 

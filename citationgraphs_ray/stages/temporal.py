@@ -6,11 +6,13 @@ the trend detectors (CitationGraphs.go:3870-3924); a training-data engine
 needs the general event-time forms the build brief names (as-of join,
 range join) as first-class operators.
 
-All three share ONE scale shape: co-partition both sides by hash(key)
-into P coarse buckets (one shuffle, bounded task dispatch — the
-``utils.bucketed_inner_join`` pattern), then a fully vectorized in-bucket
-kernel (``pd.merge_asof`` / sort+diff+cumsum / C-hash merge + band
-filter). P bounds per-task memory; partitioning is by KEY only, so the
+All of them share ONE scale shape: one hash ``utils.exchange`` of each
+side on ``key`` into P coarse buckets (bounded task dispatch), then a
+fully vectorized in-bucket kernel (``pd.merge_asof`` / sort+diff+cumsum /
+C-hash merge + band filter). The two joins match on the key and time
+columns with row numbers attached and gather every output column from
+its own typed side, so payloads keep their types and values exactly.
+P bounds per-task memory; partitioning is by KEY only, so the
 documented skew limit is a single hot key outgrowing one worker — split
 such keys by coarse time bucket before the shuffle and merge the
 per-(key, bucket) partials.
@@ -21,14 +23,11 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..utils import _hash_partition_column
-
-
-def _default_partitions() -> int:
-    return max(2, int(ray.cluster_resources().get("CPU", 8)))
+from ..utils import _default_partitions, exchange, hash_buckets
 
 
 def _types_of(ds: ray.data.Dataset) -> dict[str, pa.DataType]:
@@ -39,11 +38,11 @@ def _types_of(ds: ray.data.Dataset) -> dict[str, pa.DataType]:
 
 
 def _cast_out(df: pd.DataFrame, out_cols: list[str], types: dict) -> pa.Table:
-    """pandas → Arrow with source types restored (null padding during the
-    tagged union turns int64 into float64; inner outputs are exact for
-    values within float64's 2^53 exact-integer range). A float→int cast
-    is verified LOSSLESS — int64 payloads beyond 2^53 (snowflake-style
-    ids) would otherwise round silently in the float hop, so they raise
+    """pandas → Arrow with source types restored (pandas holds an int64
+    column with nulls as float64, exact only within float64's 2^53
+    exact-integer range). A float→int cast is verified LOSSLESS — int64
+    values beyond 2^53 (snowflake-style ids) in a null-bearing column
+    would otherwise round silently in the float hop, so they raise
     instead."""
     arrs = {}
     for c in out_cols:
@@ -68,62 +67,59 @@ def _cast_out(df: pd.DataFrame, out_cols: list[str], types: dict) -> pa.Table:
                     ok = False
                 if ok is not True:
                     raise ValueError(
-                        f"temporal join: column {c!r} holds int64 values "
-                        "beyond float64's 2^53 exact range — they would "
-                        "corrupt in the null-padded union. Re-key or split "
-                        "such ids before the join."
+                        f"temporal operator: column {c!r} holds int64 "
+                        "values beyond float64's 2^53 exact range next to "
+                        "nulls — pandas floats such a column. Fill the "
+                        "nulls or re-key such ids first."
                     )
             a = cast
         arrs[c] = a
     return pa.table(arrs)
 
 
-def _tagged_co_partition(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
+def _schema(cols: list[str], types: dict) -> pa.Schema:
+    return pa.schema([(c, types[c]) for c in cols])
+
+
+def _non_null_key(t: pa.Table, key: str) -> pa.Table:
+    """The rows of ``t`` whose ``key`` is set: a NULL key never matches."""
+    return t.filter(pc.is_valid(t[key])) if t[key].null_count else t
+
+
+def _frame(t: pa.Table, cols: list[str], rows: str) -> pd.DataFrame:
+    """``cols`` of ``t`` as pandas, with its row numbers as ``rows``."""
+    df = t.select(cols).to_pandas()
+    df[rows] = np.arange(t.num_rows, dtype=np.int64)
+    return df
+
+
+def _gather(
+    out: pa.Schema, lt: pa.Table, li, rt: pa.Table, ri, left_cols: list[str]
+) -> pa.Table:
+    """The matched rows: ``left_cols`` from ``lt`` at ``li`` and the other
+    ``out`` columns from ``rt`` at ``ri``, in their source types."""
+    li = np.asarray(li, dtype=np.int64)
+    ri = np.asarray(ri, dtype=np.int64)
+    cols = [
+        lt[c].take(li) if c in left_cols else rt[c].take(ri) for c in out.names
+    ]
+    return pa.Table.from_arrays(cols, schema=out)
+
+
+def _by_key(
+    events: ray.data.Dataset,
     key: str,
-    shared: list[str],
-    merge_bucket,
-    num_partitions: int,
+    bucket,
+    out: pa.Schema,
+    num_partitions: int | None,
 ) -> ray.data.Dataset:
-    """Widen both sides to one schema (null-pad the other side's columns),
-    tag with ``__side``, union, hash-partition on ``key`` into P coarse
-    buckets, and run ``merge_bucket(df)`` per bucket. ``shared`` columns
-    exist on both sides under the same name and are not padded."""
-    l_types = _types_of(left)
-    r_types = _types_of(right)
-    extra_l = [c for c in l_types if c not in shared]
-    extra_r = [c for c in r_types if c not in shared]
-    overlap = set(extra_l) & set(extra_r)
-    if overlap:
-        raise ValueError(f"non-shared columns must be disjoint, got {overlap}")
-    types = {**l_types, **r_types}
-    all_cols = shared + extra_l + extra_r
-
-    def pad(side: int, missing: list[str]):
-        def fn(t: pa.Table) -> pa.Table:
-            n = t.num_rows
-            cols = {c: t[c] for c in t.column_names}
-            for c in missing:
-                cols[c] = pa.nulls(n, type=types[c])
-            cols["__side"] = pa.array(np.full(n, side, dtype=np.int64))
-            return pa.table({c: cols[c] for c in all_cols + ["__side"]})
-
-        return fn
-
-    tagged = left.map_batches(pad(0, extra_r), batch_format="pyarrow").union(
-        right.map_batches(pad(1, extra_l), batch_format="pyarrow")
-    )
-    return (
-        tagged.map_batches(
-            lambda t: _hash_partition_column(t, [key], num_partitions),
-            batch_format="pyarrow",
-        )
-        .groupby("__part")
-        .map_groups(
-            lambda df: merge_bucket(df.drop(columns="__part")),
-            batch_format="pandas",
-        )
+    """One hash exchange of ``events`` on ``key`` into P coarse buckets;
+    ``bucket(df)`` runs on each bucket's rows as one pandas frame."""
+    return exchange(
+        [events],
+        hash_buckets([key]),
+        lambda t: out.empty_table() if t is None else bucket(t.to_pandas()),
+        num_partitions or _default_partitions(),
     )
 
 
@@ -152,26 +148,27 @@ def asof_join(
     r_types = _types_of(right)
     left_cols = list(l_types)
     val_cols = [c for c in r_types if c not in (key, ts)]
-    out_cols = left_cols + val_cols
+    overlap = set(left_cols) & set(val_cols)
+    if overlap:
+        raise ValueError(f"non-shared columns must be disjoint, got {overlap}")
     types = {**l_types, **r_types}
-    if num_partitions is None:
-        num_partitions = _default_partitions()
+    out = _schema(left_cols + val_cols, types)
 
-    def merge_bucket(df: pd.DataFrame) -> pa.Table:
-        l = df[df["__side"] == 0][left_cols]
-        r = df[df["__side"] == 1][[key, ts] + val_cols]
-        if not len(l) or not len(r):
-            return pa.table(
-                {c: pa.array([], type=types[c]) for c in out_cols}
-            )
-        l = l.sort_values(ts, kind="mergesort")
-        r = r.sort_values(ts, kind="mergesort").assign(__m=np.int64(1))
+    def merge_bucket(lt: pa.Table | None, rt: pa.Table | None) -> pa.Table:
+        if lt is None or rt is None:
+            return out.empty_table()
+        lt, rt = _non_null_key(lt, key), _non_null_key(rt, key)
+        l = _frame(lt, [key, ts], "__l").sort_values(ts, kind="mergesort")
+        r = _frame(rt, [key, ts], "__r").sort_values(ts, kind="mergesort")
         m = pd.merge_asof(l, r, on=ts, by=key, direction="backward")
-        m = m[m["__m"].notna()]
-        return _cast_out(m, out_cols, types)
+        m = m[m["__r"].notna()]
+        return _gather(out, lt, m["__l"], rt, m["__r"], left_cols)
 
-    return _tagged_co_partition(
-        left, right, key, [key, ts], merge_bucket, num_partitions
+    return exchange(
+        [left, right],
+        hash_buckets([key]),
+        merge_bucket,
+        num_partitions or _default_partitions(),
     )
 
 
@@ -203,17 +200,21 @@ def range_join(
     r_types = _types_of(right)
     left_cols = list(l_types)
     right_cols = [c for c in r_types if c != key]
-    out_cols = left_cols + right_cols
+    overlap = set(left_cols) & set(right_cols)
+    if overlap:
+        raise ValueError(f"non-shared columns must be disjoint, got {overlap}")
     types = {**l_types, **r_types}
+    out = _schema(left_cols + right_cols, types)
     lo_closed = inclusive in ("left", "both")
     hi_closed = inclusive in ("right", "both")
-    if num_partitions is None:
-        num_partitions = _default_partitions()
 
-    def merge_bucket(df: pd.DataFrame) -> pa.Table:
-        l = df[df["__side"] == 0][left_cols]
-        r = df[df["__side"] == 1][[key] + right_cols]
-        m = l.merge(r, on=key, how="inner")
+    def merge_bucket(lt: pa.Table | None, rt: pa.Table | None) -> pa.Table:
+        if lt is None or rt is None:
+            return out.empty_table()
+        lt, rt = _non_null_key(lt, key), _non_null_key(rt, key)
+        m = _frame(lt, [key, left_ts], "__l").merge(
+            _frame(rt, [key, right_ts], "__r"), on=key, how="inner"
+        )
         if len(m):
             # delta - delta is the typed zero (Timedelta(0) for timestamps,
             # 0 for numerics), so one comparison covers both column kinds
@@ -222,10 +223,13 @@ def range_join(
             lo = (delta >= zero) if lo_closed else (delta > zero)
             hi = (delta <= width) if hi_closed else (delta < width)
             m = m[lo & hi]
-        return _cast_out(m, out_cols, types)
+        return _gather(out, lt, m["__l"], rt, m["__r"], left_cols)
 
-    return _tagged_co_partition(
-        left, right, key, [key], merge_bucket, num_partitions
+    return exchange(
+        [left, right],
+        hash_buckets([key]),
+        merge_bucket,
+        num_partitions or _default_partitions(),
     )
 
 
@@ -258,15 +262,9 @@ def rolling_window(
     roll_cols = [f"{value_col}_roll_{a}" for a in aggs]
     out_cols = list(types) + roll_cols
     types = {**types, **{c: pa.float64() for c in roll_cols}}
-    if num_partitions is None:
-        num_partitions = _default_partitions()
 
     def bucket(df: pd.DataFrame) -> pa.Table:
-        df = df.drop(columns="__part").sort_values(
-            [key, ts], kind="mergesort"
-        )
-        if not len(df):
-            return pa.table({c: pa.array([], type=types[c]) for c in out_cols})
+        df = df.sort_values([key, ts], kind="mergesort")
         dup = df.duplicated([key, ts])
         if dup.any():
             raise ValueError(
@@ -299,14 +297,7 @@ def rolling_window(
             df[c] = r[a].to_numpy()
         return _cast_out(df, out_cols, types)
 
-    return (
-        events.map_batches(
-            lambda t: _hash_partition_column(t, [key], num_partitions),
-            batch_format="pyarrow",
-        )
-        .groupby("__part")
-        .map_groups(bucket, batch_format="pandas")
-    )
+    return _by_key(events, key, bucket, _schema(out_cols, types), num_partitions)
 
 
 def lag_lead(
@@ -338,15 +329,9 @@ def lag_lead(
     ]
     out_cols = list(types) + shift_cols
     types = {**types, **{c: pa.float64() for c in shift_cols}}
-    if num_partitions is None:
-        num_partitions = _default_partitions()
 
     def bucket(df: pd.DataFrame) -> pa.Table:
-        df = df.drop(columns="__part").sort_values(
-            [key, ts], kind="mergesort"
-        )
-        if not len(df):
-            return pa.table({c: pa.array([], type=types[c]) for c in out_cols})
+        df = df.sort_values([key, ts], kind="mergesort")
         dup = df.duplicated([key, ts])
         if dup.any():
             raise ValueError(
@@ -362,14 +347,7 @@ def lag_lead(
             df[f"{value_col}_lead{n}"] = g.shift(-n).to_numpy()
         return _cast_out(df, out_cols, types)
 
-    return (
-        events.map_batches(
-            lambda t: _hash_partition_column(t, [key], num_partitions),
-            batch_format="pyarrow",
-        )
-        .groupby("__part")
-        .map_groups(bucket, batch_format="pandas")
-    )
+    return _by_key(events, key, bucket, _schema(out_cols, types), num_partitions)
 
 
 def rank_in_group(
@@ -395,15 +373,9 @@ def rank_in_group(
         "dense_rank": pa.int64(),
         "percent_rank": pa.float64(),
     }
-    if num_partitions is None:
-        num_partitions = _default_partitions()
 
     def bucket(df: pd.DataFrame) -> pa.Table:
-        df = df.drop(columns="__part").sort_values(
-            [key, order_col], kind="mergesort"
-        )
-        if not len(df):
-            return pa.table({c: pa.array([], type=types[c]) for c in out_cols})
+        df = df.sort_values([key, order_col], kind="mergesort")
         g = df.groupby(key, sort=False, dropna=False)[order_col]
         rank = g.rank(method="min").to_numpy()
         if np.isnan(rank).any():
@@ -417,14 +389,7 @@ def rank_in_group(
         df["percent_rank"] = np.where(n > 1, (rank - 1.0) / (n - 1.0), 0.0)
         return _cast_out(df, out_cols, types)
 
-    return (
-        events.map_batches(
-            lambda t: _hash_partition_column(t, [key], num_partitions),
-            batch_format="pyarrow",
-        )
-        .groupby("__part")
-        .map_groups(bucket, batch_format="pandas")
-    )
+    return _by_key(events, key, bucket, _schema(out_cols, types), num_partitions)
 
 
 def path_aggregate(
@@ -444,21 +409,9 @@ def path_aggregate(
     a pandas groupby str-join (the join itself is inherent string work,
     bounded per key)."""
     types = _types_of(events)
-    if num_partitions is None:
-        num_partitions = _default_partitions()
 
     def bucket(df: pd.DataFrame) -> pa.Table:
-        df = df.drop(columns="__part").sort_values(
-            [key, order_col, value_col], kind="mergesort"
-        )
-        if not len(df):
-            return pa.table(
-                {
-                    key: pa.array([], type=types[key]),
-                    "n_steps": pa.array([], type=pa.int64()),
-                    "path": pa.array([], type=pa.string()),
-                }
-            )
+        df = df.sort_values([key, order_col, value_col], kind="mergesort")
         g = df.groupby(key, sort=False, dropna=False)[value_col]
         # as string_agg: NULL values are skipped but their rows still
         # count, and a group of only NULL values has a NULL path
@@ -481,14 +434,9 @@ def path_aggregate(
             }
         )
 
-    return (
-        events.map_batches(
-            lambda t: _hash_partition_column(t, [key], num_partitions),
-            batch_format="pyarrow",
-        )
-        .groupby("__part")
-        .map_groups(bucket, batch_format="pandas")
-    )
+    types = {**types, "n_steps": pa.int64(), "path": pa.string()}
+    out_cols = [key, "n_steps", "path"]
+    return _by_key(events, key, bucket, _schema(out_cols, types), num_partitions)
 
 
 def sessionize(
@@ -515,14 +463,10 @@ def sessionize(
     types = _types_of(events)
     out_cols = list(types) + ["session_idx"]
     types = {**types, "session_idx": pa.int64()}
-    if num_partitions is None:
-        num_partitions = _default_partitions()
     sort_cols = [key, ts] + ([tiebreak] if tiebreak else [])
 
     def bucket(df: pd.DataFrame) -> pa.Table:
-        df = df.drop(columns="__part").sort_values(sort_cols, kind="mergesort")
-        if not len(df):
-            return pa.table({c: pa.array([], type=types[c]) for c in out_cols})
+        df = df.sort_values(sort_cols, kind="mergesort")
         # nulls-equal key comparison: all null-key rows form ONE run (the
         # sort places them contiguously), matching SQL PARTITION BY where
         # NULLs share a partition — plain .ne() would make every null row
@@ -538,11 +482,4 @@ def sessionize(
         df["session_idx"] = (s - first + 1).astype(np.int64)
         return _cast_out(df, out_cols, types)
 
-    return (
-        events.map_batches(
-            lambda t: _hash_partition_column(t, [key], num_partitions),
-            batch_format="pyarrow",
-        )
-        .groupby("__part")
-        .map_groups(bucket, batch_format="pandas")
-    )
+    return _by_key(events, key, bucket, _schema(out_cols, types), num_partitions)

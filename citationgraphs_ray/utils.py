@@ -1,9 +1,34 @@
-"""Shared helpers: dense-id minting, broadcast lookups, small-table fetch.
+"""Shared helpers: dense-id minting, broadcast lookups, small-table fetch,
+and the package's one hash shuffle.
 
 These are the building blocks SURVEY.md §1.4 maps the reference's in-memory
 dicts onto: global dense-id assignment (Corpus.Vocab first-seen ids,
 CitationGraphs.go:143-147 → sort + per-block offset rank) and point lookups
 (Nodes map, CitationGraphs.go:74-78 → broadcast dict / numpy array).
+
+Raw-task bucketed exchange (:func:`exchange`). Every bucketed reduce
+needs the same shape: co-locate rows by a coarse bucket key, then run a
+vectorized kernel per bucket. Ray Data expresses that as
+groupby(bucket).map_groups — a sort-based shuffle whose boundary-sampling
+pass, string/sort-key comparisons and operator barriers cost ~2.5-5 s PER
+EXCHANGE at bench scale and barely scale 8→32 cpus (measured on the
+24M-edge corpus: sort-shuffle pass 3.6 s @ 8 / 2.7 s @ 32; this raw-task
+exchange 1.4 s / 1.05 s for the identical pass). So the exchange is the
+one place this engine drops below the Dataset API: P split tasks (each
+concatenating ~1/P of the input blocks, bucketing rows with one
+vectorized argsort, and returning P zero-copy slices via num_returns=P)
+feed P reduce tasks (concat + the per-bucket kernel) — the canonical Ray
+MapReduce shuffle, with P² small objects and NO sort-boundary sampling,
+no padded union schema, and no aggregator actors. A two-sided reduce
+gets each side as its own typed table, so int64 columns never take a
+float hop. Exchanges FUSE with their neighbours in edge extraction
+(stages/edges.py): the extraction task is the map side of both the mint
+and the resolve exchange, and a reduce task re-buckets its own output
+for the next pass (``_reduce_and_resplit``), so a two-pass resolve
+touches the object store exactly once per pass. Datasets remain the
+interface at both ends (blocks in, ``from_arrow_refs`` out);
+lineage-based reconstruction still covers worker loss because every
+piece is a task output.
 """
 
 from __future__ import annotations
@@ -189,10 +214,6 @@ def dataset_to_dense_array(
     return out
 
 
-def table_from_arrays(**cols) -> pa.Table:
-    return pa.table({k: pa.array(v) for k, v in cols.items()})
-
-
 def list_column_to_matrix(
     col: "pa.ChunkedArray | pa.Array", dtype=np.float64
 ) -> np.ndarray:
@@ -238,18 +259,21 @@ def matrix_to_list_array(mat: np.ndarray, dtype=pa.float64()):
 _LIST_OFFSET32_MAX = 2**31
 
 
+def _as_arrow(block) -> pa.Table:
+    """A Ray block as Arrow: ``to_arrow_refs`` hands back pandas blocks
+    as they are when the dataset's first schema is Arrow (a union, an
+    empty block a pyarrow UDF passed through)."""
+    if isinstance(block, pa.Table):
+        return block
+    return pa.Table.from_pandas(block, preserve_index=False)
+
+
 def collect_table(ds: "ray.data.Dataset") -> pa.Table:
     """Materialize a small Dataset to one Arrow table, skipping the empty
     zero-column blocks Ray emits for fully-filtered partitions (they break
-    pa.concat_tables with a schema mismatch). Pandas blocks (from upstream
-    map_groups stages) are converted."""
-    raw = ray.get(ds.to_arrow_refs())
-    tables = []
-    for t in raw:
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        if t.num_columns > 0:
-            tables.append(t)
+    pa.concat_tables with a schema mismatch). Pandas blocks are
+    converted (:func:`_as_arrow`)."""
+    tables = [t for t in map(_as_arrow, ray.get(ds.to_arrow_refs())) if t.num_columns]
     if not tables:
         return pa.table({})
     return pa.concat_tables(tables, promote_options="default")
@@ -267,6 +291,166 @@ def pinned(ds: "ray.data.Dataset", cols: list[str]) -> tuple["ray.data.Dataset",
     if not isinstance(ds, MaterializedDataset):
         ds = ds.select_columns(cols).materialize()
     return ds, ds.count()
+
+
+# ---------------------------------------------------------------------------
+# Raw-task bucketed exchange (see the module docstring)
+# ---------------------------------------------------------------------------
+
+
+def _grouped(refs: list, max_groups: int) -> list[list]:
+    """Contiguous ref groups: ≤max_groups split tasks regardless of input
+    block count (replaces a repartition() coalesce pass)."""
+    if not refs:
+        return []
+    g = min(max_groups, len(refs))
+    bounds = np.linspace(0, len(refs), g + 1).astype(np.int64)
+    return [
+        refs[bounds[i]: bounds[i + 1]]
+        for i in range(g)
+        if bounds[i + 1] > bounds[i]
+    ]
+
+
+def _bucket_slices(
+    t: pa.Table, bucket_fn, P: int, schema: pa.Schema
+) -> list[pa.Table]:
+    """Bucket every row with ONE vectorized bucket_fn + argsort; return
+    P zero-copy slices (empty tables for empty buckets)."""
+    if t.num_rows == 0:
+        e = schema.empty_table()
+        return [e] * P
+    b = bucket_fn(t, P)
+    order = np.argsort(b, kind="stable")
+    t = t.take(pa.array(order))
+    bs = b[order]
+    bounds = np.searchsorted(bs, np.arange(P + 1))
+    return [t.slice(bounds[p], bounds[p + 1] - bounds[p]) for p in range(P)]
+
+
+@ray.remote
+def _split_blocks(bucket_fn, P: int, schema: pa.Schema, *blocks):
+    """Map side: concat this task's blocks, bucket every row with ONE
+    vectorized bucket_fn + argsort, return P zero-copy slices."""
+    tabs = [t for t in map(_as_arrow, blocks) if t.num_rows]
+    t = (
+        pa.concat_tables(tabs, promote_options="default")
+        if tabs
+        else schema.empty_table()
+    )
+    return _bucket_slices(t, bucket_fn, P, schema)
+
+
+def _gather_sides(counts, pieces) -> list:
+    sides: list = []
+    i = 0
+    for c in counts:
+        ts = [p for p in map(_as_arrow, pieces[i: i + c]) if p.num_rows]
+        sides.append(pa.concat_tables(ts, promote_options="default") if ts else None)
+        i += c
+    return sides
+
+
+@ray.remote(num_returns=2)
+def _reduce_buckets(reduce_fn, counts, *pieces):
+    """Reduce side: concat each side's pieces (None for an empty side)
+    and run the bucket kernel. Returns (table, meta) — meta carries tiny
+    per-bucket facts (row counts, collision counts) back to the driver
+    without another pass."""
+    return reduce_fn(*_gather_sides(counts, pieces))
+
+
+@ray.remote
+def _reduce_and_resplit(
+    reduce_fn, counts, bucket_fn, P_next: int, schema: pa.Schema, *pieces
+):
+    """Reduce + map fused in one task: run the bucket kernel, then
+    immediately re-bucket its OUTPUT for the next exchange and return
+    ``P_next`` zero-copy slices plus the meta — the classic two-phase
+    shuffle fusion. vs a separate split stage this saves one full plasma
+    write+read of the intermediate table and a P-task scheduling wave
+    (measured on the 96M-edge corpus: the standalone stage-1 re-split
+    cost 2.6-3.8 s on top of the reduce)."""
+    tbl, meta = reduce_fn(*_gather_sides(counts, pieces))
+    return _bucket_slices(tbl, bucket_fn, P_next, schema) + [meta]
+
+
+def _split_refs(refs: list, schema: pa.Schema, bucket_fn, P: int) -> list:
+    return [
+        _split_blocks.options(num_returns=P).remote(bucket_fn, P, schema, *g)
+        for g in _grouped(refs, P)
+    ]
+
+
+def _reduce_exchange(splits_per_side: list, P: int, reduce_fn):
+    """Wire P reduce tasks over the per-side split outputs. Returns
+    (P output-table refs in bucket order, P meta refs)."""
+    counts = [len(s) for s in splits_per_side]
+    outs, metas = [], []
+    for p in range(P):
+        pieces = [m[p] for side in splits_per_side for m in side]
+        o, meta = _reduce_buckets.remote(reduce_fn, counts, *pieces)
+        outs.append(o)
+        metas.append(meta)
+    return outs, metas
+
+
+def _nullable_int(t: pa.DataType):
+    """pandas' nullable dtype for an Arrow integer type (``types_mapper``
+    of :func:`hash_buckets`)."""
+    import pandas as pd
+
+    if pa.types.is_integer(t):
+        sign = "UInt" if pa.types.is_unsigned_integer(t) else "Int"
+        return pd.api.types.pandas_dtype(f"{sign}{t.bit_width}")
+    return None
+
+
+def hash_buckets(keys: list[str]):
+    """Bucket function for :func:`exchange`: pandas' ``hash_pandas_object``
+    of the key columns mod P — vectorized siphash with a fixed default
+    key, identical across worker processes (unlike Python's salted hash).
+    Integer keys hash as pandas' nullable integers, which hash like
+    int64: a null in a block would otherwise float the block's other
+    keys and send them to other buckets than the same keys elsewhere."""
+
+    def f(t: pa.Table, P: int) -> np.ndarray:
+        import pandas as pd
+
+        df = t.select(keys).to_pandas(types_mapper=_nullable_int)
+        h = pd.util.hash_pandas_object(df, index=False).to_numpy()
+        return (h % P).astype(np.int64)
+
+    return f
+
+
+def exchange(sides: list, bucket_fn, reduce_fn, P: int) -> "ray.data.Dataset":
+    """Bucket the rows of every Dataset in ``sides`` into ``P`` buckets
+    by ``bucket_fn(table, P) -> bucket index per row``, and run
+    ``reduce_fn(*tables)`` once per bucket — one ``pa.Table`` per side,
+    or ``None`` for a side with no rows in that bucket. ``reduce_fn``
+    returns a ``pa.Table``; its empty outputs are dropped, unless every
+    bucket's is empty (then bucket 0's stays, for its schema)."""
+    from ray.data import from_arrow_refs
+
+    splits = []
+    for ds in sides:
+        refs = ds.materialize().to_arrow_refs()
+        # one bucket needs no split: its pieces are the blocks themselves
+        # (and a num_returns=1 task would return the list as one object)
+        splits.append(
+            _split_refs(refs, pa.schema([]), bucket_fn, P)
+            if P > 1
+            else [[r] for r in refs]
+        )
+
+    def counted(*tables):
+        out = reduce_fn(*tables)
+        return out, out.num_rows
+
+    outs, rows = _reduce_exchange(splits, P, counted)
+    rows = ray.get(rows)
+    return from_arrow_refs([o for o, n in zip(outs, rows) if n] or outs[:1])
 
 
 # broadcast_merge right-side budget: above either bound the "small side"
@@ -325,98 +509,75 @@ def broadcast_merge(
     return left.map_batches(Merge, batch_format="pandas", concurrency=(1, 8))
 
 
+def _default_partitions() -> int:
+    return max(2, int(ray.cluster_resources().get("CPU", 8)))
+
+
+def _schema(ds: "ray.data.Dataset", what: str) -> pa.Schema:
+    s = ds.schema(fetch_if_missing=True)
+    if s is None:
+        raise ValueError(
+            f"{what}: a side has no schema (empty dataset) — guard the "
+            "empty case at the call site"
+        )
+    return pa.schema(list(zip(s.names, s.types)))
+
+
+def _keys_with_rows(t: pa.Table, keys: pa.Schema, col: str) -> pa.Table:
+    """The key columns of ``t`` cast to the ``keys`` schema, plus its row
+    numbers as ``col`` — the only columns an in-bucket Arrow join carries:
+    pyarrow rejects list-typed non-key columns in a join, so payloads are
+    gathered afterwards with ``take``."""
+    rows = pa.array(np.arange(t.num_rows, dtype=np.int64))
+    return t.select(keys.names).cast(keys).append_column(col, rows)
+
+
 def bucketed_inner_join(
     left: "ray.data.Dataset",
     right: "ray.data.Dataset",
     on: list[str],
     num_partitions: int | None = None,
 ) -> "ray.data.Dataset":
-    """Distributed inner join as ONE hash shuffle into P coarse buckets +
-    an in-bucket pandas (C hash) merge — the reduce-side join shape.
+    """Distributed inner join as ONE hash :func:`exchange` of both sides
+    into P buckets + an in-bucket Arrow hash join — the reduce-side join
+    shape.
 
     Exists because Ray's ``Dataset.join`` (acero) loses the schema of
     empty hash partitions on small inputs, schedules one aggregator actor
     per partition (deadlocks when partitions > session CPUs) and rejects
     list-typed non-key columns (all three measured, see stages/dedup.py).
-    Non-key column names must be disjoint between the two sides. Output
-    column types follow the input schemas (null-padding during the union
-    never leaks: every output row is an inner match, and columns are cast
-    back to their source Arrow types).
+    Non-key column names must be disjoint between the two sides. Every
+    output column keeps its input type and values exactly (int64 past
+    2^53 included); NULL keys never match, as in SQL.
     """
-    import pandas as pd
-
-    ls = left.schema(fetch_if_missing=True)
-    rs = right.schema(fetch_if_missing=True)
-    if ls is None or rs is None:
-        raise ValueError(
-            "bucketed_inner_join: a side has no schema (empty dataset) — "
-            "guard the empty case at the call site"
-        )
-    l_types = dict(zip(ls.names, ls.types))
-    r_types = dict(zip(rs.names, rs.types))
+    ls = _schema(left, "bucketed_inner_join")
+    rs = _schema(right, "bucketed_inner_join")
     extra_l = [c for c in ls.names if c not in on]
     extra_r = [c for c in rs.names if c not in on]
     overlap = set(extra_l) & set(extra_r)
     if overlap:
         raise ValueError(f"non-key columns must be disjoint, got {overlap}")
-    types = {**l_types, **r_types}
-    out_cols = list(on) + extra_l + extra_r
-    if num_partitions is None:
-        num_partitions = max(2, int(ray.cluster_resources().get("CPU", 8)))
-
-    def pad(side: int, missing: list[str]):
-        def fn(t: pa.Table) -> pa.Table:
-            n = t.num_rows
-            cols = {c: t[c] for c in t.column_names}
-            for c in missing:
-                cols[c] = pa.nulls(n, type=types[c])
-            cols["__side"] = pa.array(np.full(n, side, dtype=np.int64))
-            return pa.table({c: cols[c] for c in out_cols + ["__side"]})
-
-        return fn
-
-    tagged = left.map_batches(pad(0, extra_r), batch_format="pyarrow").union(
-        right.map_batches(pad(1, extra_l), batch_format="pyarrow")
+    keys = pa.schema([ls.field(c) for c in on])
+    out = pa.schema(
+        list(keys) + [ls.field(c) for c in extra_l] + [rs.field(c) for c in extra_r]
     )
 
-    def merge_bucket(df: "pd.DataFrame") -> pa.Table:
-        l = df[df["__side"] == 0][list(on) + extra_l]
-        r = df[df["__side"] == 1][list(on) + extra_r]
-        m = l.merge(r, on=list(on), how="inner")
-        arrs = {}
-        for c in out_cols:
-            # int64 columns pass through pandas as float64 because of the
-            # union's null padding; cast back — exact only within ±2^53,
-            # so larger magnitudes raise (the value was already rounded in
-            # the float hop; Arrow's safe cast can't see that)
-            a = pa.array(m[c].to_numpy(), from_pandas=True)
-            if a.type != types[c]:
-                cast = a.cast(types[c])
-                if pa.types.is_floating(a.type) and pa.types.is_integer(
-                    types[c]
-                ):
-                    mx = pa.compute.max(pa.compute.abs(cast)).as_py()
-                    if mx is not None and mx >= (1 << 53):
-                        raise ValueError(
-                            f"bucketed_inner_join: column {c!r} holds "
-                            "int64 values beyond float64's exact range "
-                            "(2^53); the null-padded union corrupts them "
-                            "— re-key or split such ids before the join"
-                        )
-                a = cast
-            arrs[c] = a
-        return pa.table(arrs)
+    def join(lt: pa.Table | None, rt: pa.Table | None) -> pa.Table:
+        if lt is None or rt is None:
+            return out.empty_table()
+        m = _keys_with_rows(lt, keys, "__l").join(
+            _keys_with_rows(rt, keys, "__r"), list(on), join_type="inner"
+        )
+        li, ri = m["__l"], m["__r"]
+        cols = [lt[c].take(li) for c in list(on) + extra_l]
+        cols += [rt[c].take(ri) for c in extra_r]
+        return pa.Table.from_arrays(cols, schema=out)
 
-    return (
-        tagged.map_batches(
-            lambda t: _hash_partition_column(t, list(on), num_partitions),
-            batch_format="pyarrow",
-        )
-        .groupby("__part")
-        .map_groups(
-            lambda df: merge_bucket(df.drop(columns="__part")),
-            batch_format="pandas",
-        )
+    return exchange(
+        [left, right],
+        hash_buckets(list(on)),
+        join,
+        num_partitions or _default_partitions(),
     )
 
 
@@ -427,92 +588,38 @@ def _bucketed_membership_join(
     keep_matched: bool,
     num_partitions: int | None = None,
 ) -> "ray.data.Dataset":
-    """Shared core of semi/anti join: ONE hash shuffle of the left rows +
-    the right side's DISTINCT KEYS into P coarse buckets, per-bucket
-    vectorized membership merge. Only keys ship for the right side, so
-    the exchange is bounded by left + |distinct right keys| regardless of
-    right's width or row count. Left columns/types pass through exactly.
+    """Shared core of semi/anti join: ONE hash :func:`exchange` of the
+    left rows + the right side's keys (distinct per block) into P
+    buckets, and an Arrow ``left semi``/``left anti`` join per bucket.
+    Only keys ship for the right side, whatever its width. Left columns,
+    types, values and in-bucket row order pass through exactly; a NULL
+    key never matches (SQL EXISTS/NOT EXISTS).
     """
-    import pandas as pd
-
-    ls = left.schema(fetch_if_missing=True)
-    if ls is None:
-        raise ValueError(
-            "semi/anti join: left side has no schema (empty dataset) — "
-            "guard the empty case at the call site"
-        )
-    l_types = dict(zip(ls.names, ls.types))
-    out_cols = list(ls.names)
-    if not set(on) <= set(out_cols):
-        raise ValueError(f"join keys {on!r} missing from left {out_cols!r}")
-    if num_partitions is None:
-        num_partitions = max(2, int(ray.cluster_resources().get("CPU", 8)))
-
-    rkeys = fast_distinct(right.select_columns(list(on)), list(on))
-
-    def tag_left(t: pa.Table) -> pa.Table:
-        cols = {c: t[c] for c in out_cols}
-        cols["__side"] = pa.array(np.zeros(t.num_rows, dtype=np.int64))
-        return pa.table(cols)
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        cols = {c: t[c] if c in on else pa.nulls(t.num_rows, l_types[c])
-                for c in out_cols}
-        cols["__side"] = pa.array(np.ones(t.num_rows, dtype=np.int64))
-        return pa.table(cols)
-
-    tagged = left.map_batches(tag_left, batch_format="pyarrow").union(
-        rkeys.map_batches(tag_right, batch_format="pyarrow")
+    ls = _schema(left, "semi/anti join")
+    if not set(on) <= set(ls.names):
+        raise ValueError(f"join keys {on!r} missing from left {ls.names!r}")
+    keys = pa.schema([ls.field(c) for c in on])
+    rkeys = right.map_batches(
+        lambda t: distinct_rows(t, list(on)), batch_format="pyarrow"
     )
 
-    def filter_bucket(df: "pd.DataFrame") -> pa.Table:
-        l = df[df["__side"] == 0]
-        # SQL EXISTS/NOT EXISTS: NULL = NULL never matches — drop null
-        # right keys (pandas merge would match NaN == NaN) and force
-        # null-key left rows unmatched
-        rk = df[df["__side"] == 1][list(on)].dropna()
-        m = l[list(on)].merge(
-            rk.drop_duplicates(), on=list(on), how="left", indicator=True
+    def filter_bucket(lt: pa.Table | None, rt: pa.Table | None) -> pa.Table:
+        if lt is None:
+            return ls.empty_table()
+        if rt is None:
+            return ls.empty_table() if keep_matched else lt
+        m = _keys_with_rows(lt, keys, "__l").join(
+            rt.select(list(on)).cast(keys),
+            list(on),
+            join_type="left semi" if keep_matched else "left anti",
         )
-        matched = (m["_merge"] == "both").to_numpy()
-        matched &= ~l[list(on)].isna().any(axis=1).to_numpy()
-        out = l[matched if keep_matched else ~matched]
-        arrs = {}
-        for c in out_cols:
-            a = pa.array(out[c].to_numpy(), from_pandas=True)
-            if a.type != l_types[c]:
-                cast = a.cast(l_types[c])
-                if pa.types.is_floating(a.type) and pa.types.is_integer(
-                    l_types[c]
-                ):
-                    # the tagged union's null padding floated this int64
-                    # column, so any magnitude past 2^53 has ALREADY been
-                    # rounded (measured: 2^60+1347 arrives as 2^60+1280) —
-                    # raise the _cast_out contract error, never emit it.
-                    # (Arrow's float→int safe cast does NOT catch this:
-                    # the rounded value is integral, so it casts cleanly.)
-                    mx = pa.compute.max(pa.compute.abs(cast)).as_py()
-                    if mx is not None and mx >= (1 << 53):
-                        raise ValueError(
-                            f"semi/anti join: column {c!r} holds int64 "
-                            "values beyond float64's exact range (2^53); "
-                            "the null-padded union corrupts them — re-key "
-                            "or split such ids before the join"
-                        )
-                a = cast
-            arrs[c] = a
-        return pa.table(arrs)
+        return lt.take(np.sort(m["__l"].to_numpy()))
 
-    return (
-        tagged.map_batches(
-            lambda t: _hash_partition_column(t, list(on), num_partitions),
-            batch_format="pyarrow",
-        )
-        .groupby("__part")
-        .map_groups(
-            lambda df: filter_bucket(df.drop(columns="__part")),
-            batch_format="pandas",
-        )
+    return exchange(
+        [left, rkeys],
+        hash_buckets(list(on)),
+        filter_bucket,
+        num_partitions or _default_partitions(),
     )
 
 
@@ -552,45 +659,19 @@ _AGG_PARTIAL = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
 DISTRIBUTE_MERGE_THRESHOLD = 20_000_000
 
 
-def _hash_partition_column(
-    batch: pa.Table, keys: list[str], num_partitions: int
-) -> pa.Table:
-    """Append ``__part`` = deterministic hash of the key columns mod P.
-
-    pandas' hash_pandas_object is vectorized siphash with a fixed default
-    key — identical across worker processes (unlike Python's salted hash).
-    """
-    import pandas as pd
-
-    h = pd.util.hash_pandas_object(
-        batch.select(keys).to_pandas(), index=False
-    ).to_numpy()
-    return batch.append_column(
-        "__part", pa.array((h % num_partitions).astype(np.int64))
-    )
-
-
 def _merge_partitioned(
     parts: "ray.data.Dataset",
     keys: list[str],
     final_merge,
     num_partitions: int,
 ) -> "ray.data.Dataset":
-    """Stage 2 as a real shuffle: hash-partition partials by key into P
-    coarse buckets, C++-merge each bucket in its own task. P is small
-    (key-disjoint buckets), so ``map_groups``' per-group dispatch is
-    negligible while every actual merge stays vectorized Arrow."""
-
-    def assign(batch: pa.Table) -> pa.Table:
-        return _hash_partition_column(batch, keys, num_partitions)
-
-    def merge_group(tbl: pa.Table) -> pa.Table:
-        return final_merge(tbl.drop_columns(["__part"]))
-
-    return (
-        parts.map_batches(assign, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(merge_group, batch_format="pyarrow")
+    """Stage 2 as a real shuffle: hash-:func:`exchange` the partials by
+    key into P buckets, C++-merge each bucket in its own task."""
+    return exchange(
+        [parts],
+        hash_buckets(keys),
+        lambda t: pa.table({}) if t is None else final_merge(t),
+        num_partitions,
     )
 
 

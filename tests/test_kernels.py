@@ -1144,6 +1144,25 @@ def test_materialized_input_starts_no_ray_data_job(small_graph, monkeypatch):
     assert calls == ["select_columns"]
 
 
+@pytest.mark.parametrize("mode", ["dense", "join"])
+def test_linkpred_and_truss_take_a_materialized_input_as_is(
+    small_graph, monkeypatch, mode
+):
+    """adamic_adar_topk, edge_jaccard and k_truss use a MaterializedDataset
+    as it is (``utils.pinned``): no ``select_columns`` projection."""
+    from ray.data import Dataset
+
+    from citationgraphs_ray.graph.linkpred import adamic_adar_topk, edge_jaccard
+    from citationgraphs_ray.graph.truss import k_truss
+
+    _, und, _, V = small_graph
+    calls = _spy(monkeypatch, Dataset, "select_columns")
+    adamic_adar_topk(und, V, k=10, mode=mode)
+    edge_jaccard(und, V, mode=mode).materialize()
+    k_truss(und, V, 3, mode=mode)
+    assert calls == []
+
+
 @pytest.mark.parametrize("strategy", ["auto", "local"])
 @pytest.mark.parametrize("lazy", [False, True])
 def test_triangles_raw_dupes_and_loops(strategy, lazy):

@@ -320,32 +320,48 @@ def test_rolling_window_rejects_duplicate_key_ts():
         ).to_pandas()
 
 
-def test_asof_join_rejects_unrepresentable_int64():
-    """int64 beyond 2^53 would round silently in the null-padded float
-    hop — the join must raise instead."""
-    import pytest
-
-    big = (1 << 60) + 1
-    left = ray.data.from_arrow(
-        pa.table(
-            {
-                "k": pa.array([1], pa.int64()),
-                "ts": pa.array([10], pa.int64()),
-                "event_id": pa.array([big], pa.int64()),
-            }
-        )
+@pytest.mark.parametrize(
+    "big", [(1 << 53) + 1, (1 << 60) + 1347], ids=["2^53+1", "2^60+1347"]
+)
+@pytest.mark.parametrize("join", ["asof", "range"])
+def test_temporal_joins_exact_int64_and_null_keys(join, big):
+    """int64 payloads past 2^53 come back exact from both joins (each side
+    is its own typed table; only key, time and row numbers go through
+    pandas), and a NULL key on either side never matches."""
+    left = pa.table(
+        {
+            "k": pa.array([1, None, 2, None], pa.int64()),
+            "ts": pa.array([10, 10, 20, 30], pa.int64()),
+            "event_id": pa.array([big, big + 1, big + 2, big + 3], pa.int64()),
+        }
     )
-    right = ray.data.from_arrow(
-        pa.table(
-            {
-                "k": pa.array([1], pa.int64()),
-                "ts": pa.array([5], pa.int64()),
-                "price": pa.array([2.0]),
-            }
-        )
+    right = pa.table(
+        {
+            "k": pa.array([1, None, 2], pa.int64()),
+            "rts": pa.array(
+                [5, 5, 25] if join == "asof" else [12, 12, 25], pa.int64()
+            ),
+            "rv": pa.array([big + 10, big + 11, big + 12], pa.int64()),
+        }
     )
-    with pytest.raises(Exception, match="2\\^53"):
-        asof_join(left, right, "k", "ts").materialize()
+    lds = ray.data.from_arrow(left)
+    if join == "asof":
+        rds = ray.data.from_arrow(right.rename_columns(["k", "ts", "rv"]))
+        out = asof_join(lds, rds, "k", "ts", num_partitions=3)
+        want = {"k": [1], "ts": [10], "event_id": [big], "rv": [big + 10]}
+    else:
+        rds = ray.data.from_arrow(right)
+        out = range_join(lds, rds, "k", "ts", "rts", 10, num_partitions=3)
+        want = {
+            "k": [1, 2],
+            "ts": [10, 20],
+            "event_id": [big, big + 2],
+            "rts": [12, 25],
+            "rv": [big + 10, big + 12],
+        }
+    got = pa.concat_tables(ray.get(out.to_arrow_refs())).sort_by("ts")
+    assert got.to_pydict() == want
+    assert set(got.schema.types) == {pa.int64()}
 
 
 def test_rolling_window_null_key_single_partition():

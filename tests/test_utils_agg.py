@@ -144,43 +144,49 @@ def test_semi_anti_join_null_keys_never_match():
 
 
 @pytest.mark.parametrize("join", ["inner", "semi", "anti"])
-def test_joins_reject_2_53_plus_1(join):
-    """2^53+1 rounds to exactly 2^53 in the null-padding float hop, so
-    the guard must fire at 2^53 itself, not only above it."""
+def test_joins_round_trip_2_53_plus_1(join):
+    """Keys and payloads past 2^53 come back exact: each side reaches the
+    in-bucket join as its own typed table. (A float hop rounds 2^53+1 to
+    2^53, which would also match the right side's 2^53 key.)"""
     from citationgraphs_ray import utils
 
+    big = (1 << 53) + 1
     left = pa.table(
-        {"k": pa.array([1, 2], pa.int64()),
-         "payload": pa.array([(1 << 53) + 1] * 2, pa.int64())}
+        {"k": pa.array([big, 2], pa.int64()),
+         "payload": pa.array([big, big + 2], pa.int64())}
     )
     right = pa.table(
-        {"k": pa.array([1, 3], pa.int64()), "r": pa.array([5, 6], pa.int64())}
+        {"k": pa.array([big, 1 << 53, 3], pa.int64()),
+         "r": pa.array([big + 4, 7, 6], pa.int64())}
     )
     fn = getattr(utils, f"bucketed_{join}_join")
-    with pytest.raises(Exception, match="2\\^53"):
+    out = utils.collect_table(
         fn(
             ray.data.from_arrow(left), ray.data.from_arrow(right), ["k"],
             num_partitions=1,
-        ).materialize()
+        )
+    )
+    assert out.to_pydict() == {
+        "inner": {"k": [big], "payload": [big], "r": [big + 4]},
+        "semi": {"k": [big], "payload": [big]},
+        "anti": {"k": [2], "payload": [big + 2]},
+    }[join]
+    assert set(out.schema.types) == {pa.int64()}
 
 
-def test_semi_join_rejects_int64_beyond_2_53():
-    import pyarrow as pa
-    import pytest
-    import ray.data
+def test_semi_join_round_trips_int64_beyond_2_53():
+    from citationgraphs_ray.utils import bucketed_semi_join, collect_table
 
-    from citationgraphs_ray.utils import bucketed_semi_join
-
-    big = (1 << 60) + 1347  # corrupts in the float hop; safe cast raises
+    big = (1 << 60) + 1347  # 2^60+1280 after a float hop
     left = pa.table(
-        {"k": pa.array([1], type=pa.int64()),
-         "payload": pa.array([big], type=pa.int64())}
+        {"k": pa.array([1, 2], type=pa.int64()),
+         "payload": pa.array([big, 5], type=pa.int64())}
     )
     right = pa.table({"k": pa.array([1], type=pa.int64())})
-    with pytest.raises(Exception, match="2\\^53"):
-        bucketed_semi_join(
-            ray.data.from_arrow(left), ray.data.from_arrow(right), ["k"]
-        ).materialize()
+    out = bucketed_semi_join(
+        ray.data.from_arrow(left), ray.data.from_arrow(right), ["k"]
+    )
+    assert collect_table(out).to_pydict() == {"k": [1], "payload": [big]}
 
 
 @pytest.mark.parametrize("dtype", ["int8", "int32", "int64", "uint16", "float32", "float64"])
