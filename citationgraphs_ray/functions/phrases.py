@@ -22,6 +22,8 @@ import ray
 import ray.data
 from ray.data.aggregate import Max
 
+from ..utils import on_driver
+
 # ---------------------------------------------------------------------------
 # M5: stemming — small deterministic Porter-style suffix stripper
 # ---------------------------------------------------------------------------
@@ -155,36 +157,33 @@ def exclusions(
 # ---------------------------------------------------------------------------
 
 
-# Row guard for phrase_similarity_from_cooccurrence: the result is a
-# broadcast driver dict by design (the reference also broadcasts this
-# matrix, T5), so the input MUST be thresholded upstream. 2M pair rows
-# ≈ a few hundred MB of dict — a driver-memory budget, beyond which the
-# caller forgot the frequency threshold.
-PHRASE_SIM_MAX_ROWS = 2_000_000
-
-
 def phrase_similarity_from_cooccurrence(
     pair_counts: ray.data.Dataset,
     exclusion_pairs: set[tuple[str, str]] | None = None,
-    max_rows: int = PHRASE_SIM_MAX_ROWS,
 ) -> dict[tuple[str, str], float]:
     """T3 boundary (cm.SetConcurrences → similarity, 2342-2360): cosine-
     normalized co-occurrence — sim(a,b) = cooc(a,b) / sqrt(tot(a)·tot(b)),
     excluded pairs forced to 0. Input (w1, w2, freq); returns the symmetric
     similarity dict for broadcast.
 
-    The docstring precondition "small, thresholded upstream" is ENFORCED:
-    more than ``max_rows`` pair rows raises instead of silently building a
-    corpus-sized driver dict (VERDICT r3 #4). Totals and scores are
-    vectorized; only the final dict build touches Python rows."""
+    The result is a broadcast driver dict by design (the reference also
+    broadcasts this matrix, T5), so the docstring precondition "small,
+    thresholded upstream" is ENFORCED: a pair table whose dict would
+    exceed the driver budget (``utils.on_driver``) raises instead of
+    silently building a corpus-sized driver dict (VERDICT r3 #4). Totals
+    and scores are vectorized; only the final dict build touches Python
+    rows."""
     pair_counts = pair_counts.materialize()
     n = pair_counts.count()
-    if n > max_rows:
+    # each row becomes two dict entries, each a slot, a key tuple and a
+    # float object: ~400 B of Python objects per row
+    if not on_driver(pair_counts.size_bytes() + 400 * n):
         raise ValueError(
-            f"phrase_similarity_from_cooccurrence got {n} pair rows "
-            f"(max {max_rows}): the result is a broadcast driver dict — "
-            "threshold the co-occurrence counts upstream (freq cutoff) "
-            "before building the similarity matrix"
+            f"phrase_similarity_from_cooccurrence got {n} pair rows, whose "
+            "dict exceeds the driver budget (utils.DRIVER_BUDGET_BYTES): "
+            "the result is a broadcast driver dict — threshold the "
+            "co-occurrence counts upstream (freq cutoff) before building "
+            "the similarity matrix"
         )
     df = pair_counts.to_pandas()
     import pandas as pd

@@ -34,7 +34,8 @@ Two executors run the same definitions, picked by ``reduce``:
   run and shut down after it.
 
 ``reduce="auto"`` (the default) picks ``local`` at or below
-LOCAL_KERNEL_MAX_EDGES and ``csr`` above it.
+LOCAL_KERNEL_MAX_EDGES when its driver arrays fit the driver budget
+(``utils.on_driver``), and ``csr`` otherwise.
 
 Hub skew is handled where the messages are produced: the CSR engine
 pre-combines each (p, q) partition pair with :func:`_fold`, so a mega-hub
@@ -63,10 +64,11 @@ import pyarrow as pa
 import ray  # not ray.data: CSR workers import this module (see utils)
 
 from ..state.checkpoints import CheckpointManager
-from ..utils import collect_table, pinned
+from ..utils import collect_table, on_driver, pinned
 from .oracle import mis_priority
 
-# ``reduce="auto"`` runs "local" at or below this E and "csr" above it.
+# ``reduce="auto"`` runs "local" at or below this E (when the graph fits
+# the driver budget) and "csr" above it.
 # PageRank per superstep on a 4-CPU host (BENCH/BASELINE.md round 8):
 # local 2-4 ms vs CSR 10-11 ms at E=115k; at E=5M, V=200k local 80-84 ms
 # vs CSR 48-54 ms, after a 1.5-3.4 s CSR build that local's one-step
@@ -547,8 +549,13 @@ def _execute(
     # each read itself
     eds, num_edges = pinned(edges, cols)
     run = (kernel, max_iters, checkpoint_dir, resume, keep_last, checkpoint_every)
+    # local holds the int64 edge columns (and up to two sorted copies,
+    # ``_Edges.edges_of``) plus about eight V-sized state, degree and
+    # message columns on the driver
     if reduce == "local" or (
-        reduce == "auto" and num_edges <= LOCAL_KERNEL_MAX_EDGES
+        reduce == "auto"
+        and num_edges <= LOCAL_KERNEL_MAX_EDGES
+        and on_driver(8 * (3 * num_edges * len(cols) + 8 * num_vertices))
     ):
         g = _Edges(collect_table(eds), num_vertices, weight_col)
         done = _run(g, *run)

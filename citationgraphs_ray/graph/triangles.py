@@ -15,10 +15,11 @@ expansion, CitationGraphs.go:835-928):
    {a, b, c}.
 5. flat-map each triangle to its 3 vertices → grouped count.
 
-Three regimes (``strategy="auto"`` picks by E, as the graph engine's
-``reduce="auto"`` does):
+Three regimes (``strategy="auto"`` picks by E and the driver budget, as
+the graph engine's ``reduce="auto"`` does):
 
-- ``local`` (tiny E, ≤ ``LOCAL_KERNEL_MAX_EDGES``): everything runs as
+- ``local`` (tiny E, ≤ ``LOCAL_KERNEL_MAX_EDGES``, and its E- and
+  V-sized driver arrays within ``utils.on_driver``): everything runs as
   one in-process numpy computation — at this scale the fixed cost of
   each Ray Data execution dominates. When the raw edge count already
   fits, the edges are canonicalized on the driver (no Ray Data job on
@@ -28,9 +29,10 @@ Three regimes (``strategy="auto"`` picks by E, as the graph engine's
   exact diag(A³)/2 counting (one BLAS matmul, ``DENSE_MATMUL_MAX_V``),
   and anything else above ``LOCAL_TRIANGLE_MAX_PAIRS`` keeps the
   driver-side orientation but distributes the probe over vertex ranges.
-- ``broadcast`` (small E): the sorted oriented edge-key array (one int64
-  per edge) is broadcast once and probed with np.searchsorted inside a
-  map over vertex ranges — no shuffle at all.
+- ``broadcast`` (its key array and V-sized ranks fit the driver
+  budget): the sorted oriented edge-key array (one int64 per edge) is
+  broadcast once and probed with np.searchsorted inside a map over
+  vertex ranges — no shuffle at all.
 - ``shuffle`` (huge E): NOTHING edge-sized ever leaves the distributed
   plane. Degrees attach to endpoints via distributed hash joins; wedges
   expand inside coarse hash buckets of centers (vectorized per distinct
@@ -54,6 +56,7 @@ import ray
 import ray.data
 
 from ..utils import (
+    _default_partitions,
     bucketed_inner_join,
     collect_table,
     dataset_to_dense_array,
@@ -62,28 +65,10 @@ from ..utils import (
     fast_distinct,
     fast_grouped_agg,
     hash_buckets,
+    on_driver,
     pinned,
 )
 from .engine import LOCAL_KERNEL_MAX_EDGES, KernelResult
-
-# Oriented-edge count above which auto switches from the broadcast probe
-# (one int64 key per edge in a single broadcast object) to the fully
-# distributed join probe.
-BROADCAST_EDGE_KEY_MAX = 50_000_000
-
-# Vertex-count ceiling for the broadcast strategy under auto: it holds
-# dense V-sized deg/ork arrays on the driver (8 B/vertex each; 800 MB at
-# this bound) and its a·M+b key arithmetic requires (V+1)·V < 2^63.
-# Above it, auto routes to the shuffle path (two-column keys, distributed
-# degrees — no V-sized object anywhere).
-BROADCAST_TRIANGLE_MAX_VERTICES = 100_000_000
-
-# num_vertices cap for the local regime: it allocates two V-sized int64
-# driver arrays (bincount degrees + orientation rank ≈ 16 B/vertex →
-# ~800 MB at the cap) even when E is tiny — a driver-memory budget on the
-# 128-GiB node class, not a speed tradeoff (huge-V/small-E graphs take the
-# shuffle path's distributed degrees instead).
-LOCAL_TRIANGLE_MAX_VERTICES = 50_000_000
 
 # Cap on the (pair-count) size of one vectorized wedge-expansion slab so a
 # group of many same-degree centers can't allocate an unbounded pair array.
@@ -344,11 +329,22 @@ def _range_probe(
     )
 
 
+def _keys_fit(num_vertices: int) -> bool:
+    """Whether the a·M+b edge keys of the local and broadcast regimes
+    (M = V+1) stay inside int64: they would wrap silently above
+    V ≈ 3.04e9, where only ``shuffle``'s two-column keys are exact."""
+    return (num_vertices + 1) * num_vertices < 2**63
+
+
 def _fits_local(num_edges: int, num_vertices: int) -> bool:
-    """Whether ``auto`` runs a graph of this size in the local regime."""
+    """Whether ``auto`` runs a graph of this size in the local regime: the
+    driver holds ~6 int64 E-sized arrays (the canonical edges, their
+    orientation and keys) and ~4 V-sized ones (degrees, ranks, out-degrees,
+    counts)."""
     return (
         num_edges <= LOCAL_KERNEL_MAX_EDGES
-        and num_vertices <= LOCAL_TRIANGLE_MAX_VERTICES
+        and _keys_fit(num_vertices)
+        and on_driver(8 * (6 * num_edges + 4 * num_vertices))
     )
 
 
@@ -360,29 +356,30 @@ def triangle_counts(
 ) -> KernelResult | ray.data.Dataset:
     """strategy:
     - "local" (auto at/below ``LOCAL_KERNEL_MAX_EDGES`` distinct
-      undirected edges): the tiny-graph regime — the distinct undirected
-      edges are on the driver once and the whole orient/wedge/probe runs
-      as in-process numpy (the same regime switch as
-      ``engine.pagerank(reduce="local")``: below a few million edges every
-      Ray Data execution's fixed cost dominates the arithmetic). When
-      ``strategy="local"``, or the RAW edge count is at/below the bound
-      (it bounds the distinct count, so auto's choice is the same), the
-      edges are read from their blocks (``utils.pinned``: no Ray Data job
-      on a materialized input) and canonicalized on the driver with the
-      per-batch ``_canon`` and ``fast_distinct``'s ``distinct_rows``;
-      otherwise ``_canon_undirected`` runs as a Ray Data job. Because probe cost is wedge pairs, not edges, the
+      undirected edges, within the driver budget): the tiny-graph
+      regime — the distinct undirected edges are on the driver once and
+      the whole orient/wedge/probe runs as in-process numpy (the same
+      regime switch as ``engine.pagerank(reduce="local")``: below a few
+      million edges every Ray Data execution's fixed cost dominates the
+      arithmetic). When ``strategy="local"``, or the RAW edge count
+      already fits (it bounds the distinct count, so auto's choice is the
+      same), the edges are read from their blocks (``utils.pinned``: no
+      Ray Data job on a materialized input) and canonicalized on the
+      driver with the per-batch ``_canon`` and ``fast_distinct``'s
+      ``distinct_rows``; otherwise ``_canon_undirected`` runs as a Ray
+      Data job. Because probe cost is wedge pairs, not edges, the
       regime sub-switches: V ≤ ``DENSE_MATMUL_MAX_V`` dense graphs use
       exact diag(A³)/2 (one float64 GEMM; entries < 2^53 so exact), and
       sparse-but-wedge-heavy graphs above ``LOCAL_TRIANGLE_MAX_PAIRS``
       spill just the probe to the distributed vertex-range map over the
       driver-computed key array. Equivalence-tested vs both distributed
       strategies.
-    - "broadcast" (default via auto when E fits an object): wedge generation
-      as a map stage over vertex ranges against the broadcast SORTED
-      oriented edge-key array — the keys a·M+b are contiguous per center a,
-      so each task slices its adjacency with two searchsorted calls; no
-      shuffle, no per-group Python dispatch (~25x faster than map_groups on
-      a dense 1000-vertex graph).
+    - "broadcast" (auto when its key array fits the driver budget):
+      wedge generation as a map stage over vertex ranges against the
+      broadcast SORTED oriented edge-key array — the keys a·M+b are
+      contiguous per center a, so each task slices its adjacency with
+      two searchsorted calls; no shuffle, no per-group Python dispatch
+      (~25x faster than map_groups on a dense 1000-vertex graph).
     - "shuffle": the huge-E path — degrees, orientation, wedge expansion
       and the (b, c) probe are all distributed (joins + coarse-bucket
       shuffles); no single object ever holds an edge-sized array.
@@ -418,14 +415,13 @@ def triangle_counts(
     if strategy == "auto":
         if _fits_local(n_edges, num_vertices):
             strategy = "local"
-        elif (
-            n_edges <= BROADCAST_EDGE_KEY_MAX
-            and num_vertices <= BROADCAST_TRIANGLE_MAX_VERTICES
+        elif _keys_fit(num_vertices) and on_driver(
+            8 * (2 * n_edges + 2 * num_vertices)
         ):
-            # broadcast needs V-sized dense deg/ork driver arrays and an
-            # a·M+b composite key (which would silently wrap int64 above
-            # V ≈ 3.04e9) — huge-V/small-E graphs take the shuffle path's
-            # two-column keys and distributed degrees instead.
+            # broadcast holds the sorted key array (built from its parts)
+            # and the V-sized deg/ork arrays on the driver; huge graphs
+            # take the shuffle path's two-column keys and distributed
+            # degrees instead.
             strategy = "broadcast"
         else:
             strategy = "shuffle"
@@ -509,7 +505,7 @@ def triangle_counts(
         tri_vertices = _range_probe(edge_keys, ork, M, num_vertices)
     else:
         deg_ds = _degree_table(uv)
-        cpus = max(2, int(ray.cluster_resources().get("CPU", 8)))
+        cpus = _default_partitions()
         nj = min(64, cpus)
         oriented = _orient_distributed(uv, deg_ds, nj).materialize()
 

@@ -226,20 +226,19 @@ def q_connected_components(sf_dir: str, reduce: str = "auto"):
     )
 
 
-def q_pagerank(sf_dir: str):
-    """Iterative kernel — no SQL oracle (pytest NumPy oracle covers it)."""
+def q_pagerank(sf_dir: str, reduce: str = "auto"):
     edges = derive_edges(sf_dir).materialize()
-    res = pagerank(edges, GRAPH_MOD, tol=1e-10)
+    res = pagerank(edges, GRAPH_MOD, tol=1e-10, reduce=reduce)
     ids = np.arange(GRAPH_MOD, dtype=np.int64)
     return pa.table(
         {"id": pa.array(ids), "rank": pa.array(_round6(res.state))}
     )
 
 
-def q_label_propagation(sf_dir: str):
+def q_label_propagation(sf_dir: str, reduce: str = "auto"):
     edges = derive_edges(sf_dir).materialize()
     und = symmetrize_edges(edges)
-    res = label_propagation(und, GRAPH_MOD, max_rounds=20)
+    res = label_propagation(und, GRAPH_MOD, max_rounds=20, reduce=reduce)
     ids = np.arange(GRAPH_MOD, dtype=np.int64)
     return pa.table({"id": pa.array(ids), "label": pa.array(res.state)})
 
@@ -4213,7 +4212,9 @@ LEFT JOIN (SELECT o_custkey, count(*) AS n_urgent FROM orders
 
 # The at-scale executor in the gate: each kernel query again with
 # reduce="csr" (the CSR actor engine ``auto`` picks above
-# LOCAL_KERNEL_MAX_EDGES), checked against its canonical query's oracle.
-for _name in ("connected_components", "hits", "mis", "katz"):
+# LOCAL_KERNEL_MAX_EDGES or past the driver budget), checked against its
+# canonical query's oracle.
+for _name in ("connected_components", "pagerank", "label_propagation", "hits",
+              "mis", "katz"):
     QUERIES[f"{_name}_csr"] = functools.partial(QUERIES[_name], reduce="csr")
     ORACLE_SQL[f"{_name}_csr"] = ORACLE_SQL[_name]

@@ -19,10 +19,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..utils import collect_table, fast_distinct
+from ..utils import _default_partitions, collect_table, fast_distinct, on_driver
 from .text import fingerprint_batch
-
-BENCH_FP_BROADCAST_MAX = 50_000_000  # ~400 MB of int64 fingerprints
 
 
 def decontaminate(
@@ -45,10 +43,11 @@ def decontaminate(
             ["fingerprint"],
         )
     )
-    if bench_fps.num_rows > BENCH_FP_BROADCAST_MAX:
+    if not on_driver(bench_fps.nbytes):
         raise ValueError(
-            "decontaminate: benchmark fingerprint set exceeds the "
-            "broadcast budget — partition it and run in passes"
+            f"decontaminate: benchmark fingerprint set ({bench_fps.nbytes} B) "
+            "exceeds the driver budget (utils.DRIVER_BUDGET_BYTES) — "
+            "partition it and run in passes"
         )
     bench_ref = ray.put(bench_fps["fingerprint"].combine_chunks())
 
@@ -64,7 +63,6 @@ def decontaminate(
             hit = pa.compute.is_in(fp, value_set=self.bad)
             return t.filter(pa.compute.invert(hit))
 
-    cpus = max(2, int(ray.cluster_resources().get("CPU", 8)))
     return docs.map_batches(
-        Filter, batch_format="pyarrow", concurrency=(1, cpus)
+        Filter, batch_format="pyarrow", concurrency=(1, _default_partitions())
     )

@@ -38,6 +38,7 @@ from ..utils import (
     hash_buckets,
     list_column_to_matrix,
     matrix_to_list_array,
+    on_driver,
 )
 
 from ..graph.engine import connected_components
@@ -491,12 +492,6 @@ def exact_dedup(
 # ---------------------------------------------------------------------------
 
 
-# num_ids above which dup-cluster resolution switches from the broadcast
-# CC engine (dense driver vector, fastest at small V) to the CSR
-# partition-actor engine (per-partition state, no V-sized driver array).
-BROADCAST_CLUSTER_MAX_IDS = 50_000_000
-
-
 def resolve_dup_clusters(
     pairs: pa.Table | ray.data.Dataset,
     num_ids: int,
@@ -513,8 +508,9 @@ def resolve_dup_clusters(
     BSP engine and drains the labels via ``CsrEngine.write_states`` —
     per-partition parquet shards written by the workers, so NO process
     (driver included) ever holds V-sized state on the 10^12-doc path.
-    "auto" switches on ``num_ids``. Both engines are exact and
-    equivalence-tested.
+    "auto" picks "broadcast" while its two V-sized int64 arrays (labels
+    and ids) fit the driver budget (``utils.on_driver``), and "csr"
+    above it. Both engines are exact and equivalence-tested.
     """
     if isinstance(pairs, pa.Table):
         pairs = ray.data.from_arrow(pairs)
@@ -527,9 +523,7 @@ def resolve_dup_clusters(
         pairs = pairs.materialize()
     und = symmetrize_edges(pairs)
     if engine == "auto":
-        engine = (
-            "broadcast" if num_ids <= BROADCAST_CLUSTER_MAX_IDS else "csr"
-        )
+        engine = "broadcast" if on_driver(16 * num_ids) else "csr"
     if engine == "csr":
         import glob
         import shutil

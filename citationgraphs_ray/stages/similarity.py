@@ -22,19 +22,18 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..utils import collect_table, list_column_to_matrix
+from ..utils import (
+    collect_table,
+    list_column_to_matrix,
+    matrix_to_list_array,
+    on_driver,
+)
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(m, axis=1, keepdims=True)
     n[n == 0] = 1.0
     return m / n
-
-
-# Materialized-input row bound for brute_force_topk's driver-local
-# scoring regime (~1 GB of float64 at dim 64 — one matmul in-process);
-# see the regime comment inside the function.
-BRUTE_LOCAL_MAX_ROWS = 2_000_000
 
 
 def brute_force_topk(
@@ -53,18 +52,16 @@ def brute_force_topk(
     Q = _normalize(np.asarray(queries, dtype=np.float64))
 
     # Driver-local regime (same pattern and rationale as
-    # KMEANS_LOCAL_MAX_ROWS below): a MATERIALIZED input at/below the
-    # bound is scored in-process with one matmul — the distributed path
-    # costs an actor-pool ramp plus two Ray executions (~4-5 s fixed at
-    # 32 cpus) to rank a few thousand vectors. Lazy or above-bound
-    # inputs take the actor-pool + merge engine, which is the 100-TB
-    # path. Identical math and tie order (lexsort on score desc, id
-    # asc); regime equivalence is pytest-gated.
-    try:
-        known_rows = ds.count() if ds.num_blocks() is not None else None
-    except Exception:
-        known_rows = None
-    if known_rows is not None and known_rows <= BRUTE_LOCAL_MAX_ROWS:
+    # KMEANS_LOCAL_MAX_ROWS below): a MATERIALIZED input within the
+    # driver budget is scored in-process with one matmul — the
+    # distributed path costs an actor-pool ramp plus two Ray executions
+    # (~4-5 s fixed at 32 cpus) to rank a few thousand vectors. Lazy or
+    # over-budget inputs take the actor-pool + merge engine, which is the
+    # 100-TB path. Identical math and tie order (lexsort on score desc,
+    # id asc); regime equivalence is pytest-gated.
+    from ray.data.dataset import MaterializedDataset
+
+    if isinstance(ds, MaterializedDataset) and on_driver(ds.size_bytes()):
         tbl = collect_table(ds)
         vecs = _normalize(list_column_to_matrix(tbl[vec_col]))
         ids = tbl[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -149,6 +146,18 @@ def brute_force_topk(
     return partials.groupby("query_id").map_groups(merge, batch_format="pandas")
 
 
+def _by_hash(vecs: np.ndarray) -> np.ndarray:
+    """The rows of a float64 matrix ordered by a 64-bit hash of their
+    bytes (a multiply-xorshift fold over the columns): an order that
+    depends on the rows alone, not on the order they arrive in."""
+    h = np.zeros(len(vecs), dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for col in vecs.view(np.uint64).T:
+            h = (h ^ col) * np.uint64(0x9E3779B97F4A7C15)
+            h ^= h >> np.uint64(29)
+    return vecs[np.argsort(h, kind="stable")]
+
+
 # Vector count at/below which kmeans_fit pulls the vectors once and runs
 # Lloyd iterations in-process: each distributed iteration is a full Ray
 # Data execution (~1 s fixed cost) while the local iteration on ≤500k
@@ -166,12 +175,16 @@ def kmeans_fit(
 ) -> np.ndarray:
     """Deterministic Lloyd k-means via map_batches partial sums.
 
-    Init: seeded sample of rows. Each iteration: per-batch assignment +
+    Init: a seeded choice among the ``num_clusters·20`` rows with the
+    smallest hash of their vector bytes (:func:`_by_hash`) — the same rows
+    in any block layout, unlike a per-task seeded sample taken in
+    block-completion order. Each iteration: per-batch assignment +
     partial (sum, count) per centroid → driver reduce (k×d, tiny) →
     recompute. Empty clusters keep their previous centroid. Below
     ``KMEANS_LOCAL_MAX_ROWS`` the iterations run driver-local on the
-    collected matrix (same init, same update rule; allclose-tested vs
-    the distributed path).
+    collected matrix in hash order, so the float sums, and with them the
+    centroids, are bitwise-independent of the block order (same init, same
+    update rule; allclose-tested vs the distributed path).
 
     The column-pruned input is materialized ONCE up front: count, the
     init sample, and every Lloyd iteration then read object-store blocks
@@ -180,18 +193,25 @@ def kmeans_fit(
     rather than recomputing num_iters+2 times).
     """
     ds = ds.select_columns([vec_col]).materialize()
-    n_rows = ds.count()
-    sample = ds.random_sample(
-        min(1.0, (num_clusters * 20) / max(1, n_rows)), seed=seed
-    ).take(num_clusters * 20)
+    m = num_clusters * 20
+    local = ds.count() <= KMEANS_LOCAL_MAX_ROWS
+    if local:
+        vecs = _by_hash(list_column_to_matrix(collect_table(ds)[vec_col]))
+        pts = vecs[:m]
+    else:
+
+        def bottom(t: pa.Table) -> pa.Table:
+            if not t.num_rows:
+                return t
+            mat = _by_hash(list_column_to_matrix(t[vec_col]))[:m]
+            return pa.table({vec_col: matrix_to_list_array(mat)})
+
+        sample = collect_table(ds.map_batches(bottom, batch_format="pyarrow"))
+        pts = _by_hash(list_column_to_matrix(sample[vec_col]))[:m]
     rng = np.random.default_rng(seed)
-    pts = np.array([r[vec_col] for r in sample], dtype=np.float64)
     centroids = pts[rng.choice(len(pts), size=num_clusters, replace=False)]
 
-    if n_rows <= KMEANS_LOCAL_MAX_ROWS:
-        vecs = list_column_to_matrix(
-            collect_table(ds.select_columns([vec_col]))[vec_col]
-        ).astype(np.float64)
+    if local:
         chunk = 32_768  # bounds the (chunk, k, d) subtract temporary
         for _ in range(num_iters):
             sums = np.zeros_like(centroids)

@@ -165,11 +165,6 @@ def _rank_for(q: float, n: int) -> int:
     return max(1, int(math.ceil(q * n)))
 
 
-def _col_values(t: pa.Table, col: str) -> np.ndarray:
-    v = t[col].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
-    return v[~np.isnan(v)]
-
-
 def exact_quantiles(
     ds: ray.data.Dataset,
     col: str,
@@ -198,205 +193,11 @@ def exact_quantiles(
     binned in float64, so integer columns beyond 2^53 may alias within
     a bin; the final selection still returns an exact element, but rank
     ties between integers that collide as floats resolve in float
-    order.
+    order. Runs :func:`grouped_exact_quantiles` with every row in one
+    group.
     """
-    if not qs:
-        return []
-
-    # pass 0: global count / min / max (one tiny row per block)
-    def stats(t: pa.Table) -> pa.Table:
-        v = _col_values(t, col)
-        if np.isinf(v).any():
-            # an inf min/max poisons np.linspace ([nan, inf, ...] edges →
-            # all-zero histograms → wrong intervals / IndexError deep in
-            # the refinement loop); fail loud at the boundary instead
-            raise ValueError(
-                f"exact_quantiles: non-finite values in {col!r} — filter "
-                "±inf upstream (NaNs are excluded automatically)"
-            )
-        if len(v) == 0:
-            return pa.table(
-                {"n": pa.array([], pa.int64()), "lo": pa.array([], pa.float64()),
-                 "hi": pa.array([], pa.float64())}
-            )
-        return pa.table(
-            {"n": [len(v)], "lo": [float(v.min())], "hi": [float(v.max())]}
-        )
-
-    st = collect_table(ds.map_batches(stats, batch_format="pyarrow"))
-    if st.num_rows == 0:
-        raise ValueError(f"exact_quantiles: no non-null values in {col!r}")
-    n_total = int(pa.compute.sum(st["n"]).as_py())
-    glo = float(pa.compute.min(st["lo"]).as_py())
-    ghi = float(pa.compute.max(st["hi"]).as_py())
-
-    # per-quantile state: (lo, hi, below) with invariant
-    #   below == #values < lo, and the target value sits in [lo, hi]
-    state = {
-        i: [glo, ghi, 0, _rank_for(q, n_total)] for i, q in enumerate(qs)
-    }
-    results: dict[int, float] = {}
-
-    def interval_count_pass(intervals: list[tuple[float, float]]):
-        """One streaming pass: per interval, bins-histogram of values in
-        [lo, hi] plus the count of values strictly below lo."""
-        edges = [np.linspace(lo, hi, bins + 1) for lo, hi in intervals]
-
-        def hist(t: pa.Table) -> pa.Table:
-            v = _col_values(t, col)
-            iv, bn, ct = [], [], []
-            for i, (lo, hi) in enumerate(intervals):
-                cnt, _ = np.histogram(v, bins=edges[i])
-                nz = np.nonzero(cnt)[0]
-                iv.extend([i] * (len(nz) + 1))
-                bn.extend(nz.tolist())
-                ct.extend(cnt[nz].tolist())
-                bn.append(-1)  # sentinel bin: below-lo count
-                ct.append(int((v < lo).sum()))
-            return pa.table(
-                {
-                    "iv": pa.array(iv, pa.int64()),
-                    "bin": pa.array(bn, pa.int64()),
-                    "cnt": pa.array(ct, pa.int64()),
-                }
-            )
-
-        merged = collect_table(
-            fast_grouped_agg(
-                ds.map_batches(hist, batch_format="pyarrow"),
-                ["iv", "bin"],
-                {"n": ("cnt", "sum")},
-            )
-        )
-        out = []
-        miv = merged["iv"].to_numpy(zero_copy_only=False)
-        mbin = merged["bin"].to_numpy(zero_copy_only=False)
-        mn = merged["n"].to_numpy(zero_copy_only=False)
-        for i in range(len(intervals)):
-            sel = miv == i
-            counts = np.zeros(bins, dtype=np.int64)
-            b, c = mbin[sel], mn[sel]
-            below = int(c[b == -1].sum())
-            inb = b >= 0
-            counts[b[inb]] = c[inb]
-            out.append((counts, below, edges[i]))
-        return out
-
-    max_rounds = 6
-    for _ in range(max_rounds):
-        active = {
-            i: s
-            for i, s in state.items()
-            if i not in results
-        }
-        if not active:
-            break
-        # exact-lo degenerate intervals resolve immediately
-        for i, (lo, hi, below, rank) in list(active.items()):
-            if lo == hi:
-                results[i] = lo
-                del active[i]
-        if not active:
-            break
-        intervals = sorted({(s[0], s[1]) for s in active.values()})
-        ivmap = {iv: j for j, iv in enumerate(intervals)}
-        passed = interval_count_pass(intervals)
-        done_enough = True
-        for i, (lo, hi, below, rank) in active.items():
-            counts, pass_below, edges = passed[ivmap[(lo, hi)]]
-            # recompute the exact below-lo offset from this pass (guards
-            # against any drift; counts are exact integers)
-            below = pass_below
-            need = rank - below
-            cum = np.cumsum(counts)
-            b = int(np.searchsorted(cum, need))
-            new_lo = float(edges[b])
-            new_hi = float(edges[b + 1]) if b + 1 < len(edges) else hi
-            in_bin = int(counts[b])
-            below += int(cum[b - 1]) if b > 0 else 0
-            if b == bins - 1:
-                new_hi = hi  # last np.histogram bin is right-closed
-            state[i] = [new_lo, new_hi, below, rank]
-            if in_bin > cutoff and np.nextafter(new_lo, new_hi) < new_hi:
-                done_enough = False
-        if done_enough:
-            break
-
-    # final pass: resolve every unfinished quantile exactly
-    pending = [i for i in state if i not in results]
-    if pending:
-        finals = sorted({(state[i][0], state[i][1]) for i in pending})
-        fmap = {iv: j for j, iv in enumerate(finals)}
-
-        # a degenerate interval has ≤2 representable float values but may
-        # hold arbitrarily many rows — resolve it with COUNTS (kind -1 =
-        # below-lo, -2 = count(v == lo), -3 = count(v == hi)), never a
-        # value collect; non-degenerate intervals are under ``cutoff``
-        # rows total and ship their values (kind 0)
-        degenerate = [
-            np.nextafter(lo, hi) >= hi for lo, hi in finals
-        ]
-
-        def final_pass(t: pa.Table) -> pa.Table:
-            v = _col_values(t, col)
-            rows_iv, rows_kind, rows_val = [], [], []
-            for j, (lo, hi) in enumerate(finals):
-                below = int((v < lo).sum())
-                rows_iv.append(j)
-                rows_kind.append(-1)
-                rows_val.append(float(below))
-                if degenerate[j]:
-                    rows_iv.extend([j, j])
-                    rows_kind.extend([-2, -3])
-                    rows_val.extend(
-                        [float((v == lo).sum()), float((v == hi).sum())]
-                    )
-                    continue
-                sel = v[(v >= lo) & (v <= hi)]
-                if len(sel) > QUANTILE_MAX_COLLECT:
-                    raise ValueError(
-                        "exact_quantiles: interval holds "
-                        f"{len(sel)} values in one block; raise bins/cutoff"
-                    )
-                rows_iv.extend([j] * len(sel))
-                rows_kind.extend([0] * len(sel))
-                rows_val.extend(sel.tolist())
-            return pa.table(
-                {
-                    "iv": pa.array(rows_iv, pa.int64()),
-                    "kind": pa.array(rows_kind, pa.int64()),
-                    "val": pa.array(rows_val, pa.float64()),
-                }
-            )
-
-        ft = collect_table(ds.map_batches(final_pass, batch_format="pyarrow"))
-        fiv = ft["iv"].to_numpy(zero_copy_only=False)
-        fkind = ft["kind"].to_numpy(zero_copy_only=False)
-        fval = ft["val"].to_numpy(zero_copy_only=False)
-        for i in pending:
-            lo, hi = state[i][0], state[i][1]
-            j = fmap[(lo, hi)]
-            sel = fiv == j
-            below = int(fval[sel & (fkind == -1)].sum())
-            r = state[i][3] - below
-            if degenerate[j]:
-                n_lo = int(fval[sel & (fkind == -2)].sum())
-                n_hi = int(fval[sel & (fkind == -3)].sum())
-                if not (1 <= r <= n_lo + n_hi):
-                    raise AssertionError(
-                        f"exact_quantiles rank bookkeeping: r={r} of "
-                        f"{n_lo}+{n_hi}"
-                    )
-                results[i] = lo if r <= n_lo else hi
-                continue
-            vals = np.sort(fval[sel & (fkind == 0)])
-            if not (1 <= r <= len(vals)):
-                raise AssertionError(
-                    f"exact_quantiles rank bookkeeping: r={r} of {len(vals)}"
-                )
-            results[i] = float(vals[r - 1])
-
-    return [(q, results[i]) for i, q in enumerate(qs)]
+    values = grouped_exact_quantiles(ds, None, col, qs, bins, cutoff)["value"]
+    return list(zip(qs, values.to_pylist()))
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +540,7 @@ def approx_distinct_by(
 
 def grouped_exact_quantiles(
     ds: ray.data.Dataset,
-    group_col: str,
+    group_col: str | None,
     col: str,
     qs: list[float],
     bins: int = QUANTILE_BINS,
@@ -754,7 +555,16 @@ def grouped_exact_quantiles(
     LOW-cardinality group columns (the result itself is G×Q rows; a
     billion-group quantile wants the co-partitioned per-group sort, not
     this). Returns an Arrow table (grp, q, value) sorted by (grp, q).
+    ``group_col=None`` puts every row in one group (``grp`` 0): the
+    ungrouped :func:`exact_quantiles`.
     """
+    who = "grouped_exact_quantiles" if group_col else "exact_quantiles"
+
+    def groups(t: pa.Table):
+        if group_col is None:
+            return pa.array(np.zeros(t.num_rows, dtype=np.int8))
+        return t[group_col]
+
     if not qs:
         return pa.table(
             {
@@ -768,12 +578,15 @@ def grouped_exact_quantiles(
     def stats(t: pa.Table) -> pa.Table:
         v = t[col].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
         if np.isinf(v).any():
+            # an inf min/max poisons np.linspace ([nan, inf, ...] edges →
+            # all-zero histograms → wrong intervals / IndexError deep in
+            # the refinement loop); fail loud at the boundary instead
             raise ValueError(
-                f"grouped_exact_quantiles: non-finite values in {col!r} — "
+                f"{who}: non-finite values in {col!r} — "
                 "filter ±inf upstream (NaNs are excluded automatically)"
             )
         keep = ~np.isnan(v)
-        sub = pa.table({"g": t[group_col].filter(pa.array(keep)), "v": pa.array(v[keep])})
+        sub = pa.table({"g": groups(t).filter(pa.array(keep)), "v": pa.array(v[keep])})
         out = sub.group_by(["g"]).aggregate(
             [("v", "count"), ("v", "min"), ("v", "max")]
         )
@@ -787,9 +600,7 @@ def grouped_exact_quantiles(
         )
     )
     if merged.num_rows == 0:
-        raise ValueError(
-            f"grouped_exact_quantiles: no non-null values in {col!r}"
-        )
+        raise ValueError(f"{who}: no non-null values in {col!r}")
     merged = merged.sort_by("g")
     gvals = merged["g"].to_pylist()
     gtype = merged["g"].type
@@ -797,8 +608,8 @@ def grouped_exact_quantiles(
     glos = merged["lo"].to_numpy(zero_copy_only=False)
     ghis = merged["hi"].to_numpy(zero_copy_only=False)
 
-    # state per (group index, quantile index), same invariant as the
-    # global function: below == #values < lo, target in [lo, hi]
+    # state per (group index, quantile index), with the invariant
+    #   below == #values < lo, and the target value sits in [lo, hi]
     state: dict[tuple[int, int], list] = {}
     results: dict[tuple[int, int], float] = {}
     for gi in range(len(gvals)):
@@ -814,7 +625,7 @@ def grouped_exact_quantiles(
         masks = {}
         for gi in gis:
             masks[gi] = pc.equal(
-                t[group_col], pa.scalar(gvals[gi], type=gtype)
+                groups(t), pa.scalar(gvals[gi], type=gtype)
             ).to_numpy(zero_copy_only=False)
         return masks
 
@@ -928,7 +739,7 @@ def grouped_exact_quantiles(
                 sel = gv[(gv >= lo) & (gv <= hi)]
                 if len(sel) > QUANTILE_MAX_COLLECT:
                     raise ValueError(
-                        "grouped_exact_quantiles: interval holds "
+                        f"{who}: interval holds "
                         f"{len(sel)} values in one block; raise bins/cutoff"
                     )
                 rows_iv.extend([j] * len(sel))
@@ -958,16 +769,14 @@ def grouped_exact_quantiles(
                 n_hi = int(fval[sel & (fkind == -3)].sum())
                 if not (1 <= r <= n_lo + n_hi):
                     raise AssertionError(
-                        f"grouped_exact_quantiles rank bookkeeping: r={r} "
-                        f"of {n_lo}+{n_hi}"
+                        f"{who} rank bookkeeping: r={r} of {n_lo}+{n_hi}"
                     )
                 results[k] = lo if r <= n_lo else hi
                 continue
             vals = np.sort(fval[sel & (fkind == 0)])
             if not (1 <= r <= len(vals)):
                 raise AssertionError(
-                    f"grouped_exact_quantiles rank bookkeeping: r={r} of "
-                    f"{len(vals)}"
+                    f"{who} rank bookkeeping: r={r} of {len(vals)}"
                 )
             results[k] = float(vals[r - 1])
 

@@ -453,12 +453,21 @@ def exchange(sides: list, bucket_fn, reduce_fn, P: int) -> "ray.data.Dataset":
     return from_arrow_refs([o for o, n in zip(outs, rows) if n] or outs[:1])
 
 
-# broadcast_merge right-side budget: above either bound the "small side"
-# isn't small and a broadcast would collect it onto the driver and re-ship
-# it to every map task — the caller should shuffle instead. Enforced with
-# a raise (like decontam.BENCH_FP_BROADCAST_MAX), not a docstring.
-BROADCAST_MERGE_MAX_ROWS = 5_000_000
-BROADCAST_MERGE_MAX_BYTES = 256 << 20
+# The driver-memory budget: the one answer to "does this fit on the
+# driver?". Every regime switch between a driver path (a broadcast side,
+# a driver-side merge, a kernel's local executor) and its distributed
+# path computes the bytes the driver path would hold, from block metadata
+# or from E and V, and asks on_driver; the guards whose result must sit on
+# the driver raise above it. 1 GiB lies inside the range of the per-site
+# row and vertex bounds it replaced (256 MiB for a broadcast join side to
+# ~1.6 GB of V-sized triangle arrays) and leaves room on an 8-16 GiB host
+# for the copies a driver path makes of its input.
+DRIVER_BUDGET_BYTES = 1 << 30
+
+
+def on_driver(nbytes: int) -> bool:
+    """Whether a driver path holding ``nbytes`` fits the driver budget."""
+    return nbytes <= DRIVER_BUDGET_BYTES
 
 
 def broadcast_merge(
@@ -473,21 +482,17 @@ def broadcast_merge(
     once, ``ray.put`` once, and pandas-merged into every batch — the
     SURVEY.md §2.7 pattern for dimension-table joins. Avoids the all-to-all
     shuffle (and Ray's hash-join empty-partition schema loss on tiny
-    inputs). The right side must fit one object: above
-    ``BROADCAST_MERGE_MAX_ROWS`` / ``_BYTES`` this raises — use
+    inputs). The right side is collected on the driver, so above the
+    driver budget (:func:`on_driver`) this raises — use
     :func:`bucketed_inner_join` (reduce-side) for a big right side."""
     import pandas as pd
 
     right_tbl = collect_table(right)
-    if (
-        right_tbl.num_rows > BROADCAST_MERGE_MAX_ROWS
-        or right_tbl.nbytes > BROADCAST_MERGE_MAX_BYTES
-    ):
+    if not on_driver(right_tbl.nbytes):
         raise ValueError(
             f"broadcast_merge: right side too big to broadcast "
-            f"({right_tbl.num_rows} rows / {right_tbl.nbytes >> 20} MiB > "
-            f"{BROADCAST_MERGE_MAX_ROWS} rows / "
-            f"{BROADCAST_MERGE_MAX_BYTES >> 20} MiB) — use "
+            f"({right_tbl.nbytes} B > the driver budget "
+            f"DRIVER_BUDGET_BYTES={DRIVER_BUDGET_BYTES} B) — use "
             f"bucketed_inner_join for a reduce-side join"
         )
     right_df = right_tbl.to_pandas()
@@ -646,17 +651,14 @@ def bucketed_anti_join(
 
 _AGG_PARTIAL = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
 
-# Partial-row count above which stage 2 of fast_grouped_agg/fast_distinct
-# switches from the single driver-side C++ merge to a hash shuffle of the
-# partials + per-partition merges (the only shape that works when the
-# distinct-key cardinality exceeds driver memory). The cutoff is a MEMORY
-# bound, not a speed tradeoff: 20M partial rows ≈ a few hundred MB on a
-# 128-GB driver and the single C++ merge takes ~1-2 s, while the Ray
-# sort behind the distributed merge costs several seconds of fixed
-# overhead — so stay on the driver until memory actually forces the
-# shuffle (measured: dedup of 7M-row partials 10.4 s distributed vs ~3 s
-# driver at 8 CPUs).
-DISTRIBUTE_MERGE_THRESHOLD = 20_000_000
+# Stage 2 of fast_grouped_agg/fast_distinct merges the partials once on
+# the driver while they fit the driver budget, and hash-shuffles them into
+# per-partition merges above it (the only shape that works when the
+# distinct-key cardinality exceeds driver memory). A memory bound, not a
+# speed tradeoff: the single C++ merge of 20M partial rows takes ~1-2 s,
+# while the distributed merge costs several seconds of fixed overhead
+# (measured: dedup of 7M-row partials 10.4 s distributed vs ~3 s driver
+# at 8 CPUs).
 
 
 def _merge_partitioned(
@@ -707,7 +709,6 @@ def fast_grouped_agg(
     keys: list[str],
     aggs: dict[str, tuple[str, str]] | None = None,
     count_as: str | None = None,
-    distribute_threshold: int = DISTRIBUTE_MERGE_THRESHOLD,
     num_merge_partitions: int = 32,
 ) -> "ray.data.Dataset":
     """Two-level grouped aggregate on pyarrow's C++ group_by.
@@ -716,9 +717,9 @@ def fast_grouped_agg(
     (measured 34s for 1.7M rows / 200k groups vs 0.4s in a C++ engine);
     this helper does the combiner pattern instead: each block partial-
     aggregates via ``pa.Table.group_by`` (stage 1, parallel, vectorized).
-    Stage 2 auto-switches on partial size: below ``distribute_threshold``
-    rows the partials are merged once on the driver (fastest at test
-    scale); above it they are hash-shuffled by key into
+    Stage 2 auto-switches on partial size: partials within the driver
+    budget (:func:`on_driver`) are merged once on the driver (fastest at
+    test scale); above it they are hash-shuffled by key into
     ``num_merge_partitions`` buckets and merged per bucket — no whole-key-
     space materialization anywhere, which is what billion-key aggregates
     (doc co-occurrence pairs at corpus scale) require.
@@ -768,7 +769,7 @@ def fast_grouped_agg(
         return out
 
     parts = ds.map_batches(partial, batch_format="pyarrow").materialize()
-    if parts.count() > distribute_threshold:
+    if not on_driver(parts.size_bytes()):
         return _merge_partitioned(
             parts, keys, final_merge, num_merge_partitions
         )
@@ -783,7 +784,6 @@ def fast_grouped_agg(
 def fast_distinct(
     ds: "ray.data.Dataset",
     keys: list[str],
-    distribute_threshold: int = DISTRIBUTE_MERGE_THRESHOLD,
     num_merge_partitions: int = 32,
 ) -> "ray.data.Dataset":
     """Exact distinct on key columns: per-block C++ distinct, then one
@@ -795,7 +795,7 @@ def fast_distinct(
         return distinct_rows(batch, keys)
 
     parts = ds.map_batches(distinct, batch_format="pyarrow").materialize()
-    if parts.count() > distribute_threshold:
+    if not on_driver(parts.size_bytes()):
         return _merge_partitioned(parts, keys, distinct, num_merge_partitions)
     from ray.data import from_arrow
 

@@ -51,9 +51,12 @@ def test_build_corpus_with_refs():
     assert len(allc) == 3
 
 
-def test_gather_ref_titles_join_equals_broadcast():
+def test_gather_ref_titles_join_equals_broadcast(monkeypatch):
     """The distributed-join ref gather (corpus-scale path) must equal the
-    broadcast path row-for-row."""
+    broadcast path row-for-row, and ``auto`` past the driver budget takes
+    the join."""
+    import citationgraphs_ray.pipelines.corpus_builders as cb
+    import citationgraphs_ray.utils as U
     from citationgraphs_ray.pipelines.corpus_builders import _gather_ref_titles
 
     nodes, edges = _graph()
@@ -81,9 +84,22 @@ def test_gather_ref_titles_join_equals_broadcast():
         .sort_values("id")
         .reset_index(drop=True)
     )
-    assert list(a.id) == list(b.id) == [1, 3]
-    for x, y in zip(a.tokens, b.tokens):
-        assert list(x) == list(y)
+    joins = []
+    join = cb.bucketed_inner_join
+    monkeypatch.setattr(
+        cb, "bucketed_inner_join", lambda *a, **k: joins.append(1) or join(*a, **k)
+    )
+    monkeypatch.setattr(U, "DRIVER_BUDGET_BYTES", 0)
+    c = (
+        _gather_ref_titles(own, nodes, edges)
+        .to_pandas()
+        .sort_values("id")
+        .reset_index(drop=True)
+    )
+    assert joins == [1]
+    assert list(a.id) == list(b.id) == list(c.id) == [1, 3]
+    for x, y, z in zip(a.tokens, b.tokens, c.tokens):
+        assert list(x) == list(y) == list(z)
 
 
 def test_build_corpus_labels():

@@ -277,6 +277,24 @@ def test_kmeans_local_equals_distributed():
     assert np.allclose(local, dist, rtol=1e-9, atol=1e-12)
 
 
+def test_kmeans_local_fit_independent_of_block_order():
+    """The same rows as blocks in two orders give bitwise-equal centroids
+    in the local regime: the init sample and the Lloyd sums follow a hash
+    of each vector, not the order its block arrives in."""
+    import citationgraphs_ray.stages.similarity as sim
+
+    rng = np.random.default_rng(4)
+    parts = [
+        pa.table({"embedding": pa.array(list(rng.standard_normal((n, 8))))})
+        for n in (120, 90, 150)
+    ]
+    fits = [
+        sim.kmeans_fit(ray.data.from_arrow(order).materialize(), 6, 5)
+        for order in (parts, parts[::-1])
+    ]
+    assert np.array_equal(fits[0], fits[1])
+
+
 def test_ivf_read_pruning(tmp_path):
     """A probe must READ fewer rows than the dataset holds: the bucketed
     parquet layout exists on disk, only probed cluster subdirs are read,
@@ -492,10 +510,10 @@ def test_audio_decoder_boundary():
     assert out.num_rows == 2
 
 
-def test_brute_force_topk_local_equals_distributed():
-    """The driver-local scoring regime (materialized input below
-    BRUTE_LOCAL_MAX_ROWS) must match the actor-pool + merge engine
-    exactly, including tie order."""
+def test_brute_force_topk_local_equals_distributed(monkeypatch):
+    """The driver-local scoring regime (materialized input within the
+    driver budget) must match the actor-pool + merge engine exactly,
+    including tie order."""
     import numpy as np
     import pandas as pd
     import ray.data
@@ -504,6 +522,7 @@ def test_brute_force_topk_local_equals_distributed():
 
     import pyarrow as pa
 
+    import citationgraphs_ray.utils as U
     from citationgraphs_ray.utils import matrix_to_list_array
 
     rng = np.random.default_rng(5)
@@ -518,12 +537,8 @@ def test_brute_force_topk_local_equals_distributed():
     ds = ray.data.from_arrow(tbl).repartition(7).materialize()
     Q = vecs[[3, 100]]
     local = sim.brute_force_topk(ds, Q, k=7).to_pandas()
-    old = sim.BRUTE_LOCAL_MAX_ROWS
-    try:
-        sim.BRUTE_LOCAL_MAX_ROWS = 0  # force the distributed engine
-        dist = sim.brute_force_topk(ds, Q, k=7).to_pandas()
-    finally:
-        sim.BRUTE_LOCAL_MAX_ROWS = old
+    monkeypatch.setattr(U, "DRIVER_BUDGET_BYTES", 0)  # force the distributed engine
+    dist = sim.brute_force_topk(ds, Q, k=7).to_pandas()
     key = ["query_id", "vec_id", "score"]
     a = local[key].sort_values(["query_id", "vec_id"]).reset_index(drop=True)
     b = dist[key].sort_values(["query_id", "vec_id"]).reset_index(drop=True)

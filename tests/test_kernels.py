@@ -561,12 +561,8 @@ def test_broadcast_merge_raises_on_oversized_right_side(monkeypatch):
     right = ray.data.from_arrow(
         pa.table({"k": pa.array([1, 2, 3]), "x": pa.array([9, 8, 7])})
     )
-    monkeypatch.setattr(U, "BROADCAST_MERGE_MAX_ROWS", 2)
-    with pytest.raises(ValueError, match="bucketed_inner_join"):
-        U.broadcast_merge(left, right, "k", "k")
-    monkeypatch.setattr(U, "BROADCAST_MERGE_MAX_ROWS", 5_000_000)
-    monkeypatch.setattr(U, "BROADCAST_MERGE_MAX_BYTES", 1)
-    with pytest.raises(ValueError, match="MiB"):
+    monkeypatch.setattr(U, "DRIVER_BUDGET_BYTES", 1)
+    with pytest.raises(ValueError, match="DRIVER_BUDGET_BYTES=1 B"):
         U.broadcast_merge(left, right, "k", "k")
 
 

@@ -41,22 +41,25 @@ def frames(draw):
 @settings(max_examples=12, deadline=None)
 @given(df=frames(), blocks=st.integers(1, 4), dist=st.booleans())
 def test_grouped_agg_matches_pandas(df, blocks, dist):
-    from citationgraphs_ray.utils import fast_grouped_agg
+    import citationgraphs_ray.utils as U
 
     ds = ray.data.from_pandas(df).repartition(blocks)
-    out = (
-        fast_grouped_agg(
-            ds,
-            ["k"],
-            {"s": ("v", "sum"), "mx": ("v", "max"), "mn": ("v", "min")},
-            count_as="n",
-            distribute_threshold=0 if dist else 10**9,
-            num_merge_partitions=3,
+    # Hypothesis rejects the function-scoped monkeypatch fixture
+    with pytest.MonkeyPatch.context() as mp:
+        if dist:  # force the distributed stage-2 merge
+            mp.setattr(U, "DRIVER_BUDGET_BYTES", 0)
+        out = (
+            U.fast_grouped_agg(
+                ds,
+                ["k"],
+                {"s": ("v", "sum"), "mx": ("v", "max"), "mn": ("v", "min")},
+                count_as="n",
+                num_merge_partitions=3,
+            )
+            .to_pandas()
+            .sort_values("k")
+            .reset_index(drop=True)
         )
-        .to_pandas()
-        .sort_values("k")
-        .reset_index(drop=True)
-    )
     exp = (
         df.groupby("k")["v"]
         .agg(s="sum", mx="max", mn="min", n="count")
@@ -74,10 +77,11 @@ def test_grouped_agg_matches_pandas(df, blocks, dist):
 @settings(max_examples=12, deadline=None)
 @given(df=frames(), blocks=st.integers(1, 4), dist=st.booleans())
 def test_distinct_matches_pandas(df, blocks, dist):
-    from citationgraphs_ray.utils import fast_distinct
+    import citationgraphs_ray.utils as U
 
     ds = ray.data.from_pandas(df).repartition(blocks)
-    out = fast_distinct(
-        ds, ["k"], distribute_threshold=0 if dist else 10**9
-    ).to_pandas()
+    with pytest.MonkeyPatch.context() as mp:
+        if dist:  # force the distributed stage-2 merge
+            mp.setattr(U, "DRIVER_BUDGET_BYTES", 0)
+        out = U.fast_distinct(ds, ["k"]).to_pandas()
     assert sorted(out.k) == sorted(df.k.unique())

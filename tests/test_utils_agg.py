@@ -6,6 +6,7 @@ import pyarrow as pa
 import pytest
 import ray.data
 
+import citationgraphs_ray.utils as U
 from citationgraphs_ray.utils import fast_distinct, fast_grouped_agg
 
 
@@ -29,25 +30,23 @@ def _sorted_df(ds, cols):
     )
 
 
-def test_distributed_merge_equals_driver_merge():
+def test_distributed_merge_equals_driver_merge(monkeypatch):
     ds = _fixture_ds()
     kwargs = dict(aggs={"total": ("v", "sum"), "vmax": ("v", "max")}, count_as="n")
     driver = fast_grouped_agg(ds, ["k", "g"], **kwargs)
-    dist = fast_grouped_agg(
-        ds, ["k", "g"], distribute_threshold=0, num_merge_partitions=5, **kwargs
-    )
+    monkeypatch.setattr(U, "DRIVER_BUDGET_BYTES", 0)  # force the shuffle
+    dist = fast_grouped_agg(ds, ["k", "g"], num_merge_partitions=5, **kwargs)
     a = _sorted_df(driver, ["k", "g"])
     b = _sorted_df(dist, ["k", "g"])[a.columns]
     assert a.equals(b)
     assert a.n.sum() == 5000
 
 
-def test_distributed_distinct_equals_driver_distinct():
+def test_distributed_distinct_equals_driver_distinct(monkeypatch):
     ds = _fixture_ds()
     a = _sorted_df(fast_distinct(ds, ["k", "g"]), ["k", "g"])
-    b = _sorted_df(
-        fast_distinct(ds, ["k", "g"], distribute_threshold=0), ["k", "g"]
-    )[["k", "g"]]
+    monkeypatch.setattr(U, "DRIVER_BUDGET_BYTES", 0)  # force the shuffle
+    b = _sorted_df(fast_distinct(ds, ["k", "g"]), ["k", "g"])[["k", "g"]]
     assert a[["k", "g"]].equals(b)
 
 
