@@ -1296,9 +1296,7 @@ def q_minhash_exact(sf_dir: str):
             }
         )
     )
-    verified = _verify_jaccard(
-        cand, docs, 0.8, 3, "text", "doc_id", num_ids
-    )
+    verified = _verify_jaccard(cand, docs, 0.8, 3, "text", "doc_id")
     return resolve_dup_clusters(verified, num_ids)
 
 
@@ -1322,7 +1320,6 @@ def q_embedding_exact(sf_dir: str):
         .materialize()
     )
     num_ids = int(emb.max("vec_id")) + 1
-    dim = len(emb.take(1)[0]["embedding"])
     src, dst = zip(*combinations(range(num_ids), 2))
     cand = ray.data.from_arrow(
         pa.table(
@@ -1332,9 +1329,7 @@ def q_embedding_exact(sf_dir: str):
             }
         )
     )
-    verified = _verify_cosine(
-        cand, emb, 0.38, "embedding", "vec_id", num_ids, dim
-    )
+    verified = _verify_cosine(cand, emb, 0.38, "embedding", "vec_id")
     return resolve_dup_clusters(verified, num_ids)
 
 

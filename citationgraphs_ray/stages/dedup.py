@@ -27,11 +27,10 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 import ray.data
 
 from ..utils import (
-    collect_table,
+    _default_partitions,
     exchange,
     fast_distinct,
     fast_grouped_agg,
@@ -45,13 +44,6 @@ from ..graph.engine import connected_components
 from .edges import symmetrize_edges
 
 _MERSENNE = (1 << 61) - 1
-
-# num_ids above which pair verification switches from the broadcast
-# feature map (one object holding every doc's features — testdata scale
-# only) to the partitioned reduce-side join (each task holds 1/P of the
-# features). Both paths compare the SAME int64 shingle-hash sets, so
-# results are identical by construction.
-BROADCAST_VERIFY_MAX_IDS = 200_000
 
 
 def _token_shingles(text: str, k: int = 3) -> set[str]:
@@ -166,22 +158,20 @@ def _attach_feature(
     pairs: ray.data.Dataset,
     feats: ray.data.Dataset,
     key_col: str,
-    feat_out: str,
     pair_schema: pa.Schema,
     feat_type: pa.DataType,
-    num_partitions: int = 32,
 ) -> ray.data.Dataset:
     """Reduce-side left join: attach ``feats`` (id, feat) to ``pairs`` on
-    ``key_col`` without broadcasting the feature set — one two-sided
-    ``utils.exchange`` bucketed by ``id % P``, so a task holds only 1/P
+    ``key_col`` as ``feat_<key_col>`` without broadcasting the feature
+    set — one two-sided ``utils.exchange`` bucketed by ``id % P`` (P from
+    the cluster, as in ``bucketed_inner_join``), so a task holds only 1/P
     of the features whatever the corpus size. A pair whose id has no
-    feature row gets a null feature (every verify predicate reads null
-    as the empty feature)."""
-    out = pa.schema(list(pair_schema) + [(feat_out, feat_type)])
-    keyed = feats.map_batches(
-        lambda t: pa.table({key_col: t["id"], feat_out: t["feat"].cast(feat_type)}),
-        batch_format="pyarrow",
-    )
+    feature row gets a null feature."""
+    out = pa.schema(list(pair_schema) + [(f"feat_{key_col}", feat_type)])
+
+    def bucket(t: pa.Table, P: int) -> np.ndarray:
+        key = t[key_col] if key_col in t.column_names else t["id"]
+        return key.to_numpy(zero_copy_only=False).astype(np.int64) % P
 
     def attach(p: pa.Table | None, f: pa.Table | None) -> pa.Table:
         if p is None:
@@ -190,20 +180,31 @@ def _attach_feature(
         if f is None:
             feat = pa.nulls(len(keys), feat_type)
         else:
-            fid = f[key_col].to_numpy(zero_copy_only=False)
+            fid = f["id"].to_numpy(zero_copy_only=False)
             order = np.argsort(fid, kind="stable")
             pos = np.minimum(np.searchsorted(fid[order], keys), len(fid) - 1)
             hit = fid[order][pos] == keys
-            feat = f[feat_out].take(pa.array(order[pos], mask=~hit))
+            feat = f["feat"].cast(feat_type).take(pa.array(order[pos], mask=~hit))
         cols = [p[c] for c in pair_schema.names] + [feat]
         return pa.Table.from_arrays(cols, schema=out)
 
-    return exchange(
-        [pairs, keyed],
-        lambda t, P: t[key_col].to_numpy(zero_copy_only=False).astype(np.int64) % P,
-        attach,
-        num_partitions,
-    )
+    return exchange([pairs, feats], bucket, attach, _default_partitions())
+
+
+def _pair_features(
+    cand: ray.data.Dataset, feats: ray.data.Dataset, feat_type: pa.DataType
+) -> ray.data.Dataset:
+    """(src, dst, feat_src, feat_dst): both endpoints' features attached
+    to the candidate pairs by two :func:`_attach_feature` joins — the one
+    verify path of every near-dup family (no whole-dataset object, no
+    driver pass). ``feats`` is materialized once here, so the two joins
+    do not each re-run the feature map over the input."""
+    feats = feats.materialize()
+    schema = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
+    for key in ("src", "dst"):
+        cand = _attach_feature(cand, feats, key, schema, feat_type)
+        schema = schema.append(pa.field(f"feat_{key}", feat_type))
+    return cand
 
 
 def _jaccard_keep(sa: set, sb: set, threshold: float) -> bool:
@@ -215,33 +216,23 @@ def _jaccard_keep(sa: set, sb: set, threshold: float) -> bool:
     return union > 0 and len(sa & sb) / union >= threshold
 
 
-def _verify_jaccard_partitioned(
+def _verify_jaccard(
     cand: ray.data.Dataset,
     ds: ray.data.Dataset,
     threshold: float,
     shingle_k: int,
     text_col: str,
     id_col: str,
-    num_partitions: int = 32,
     feats: ray.data.Dataset | None = None,
 ) -> ray.data.Dataset:
-    """Exact-Jaccard pair verification as two partitioned feature joins —
-    the 100-TB-shaped path (no whole-dataset object, no driver pass).
-    ``feats`` (shingle_features output) is reused when the caller already
-    computed it — the minhash path shingles each doc exactly once."""
+    """Exact-Jaccard verification of candidate ``(src, dst)`` pairs over
+    the int64 shingle-hash sets; a missing feature reads as the empty
+    set, which matches nothing. ``feats`` (shingle_features output) is
+    reused when the caller already computed it — the minhash path
+    shingles each doc exactly once."""
     if feats is None:
         feats = shingle_features(ds, text_col, id_col, shingle_k)
-    ltype = pa.list_(pa.int64())
-    s1 = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
-    with_src = _attach_feature(
-        cand, feats, "src", "feat_src", s1, ltype, num_partitions
-    )
-    s2 = pa.schema(
-        [("src", pa.int64()), ("dst", pa.int64()), ("feat_src", ltype)]
-    )
-    with_both = _attach_feature(
-        with_src, feats, "dst", "feat_dst", s2, ltype, num_partitions
-    )
+    pairs = _pair_features(cand, feats, pa.list_(pa.int64()))
 
     def verify(batch: pa.Table) -> pa.Table:
         fs = batch["feat_src"].to_pylist()
@@ -252,87 +243,7 @@ def _verify_jaccard_partitioned(
         ]
         return batch.select(["src", "dst"]).filter(pa.array(keep))
 
-    return with_both.map_batches(verify, batch_format="pyarrow")
-
-
-def _verify_jaccard_broadcast(
-    cand: ray.data.Dataset,
-    ds: ray.data.Dataset,
-    threshold: float,
-    shingle_k: int,
-    text_col: str,
-    id_col: str,
-    feats: ray.data.Dataset | None = None,
-) -> ray.data.Dataset:
-    """Small-corpus fast path: feature map in one broadcast object. The
-    features are computed DISTRIBUTED (map_batches) and only the compact
-    (id, hash-array) table is collected — no driver-side shingling.
-    ``feats`` is reused when the caller already computed it."""
-    if feats is None:
-        feats = shingle_features(ds, text_col, id_col, shingle_k)
-    tbl = collect_table(feats)
-    sh_map = {
-        int(i): set(f)
-        for i, f in zip(tbl["id"].to_pylist(), tbl["feat"].to_pylist())
-    }
-    sh_ref = ray.put(sh_map)
-    _EMPTY: set = set()
-
-    class Verify:
-        def __init__(self) -> None:
-            self.sh = ray.get(sh_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            sh = self.sh
-            keep = [
-                _jaccard_keep(sh.get(s, _EMPTY), sh.get(d, _EMPTY), threshold)
-                for s, d in zip(
-                    batch["src"].to_pylist(), batch["dst"].to_pylist()
-                )
-            ]
-            return batch.filter(pa.array(keep))
-
-    # candidates come out of fast_distinct as ONE block; materializing
-    # them (they are band-bucket pairs — tiny next to the corpus) buys an
-    # exact count to size the verify stage: a handful of plain TASKS for
-    # small pair sets (no actor-pool spin-up — measured ~1-2 s of pure
-    # fixed cost per execution at sf0.1), the amortizing actor pool only
-    # when enough pairs exist to repay it (each task/actor deserializes
-    # the broadcast feature map once).
-    cand = cand.materialize()
-    P = max(1, min(32, -(-cand.count() // 20_000)))
-    if P <= 4:
-        verify_fn = Verify()
-        return cand.repartition(P).map_batches(
-            verify_fn, batch_format="pyarrow"
-        )
-    return cand.repartition(P).map_batches(
-        Verify, batch_format="pyarrow", concurrency=(1, 8)
-    )
-
-
-def _verify_jaccard(
-    cand: ray.data.Dataset,
-    ds: ray.data.Dataset,
-    threshold: float,
-    shingle_k: int,
-    text_col: str,
-    id_col: str,
-    num_ids: int,
-    verify: str = "auto",
-    feats: ray.data.Dataset | None = None,
-) -> ray.data.Dataset:
-    if verify == "auto":
-        verify = (
-            "broadcast" if num_ids <= BROADCAST_VERIFY_MAX_IDS else "partitioned"
-        )
-    if verify == "broadcast":
-        return _verify_jaccard_broadcast(
-            cand, ds, threshold, shingle_k, text_col, id_col, feats=feats
-        )
-    return _verify_jaccard_partitioned(
-        cand, ds, threshold, shingle_k, text_col, id_col, feats=feats
-    )
+    return pairs.map_batches(verify, batch_format="pyarrow")
 
 
 def _expand_buckets_distributed(
@@ -682,7 +593,6 @@ def minhash_lsh_dedup(
     id_col: str = "doc_id",
     num_ids: int | None = None,
     max_bucket: int = 200,
-    verify: str = "auto",
 ) -> ray.data.Dataset:
     """MinHash-LSH near-dedup → (id, cluster_id).
 
@@ -690,9 +600,8 @@ def minhash_lsh_dedup(
     emit min-id STAR pairs, not all pairs — O(n) candidates even when
     thousands of empty/identical docs share one signature; see
     ``_bucket_pairs_capped`` for the mixed-bucket recall caveat) → exact
-    Jaccard verification (``verify``: broadcast feature map below
-    BROADCAST_VERIFY_MAX_IDS ids, partitioned reduce-side feature join
-    above — no whole-dataset object either way) → CC over verified pairs.
+    Jaccard verification (partitioned reduce-side feature join, no
+    whole-dataset object) → CC over verified pairs.
     """
     # shingle + hash each doc exactly ONCE: the compact (id, feat) table
     # is materialized and feeds BOTH the signature stage (numpy minhash
@@ -724,8 +633,7 @@ def minhash_lsh_dedup(
         ["src", "dst"],
     )
     verified = _verify_jaccard(
-        cand, ds, threshold, shingle_k, text_col, id_col, num_ids, verify,
-        feats=feats,
+        cand, ds, threshold, shingle_k, text_col, id_col, feats=feats
     )
     return resolve_dup_clusters(verified, num_ids)
 
@@ -889,14 +797,13 @@ def ngram_jaccard_dedup(
     id_col: str = "doc_id",
     num_ids: int | None = None,
     max_bucket: int = 50,
-    verify: str = "auto",
 ) -> ray.data.Dataset:
     """Exact n-gram-Jaccard dedup with shingle blocking: docs sharing any
     shingle are candidates. Buckets larger than ``max_bucket`` are DROPPED
     (a shingle shared by that many docs is a stop-shingle carrying no
     signal — unlike the minhash/simhash full-signature buckets, which
-    emit a min-id star instead). Verify exact Jaccard (broadcast or
-    partitioned join per ``verify``), cluster via CC."""
+    emit a min-id star instead). Verify exact Jaccard (partitioned
+    feature join), cluster via CC."""
     if num_ids is None:
         num_ids = int(ds.max(id_col)) + 1
 
@@ -927,9 +834,7 @@ def ngram_jaccard_dedup(
         _expand_buckets_distributed(rows, ["shingle"], bucket_pairs),
         ["src", "dst"],
     )
-    verified = _verify_jaccard(
-        cand, ds, threshold, shingle_k, text_col, id_col, num_ids, verify
-    )
+    verified = _verify_jaccard(cand, ds, threshold, shingle_k, text_col, id_col)
     return resolve_dup_clusters(verified, num_ids)
 
 
@@ -1003,66 +908,21 @@ def _verify_edit_distance(
     max_ratio: float,
     text_col: str,
     id_col: str,
-    num_ids: int,
-    verify: str = "auto",
-    num_partitions: int = 32,
 ) -> ray.data.Dataset:
-    """Same broadcast/partitioned split as ``_verify_jaccard``, with the
-    raw text as the pair feature and the banded DP as the predicate."""
-    if verify == "auto":
-        verify = (
-            "broadcast" if num_ids <= BROADCAST_VERIFY_MAX_IDS else "partitioned"
-        )
-    if verify == "broadcast":
-        tbl = collect_table(_text_features(ds, text_col, id_col))
-        txt_map = dict(zip(tbl["id"].to_pylist(), tbl["feat"].to_pylist()))
-        txt_ref = ray.put(txt_map)
+    """:func:`_pair_features` with the raw text as the pair feature and
+    the banded DP as the predicate; a missing text reads as ""."""
+    pairs = _pair_features(cand, _text_features(ds, text_col, id_col), pa.string())
 
-        class Verify:
-            def __init__(self) -> None:
-                self.txt = ray.get(txt_ref)
-
-            def __call__(self, batch: pa.Table) -> pa.Table:
-                txt = self.txt
-                keep = [
-                    _edit_keep(txt.get(s), txt.get(d), max_ratio)
-                    for s, d in zip(
-                        batch["src"].to_pylist(), batch["dst"].to_pylist()
-                    )
-                ]
-                return batch.filter(pa.array(keep))
-
-        # candidates land in ONE fast_distinct block; a banded DP costs
-        # ~0.5-1 ms/pair (vs ~5 µs for a set-Jaccard), so split far more
-        # aggressively than the jaccard verifier or the stage runs serial.
-        cand = cand.materialize()
-        P = max(1, min(32, -(-cand.count() // 500)))
-        return cand.repartition(P).map_batches(
-            Verify, batch_format="pyarrow", concurrency=(1, 8)
-        )
-
-    feats = _text_features(ds, text_col, id_col)
-    s1 = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
-    with_src = _attach_feature(
-        cand, feats, "src", "text_src", s1, pa.string(), num_partitions
-    )
-    s2 = pa.schema(
-        [("src", pa.int64()), ("dst", pa.int64()), ("text_src", pa.string())]
-    )
-    with_both = _attach_feature(
-        with_src, feats, "dst", "text_dst", s2, pa.string(), num_partitions
-    )
-
-    def verify_batch(batch: pa.Table) -> pa.Table:
+    def verify(batch: pa.Table) -> pa.Table:
         keep = [
             _edit_keep(a, b, max_ratio)
             for a, b in zip(
-                batch["text_src"].to_pylist(), batch["text_dst"].to_pylist()
+                batch["feat_src"].to_pylist(), batch["feat_dst"].to_pylist()
             )
         ]
         return batch.select(["src", "dst"]).filter(pa.array(keep))
 
-    return with_both.map_batches(verify_batch, batch_format="pyarrow")
+    return pairs.map_batches(verify, batch_format="pyarrow")
 
 
 def edit_distance_dedup(
@@ -1074,7 +934,6 @@ def edit_distance_dedup(
     num_ids: int | None = None,
     max_bucket: int = 50,
     min_shared: int = 5,
-    verify: str = "auto",
 ) -> ray.data.Dataset:
     """Near-dup clusters under normalized Levenshtein distance:
     lev(a, b) / max(len a, len b, 1) ≤ ``max_ratio``.
@@ -1124,9 +983,7 @@ def edit_distance_dedup(
     cand = pair_counts.filter(
         expr=f"shared >= {int(min_shared)}"
     ).select_columns(["src", "dst"])
-    verified = _verify_edit_distance(
-        cand, ds, max_ratio, text_col, id_col, num_ids, verify
-    )
+    verified = _verify_edit_distance(cand, ds, max_ratio, text_col, id_col)
     return resolve_dup_clusters(verified, num_ids)
 
 
@@ -1145,59 +1002,49 @@ def embedding_cosine_dedup(
     id_col: str = "vec_id",
     num_ids: int | None = None,
     max_bucket: int = 200,
-    verify: str = "auto",
 ) -> ray.data.Dataset:
     """Near-dup on an embedding column: sign-LSH buckets (num_tables
     independent sets of num_planes hyperplanes) → candidates (buckets over
     ``max_bucket`` emit a min-id star instead of exploding) → exact cosine
-    verification
-    (dense broadcast matrix below BROADCAST_VERIFY_MAX_IDS ids,
-    partitioned feature join above) → CC clusters."""
+    verification (partitioned feature join) → CC clusters."""
     if num_ids is None:
         num_ids = int(ds.max(id_col)) + 1
-    first = ds.take(1)[0]
-    dim = len(first[vec_col])
-    rng = np.random.default_rng(seed)
-    planes = rng.standard_normal((num_tables, num_planes, dim))
-    planes_ref = ray.put(planes)
 
-    class Buckets:
-        def __init__(self) -> None:
-            self.planes = ray.get(planes_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vecs = list_column_to_matrix(batch[vec_col])
-            ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            T = len(self.planes)
-            keys = np.concatenate(
-                [
-                    ((vecs @ self.planes[t].T) > 0)
-                    @ (1 << np.arange(self.planes.shape[1]))
-                    for t in range(T)
-                ]
-            ).astype(np.int64)
-            return pa.table(
-                {
-                    id_col: pa.array(np.tile(ids, T)),
-                    "table": pa.array(np.repeat(np.arange(T, dtype=np.int64), len(ids))),
-                    "key": pa.array(keys),
-                }
-            )
-
-    sigs = ds.map_batches(Buckets, batch_format="pyarrow", concurrency=(1, 4))
+    # a plain function keeps this a task-pool stage: an actor pool behind
+    # a lazy read can wait forever in a 1-CPU session, whose one CPU the
+    # read tasks hold. The seed fixes the planes, so every task draws the
+    # same ones for the batch's dimension.
+    def buckets(batch: pa.Table) -> pa.Table:
+        vecs = list_column_to_matrix(batch[vec_col])
+        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        planes = np.random.default_rng(seed).standard_normal(
+            (num_tables, num_planes, vecs.shape[1])
+        )
+        keys = np.concatenate(
+            [
+                ((vecs @ planes[t].T) > 0) @ (1 << np.arange(num_planes))
+                for t in range(num_tables)
+            ]
+        ).astype(np.int64)
+        return pa.table(
+            {
+                id_col: pa.array(np.tile(ids, num_tables)),
+                "table": pa.array(
+                    np.repeat(np.arange(num_tables, dtype=np.int64), len(ids))
+                ),
+                "key": pa.array(keys),
+            }
+        )
 
     cand = fast_distinct(
         _expand_buckets_distributed(
-            sigs,
+            ds.map_batches(buckets, batch_format="pyarrow"),
             ["table", "key"],
             lambda g: _bucket_pairs_capped(g, id_col, max_bucket),
         ),
         ["src", "dst"],
     )
-
-    verified = _verify_cosine(
-        cand, ds, threshold, vec_col, id_col, num_ids, dim, verify
-    )
+    verified = _verify_cosine(cand, ds, threshold, vec_col, id_col)
     return resolve_dup_clusters(verified, num_ids)
 
 
@@ -1207,88 +1054,48 @@ def _verify_cosine(
     threshold: float,
     vec_col: str,
     id_col: str,
-    num_ids: int,
-    dim: int,
-    verify: str = "auto",
 ) -> ray.data.Dataset:
     """Exact-cosine verification of candidate ``(src, dst)`` pairs against
     the vectors in ``ds`` — the shared verify stage of the embedding
     near-dup path (LSH candidates) and its all-pairs exact-mode oracle
-    twin. Normalizes map-side, then either broadcasts one dense
-    ``(num_ids, dim)`` matrix (small-id fast path) or attaches both
-    endpoint features via partitioned joins (the 10^12-doc path)."""
+    twin. Normalizes map-side, then attaches both endpoint features by
+    :func:`_pair_features`; a missing vector matches nothing."""
 
     def norm_feats(batch: pa.Table) -> pa.Table:
         vecs = list_column_to_matrix(batch[vec_col])
-        if vecs.size == 0:
-            vecs = vecs.reshape(0, dim)
         norms = np.linalg.norm(vecs, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
-        vecs = vecs / norms
         return pa.table(
             {
                 "id": batch[id_col].cast(pa.int64()),
-                "feat": matrix_to_list_array(vecs),
+                "feat": matrix_to_list_array(vecs / norms),
             }
         )
 
-    feats = ds.map_batches(norm_feats, batch_format="pyarrow")
-    if verify == "auto":
-        verify = (
-            "broadcast" if num_ids <= BROADCAST_VERIFY_MAX_IDS else "partitioned"
-        )
+    pairs = _pair_features(
+        cand,
+        ds.map_batches(norm_feats, batch_format="pyarrow"),
+        pa.list_(pa.float64()),
+    )
 
-    if verify == "broadcast":
-        # dense normalized matrix in one object — small-id-space fast path
-        tbl = collect_table(feats)
-        ids_all = tbl["id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        dense = np.zeros((num_ids, dim))
-        dense[ids_all] = list_column_to_matrix(tbl["feat"])
-        dense_ref = ray.put(dense)
+    def verify(batch: pa.Table) -> pa.Table:
+        try:
+            A = list_column_to_matrix(batch["feat_src"])
+            B = list_column_to_matrix(batch["feat_dst"])
+            keep = pa.array((A * B).sum(axis=1) >= threshold)
+        except ValueError:
+            # null / ragged feature rows (unmatched ids) — slow path
+            fs = batch["feat_src"].to_pylist()
+            fd = batch["feat_dst"].to_pylist()
+            keep = pa.array(
+                [
+                    bool(a)
+                    and bool(b)
+                    and float(np.dot(np.asarray(a), np.asarray(b)))
+                    >= threshold
+                    for a, b in zip(fs, fd)
+                ]
+            )
+        return batch.select(["src", "dst"]).filter(keep)
 
-        class Verify:
-            def __init__(self) -> None:
-                self.m = ray.get(dense_ref)
-
-            def __call__(self, batch: pa.Table) -> pa.Table:
-                s = batch["src"].to_numpy(zero_copy_only=False)
-                d = batch["dst"].to_numpy(zero_copy_only=False)
-                cos = np.einsum("ij,ij->i", self.m[s], self.m[d])
-                return batch.filter(pa.array(cos >= threshold))
-
-        verified = cand.map_batches(
-            Verify, batch_format="pyarrow", concurrency=(1, 4)
-        )
-    else:
-        ltype = pa.list_(pa.float64())
-        s1 = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
-        with_src = _attach_feature(cand, feats, "src", "feat_src", s1, ltype)
-        s2 = pa.schema(
-            [("src", pa.int64()), ("dst", pa.int64()), ("feat_src", ltype)]
-        )
-        with_both = _attach_feature(
-            with_src, feats, "dst", "feat_dst", s2, ltype
-        )
-
-        def cos_verify(batch: pa.Table) -> pa.Table:
-            try:
-                A = list_column_to_matrix(batch["feat_src"])
-                B = list_column_to_matrix(batch["feat_dst"])
-                keep = pa.array((A * B).sum(axis=1) >= threshold)
-            except ValueError:
-                # null / ragged feature rows (unmatched ids) — slow path
-                fs = batch["feat_src"].to_pylist()
-                fd = batch["feat_dst"].to_pylist()
-                keep = pa.array(
-                    [
-                        bool(a)
-                        and bool(b)
-                        and float(np.dot(np.asarray(a), np.asarray(b)))
-                        >= threshold
-                        for a, b in zip(fs, fd)
-                    ]
-                )
-            return batch.select(["src", "dst"]).filter(keep)
-
-        verified = with_both.map_batches(cos_verify, batch_format="pyarrow")
-    return verified
+    return pairs.map_batches(verify, batch_format="pyarrow")

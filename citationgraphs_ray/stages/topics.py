@@ -35,7 +35,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..utils import ray_session
+from ..utils import _split_refs, hash_buckets, ray_session
 
 
 def _theta_table(ids: np.ndarray, theta: np.ndarray) -> pa.Table:
@@ -79,30 +79,22 @@ class _TopicPartition:
         self.doc_topic: np.ndarray | None = None  # LDA per-doc topic counts
         return True
 
-    def load(self, doc_ids: np.ndarray, docs: list[np.ndarray]) -> int:
-        self.doc_ids = doc_ids
-        self.docs = [np.asarray(d, dtype=np.int64) for d in docs]
-        return len(docs)
-
-    def load_shard(self, shard: "ray.data.Dataset") -> int:
-        """Pull this partition's docs from a Dataset shard (``ds.split``)
-        — blocks stream object-store → actor, never through the driver."""
-        ids: list[np.ndarray] = []
-        for batch in shard.iter_batches(batch_size=8192, batch_format="pyarrow"):
-            ids.append(
-                batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-            )
-            # offsets-based ragged split: no per-token PyObject round-trip
-            col = batch["word_ids"].combine_chunks()
-            flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-            offs = col.offsets.to_numpy(zero_copy_only=False)
-            offs = offs - offs[0]  # align with flatten() on sliced arrays
-            self.docs.extend(
-                flat[offs[i] : offs[i + 1]] for i in range(len(col))
-            )
-        self.doc_ids = (
-            np.concatenate(ids) if ids else np.empty(0, dtype=np.int64)
-        )
+    def load_pieces(self, *pieces: pa.Table) -> int:
+        """Take this partition's docs (the exchange slices addressed to
+        it, object store → actor, never through the driver) in doc-id
+        order, so the RNG draws do not follow block order."""
+        tables = [p.select(["doc_id", "word_ids"]) for p in pieces if p.num_rows]
+        if not tables:
+            self.doc_ids, self.docs = np.empty(0, dtype=np.int64), []
+            return 0
+        t = pa.concat_tables(tables).sort_by("doc_id")
+        self.doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        # offsets-based ragged split: no per-token PyObject round-trip
+        col = t["word_ids"].combine_chunks()
+        flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
+        offs = col.offsets.to_numpy(zero_copy_only=False)
+        offs = offs - offs[0]  # align with flatten() on sliced arrays
+        self.docs = [flat[offs[i] : offs[i + 1]] for i in range(len(col))]
         return len(self.docs)
 
     # ---- LDA --------------------------------------------------------------
@@ -304,13 +296,19 @@ def _load_partitions(
 ) -> None:
     """Ship each doc to its partition once (docs never move again).
 
-    ``ds.split(P)`` + actor-side ``load_shard`` — blocks flow from the
-    object store straight into each partition actor; the driver never
-    materializes the corpus (it previously collect_table'd the whole
-    encoded dataset, a scale-killer flagged in round 1)."""
-    shards = encoded.split(num_partitions, locality_hints=actors)
+    The map side of a hash exchange on ``doc_id`` splits every block into
+    P slices, and partition p's actor takes the p-th slice of each — the
+    driver never holds the corpus, and a doc's partition depends on its
+    id alone, never on block order, so one seed gives one chain."""
+    P = num_partitions
+    refs = encoded.materialize().to_arrow_refs()
+    splits = (
+        _split_refs(refs, pa.schema([]), hash_buckets(["doc_id"]), P)
+        if P > 1
+        else [[r] for r in refs]
+    )
     ray.get(
-        [a.load_shard.remote(s) for a, s in zip(actors, shards)]
+        [a.load_pieces.remote(*[s[p] for s in splits]) for p, a in enumerate(actors)]
     )
 
 

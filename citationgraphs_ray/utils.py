@@ -248,9 +248,9 @@ def matrix_to_list_array(mat: np.ndarray, dtype=pa.float64()):
     n, d = mat.shape
     flat = pa.array(np.ascontiguousarray(mat).ravel(), type=dtype)
     if (n + 1) * d < _LIST_OFFSET32_MAX:
-        offsets = pa.array(np.arange(0, (n + 1) * d, d, dtype=np.int32))
+        offsets = pa.array((np.arange(n + 1) * d).astype(np.int32))
         return pa.ListArray.from_arrays(offsets, flat)
-    offsets = pa.array(np.arange(0, (n + 1) * d, d, dtype=np.int64))
+    offsets = pa.array(np.arange(n + 1, dtype=np.int64) * d)
     return pa.LargeListArray.from_arrays(offsets, flat)
 
 

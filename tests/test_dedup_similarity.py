@@ -116,66 +116,6 @@ def _corpus_with_dups(n_groups=12, copies=3):
     return _docs(texts)
 
 
-def test_minhash_partitioned_verify_equals_broadcast():
-    ds = _corpus_with_dups()
-    a = (
-        minhash_lsh_dedup(ds, threshold=0.6, verify="broadcast")
-        .to_pandas()
-        .sort_values("id")
-    )
-    b = (
-        minhash_lsh_dedup(ds, threshold=0.6, verify="partitioned")
-        .to_pandas()
-        .sort_values("id")
-    )
-    assert list(a.cluster_id) == list(b.cluster_id)
-    assert a.cluster_id.nunique() < len(a)  # something actually clustered
-
-
-def test_ngram_partitioned_verify_equals_broadcast():
-    ds = _corpus_with_dups(n_groups=8)
-    a = (
-        ngram_jaccard_dedup(ds, threshold=0.6, verify="broadcast")
-        .to_pandas()
-        .sort_values("id")
-    )
-    b = (
-        ngram_jaccard_dedup(ds, threshold=0.6, verify="partitioned")
-        .to_pandas()
-        .sort_values("id")
-    )
-    assert list(a.cluster_id) == list(b.cluster_id)
-
-
-def test_embedding_partitioned_verify_equals_broadcast():
-    rng = np.random.default_rng(5)
-    vecs = []
-    for g in range(10):
-        base = rng.standard_normal(16)
-        vecs.append(base)
-        vecs.append(base + rng.standard_normal(16) * 0.005)
-    ds = ray.data.from_arrow(
-        pa.table(
-            {
-                "vec_id": pa.array(range(len(vecs)), type=pa.int64()),
-                "embedding": pa.array([v.tolist() for v in vecs]),
-            }
-        )
-    )
-    a = (
-        embedding_cosine_dedup(ds, threshold=0.99, verify="broadcast")
-        .to_pandas()
-        .sort_values("id")
-    )
-    b = (
-        embedding_cosine_dedup(ds, threshold=0.99, verify="partitioned")
-        .to_pandas()
-        .sort_values("id")
-    )
-    assert list(a.cluster_id) == list(b.cluster_id)
-    assert a.cluster_id.nunique() == 10 + len(a) - 20  # pairs merged
-
-
 def test_bucket_cap_emits_chain_not_quadratic():
     g = pd.DataFrame({"doc_id": np.arange(1000, dtype=np.int64)})
     out = _bucket_pairs_capped(g, "doc_id", max_bucket=50)
@@ -646,22 +586,24 @@ def test_shingle_hash_scalar_equals_batch():
     assert not set(a) & set(c)
 
 
+def _ref_levenshtein(a, b):
+    la, lb = len(a), len(b)
+    dp = list(range(lb + 1))
+    for i in range(1, la + 1):
+        prev, dp[0] = dp[0], i
+        for j in range(1, lb + 1):
+            cur = dp[j]
+            dp[j] = min(dp[j] + 1, dp[j - 1] + 1, prev + (a[i - 1] != b[j - 1]))
+            prev = cur
+    return dp[lb]
+
+
 def test_levenshtein_matches_reference_dp():
     import random
 
     from citationgraphs_ray.stages.dedup import _levenshtein
 
-    def ref(a, b):
-        la, lb = len(a), len(b)
-        dp = list(range(lb + 1))
-        for i in range(1, la + 1):
-            prev, dp[0] = dp[0], i
-            for j in range(1, lb + 1):
-                cur = dp[j]
-                dp[j] = min(dp[j] + 1, dp[j - 1] + 1, prev + (a[i - 1] != b[j - 1]))
-                prev = cur
-        return dp[lb]
-
+    ref = _ref_levenshtein
     rng = random.Random(11)
     for _ in range(200):
         a = "".join(rng.choices("abcd ", k=rng.randint(0, 30)))
@@ -683,22 +625,187 @@ def test_edit_distance_dedup():
     assert cl[2] == 2
 
 
-def test_edit_distance_partitioned_verify_equals_broadcast():
-    from citationgraphs_ray.stages.dedup import edit_distance_dedup
+# Verify-stage oracles: every pair of a small corpus goes through the one
+# verify path of each family and must equal a brute-force Python
+# predicate. Two ids past the corpus have no feature row: a missing text
+# reads as "" for edit distance (so two missing texts are equal), while
+# Jaccard and cosine never keep a pair with a missing side. The exchange
+# width P must not change the answer.
+_VERIFY_TEXTS = [
+    BASE,
+    NEAR,
+    OTHER,
+    BASE,
+    "",
+    "short doc",
+    "short doc",
+    "the quick brown fox",
+    "the quick brown fox jumps",
+    OTHER + " again",
+]
 
-    texts = [f"shared prefix tokens for doc {i} payload tail" for i in range(30)]
-    texts[9] = texts[4] + " x"
-    texts[21] = texts[4]
-    ds = _docs(texts)
-    a = (
-        edit_distance_dedup(ds, max_ratio=0.2, verify="broadcast")
-        .to_pandas()
-        .sort_values("id")
+
+def _all_pairs(n):
+    from itertools import combinations
+
+    return list(combinations(range(n), 2))
+
+
+def _verify_pairs(verified):
+    df = verified.to_pandas()
+    return set(zip(df.src.tolist(), df.dst.tolist()))
+
+
+def _cand(pairs):
+    src, dst = zip(*pairs)
+    return ray.data.from_arrow(
+        pa.table({"src": pa.array(src, pa.int64()), "dst": pa.array(dst, pa.int64())})
     )
-    b = (
-        edit_distance_dedup(ds, max_ratio=0.2, verify="partitioned")
-        .to_pandas()
-        .sort_values("id")
+
+
+@pytest.fixture(params=[1, 7], ids=["P1", "P7"])
+def verify_partitions(request, monkeypatch):
+    import citationgraphs_ray.stages.dedup as dedup
+
+    monkeypatch.setattr(dedup, "_default_partitions", lambda: request.param)
+    return request.param
+
+
+def test_verify_jaccard_matches_all_pairs_oracle(verify_partitions):
+    from citationgraphs_ray.stages.dedup import _verify_jaccard
+
+    def shingles(text, k=3):
+        toks = text.lower().split()
+        if len(toks) < k:
+            return {" ".join(toks)} if toks else set()
+        return {" ".join(toks[i : i + k]) for i in range(len(toks) - k + 1)}
+
+    sets = [shingles(t) for t in _VERIFY_TEXTS]
+    pairs = _all_pairs(len(_VERIFY_TEXTS) + 2)
+    threshold = 0.5
+    want = set()
+    for a, b in pairs:
+        if a < len(sets) and b < len(sets):
+            union = len(sets[a] | sets[b])
+            if union and len(sets[a] & sets[b]) / union >= threshold:
+                want.add((a, b))
+    got = _verify_pairs(
+        _verify_jaccard(
+            _cand(pairs), _docs(_VERIFY_TEXTS), threshold, 3, "text", "doc_id"
+        )
     )
-    assert list(a.cluster_id) == list(b.cluster_id)
-    assert a.cluster_id.iloc[9] == a.cluster_id.iloc[4] == a.cluster_id.iloc[21]
+    assert got == want
+    assert (0, 3) in want and (5, 6) in want and (0, 2) not in want
+    assert not any(4 in p for p in want)  # the empty text matches nothing
+
+
+def test_verify_edit_distance_matches_all_pairs_oracle(verify_partitions):
+    from citationgraphs_ray.stages.dedup import _verify_edit_distance
+
+    n = len(_VERIFY_TEXTS)
+    texts = _VERIFY_TEXTS + ["", ""]  # the two ids with no feature row
+    pairs = _all_pairs(n + 2)
+    max_ratio = 0.25
+    want = {
+        (a, b)
+        for a, b in pairs
+        if _ref_levenshtein(texts[a], texts[b])
+        / max(len(texts[a]), len(texts[b]), 1)
+        <= max_ratio
+    }
+    got = _verify_pairs(
+        _verify_edit_distance(
+            _cand(pairs), _docs(_VERIFY_TEXTS), max_ratio, "text", "doc_id"
+        )
+    )
+    assert got == want
+    # two missing texts, and a missing text against the empty one, match
+    assert {(n, n + 1), (4, n), (4, n + 1), (0, 1), (0, 3)} <= want
+
+
+def test_verify_cosine_matches_all_pairs_oracle(verify_partitions):
+    from citationgraphs_ray.stages.dedup import _verify_cosine
+
+    rng = np.random.default_rng(7)
+    base = rng.standard_normal((6, 8))
+    vecs = np.concatenate(
+        [base, base[:3] + rng.standard_normal((3, 8)) * 0.01, np.zeros((1, 8))]
+    )
+    n = len(vecs)
+    ds = ray.data.from_arrow(
+        pa.table(
+            {
+                "vec_id": pa.array(range(n), type=pa.int64()),
+                "embedding": pa.array([v.tolist() for v in vecs]),
+            }
+        )
+    )
+    pairs = _all_pairs(n + 2)
+    threshold = 0.9
+    want = set()
+    for a, b in pairs:
+        if a < n and b < n:
+            den = np.linalg.norm(vecs[a]) * np.linalg.norm(vecs[b])
+            cos = float(vecs[a] @ vecs[b] / den) if den else 0.0
+            assert abs(cos - threshold) > 1e-6  # no pair on the boundary
+            if cos >= threshold:
+                want.add((a, b))
+    got = _verify_pairs(_verify_cosine(_cand(pairs), ds, threshold, "embedding", "vec_id"))
+    assert got == want
+    assert want == {(0, 6), (1, 7), (2, 8)}
+
+
+_ONE_CPU_EMBEDDING_SCRIPT = """
+import sys
+import ray, ray.data
+from citationgraphs_ray.stages.dedup import embedding_cosine_dedup
+
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+ds = ray.data.read_parquet(sys.argv[1])
+out = embedding_cosine_dedup(ds, threshold=0.99).to_pandas()
+print("clusters", out.cluster_id.nunique())
+ray.shutdown()
+"""
+
+
+def test_embedding_dedup_finishes_in_one_cpu_session(tmp_path):
+    """embedding_cosine_dedup over a lazy parquet read in a 1-CPU session
+    must finish: an actor-pool stage behind the read never got the CPU
+    the read tasks held, and the query hung. Runs in a child process
+    (its own Ray session) under a timeout that kills its process group."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    import pyarrow.parquet as pq
+
+    rng = np.random.default_rng(3)
+    base = rng.standard_normal((100, 16))
+    vecs = np.concatenate([base, base + rng.standard_normal((100, 16)) * 1e-3])
+    path = str(tmp_path / "emb.parquet")
+    pq.write_table(
+        pa.table(
+            {
+                "vec_id": pa.array(np.arange(len(vecs)), type=pa.int64()),
+                "embedding": pa.array([v.tolist() for v in vecs]),
+            }
+        ),
+        path,
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_EMBEDDING_SCRIPT, path],
+        env={**os.environ, "PYTHONPATH": root}, cwd=str(tmp_path),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("embedding_cosine_dedup hung in a 1-CPU session (120 s)")
+    assert proc.returncode == 0, err[-3000:]
+    assert "clusters 100" in out  # every planted near-dup pair merged

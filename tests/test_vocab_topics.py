@@ -258,6 +258,35 @@ def test_topic_output_shard_path_equals_driver_path(tmp_path):
     assert list(gd.topic) == list(gs.topic)
 
 
+def test_topic_chains_independent_of_block_order():
+    """The same encoded docs in two block orders give bitwise-equal LDA
+    memberships and GSDMM assignments for one seed: a doc's partition
+    and its place in the partition's RNG stream follow its doc_id, not
+    the order the blocks arrive in."""
+    texts, _ = _planted_corpus()
+    ds = tokenize_docs(_docs(texts))
+    vocab = build_vocab(ds)
+    W = vocab.count()
+    enc = encode_docs(ds, vocab).repartition(6).materialize()
+    flipped = ray.data.from_arrow_refs(enc.to_arrow_refs()[::-1])
+
+    def run(e):
+        lda = LdaEngine(e, num_topics=2, vocab_size=W, num_partitions=2, seed=4)
+        m = lda.train(3).memberships().to_pandas().sort_values("id")
+        lda.shutdown()
+        g = GsdmmEngine(e, num_topics=4, vocab_size=W, num_partitions=2, seed=4)
+        a = g.train(3).assignments().to_pandas().sort_values("id")
+        g.shutdown()
+        return m, a
+
+    (m1, a1), (m2, a2) = run(enc), run(flipped)
+    assert list(a1.id) == list(a2.id) == list(range(len(texts)))
+    assert list(a1.topic) == list(a2.topic)
+    assert list(m1.id) == list(m2.id)
+    for x, y in zip(m1.membership, m2.membership):
+        assert list(x) == list(y)
+
+
 def test_topic_pool_ownership_guard():
     """Constructing a second pooled engine with the same P resets the
     shared actors — the first engine must refuse to keep training (it
